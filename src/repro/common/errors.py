@@ -55,7 +55,7 @@ class DataError(ExecutionError):
     Rank-join thresholds assume totally ordered, finite scores: a NaN
     or infinite score silently corrupts the threshold instead of
     failing the query, so score boundaries
-    (:class:`~repro.operators.joins.RankedInput`,
+    (:class:`~repro.operators.rank_kernel.RankedInput`,
     :meth:`~repro.operators.base.ScoreSpec.checked`) reject such values
     with this error at the first offending row.
     """
@@ -89,12 +89,17 @@ class CheckpointCorruptionError(CheckpointError):
     kind:
         What failed: ``"magic"`` / ``"version"`` / ``"truncated"`` /
         ``"checksum"`` / ``"payload"``.
+    query:
+        The snapshot's query when only the format version is wrong and
+        the envelope is otherwise intact (``None`` otherwise): enough
+        to restart the query even though its state is unusable.
     """
 
-    def __init__(self, message, path=None, kind="payload"):
+    def __init__(self, message, path=None, kind="payload", query=None):
         super().__init__(message)
         self.path = path
         self.kind = kind
+        self.query = query
 
 
 class BudgetExceededError(ReproError):

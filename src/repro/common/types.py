@@ -158,6 +158,18 @@ class Row:
     def __init__(self, values):
         self._values = dict(values)
 
+    @classmethod
+    def _adopt(cls, values):
+        """Wrap ``values`` without copying it.
+
+        For engine code that has just built the dict and keeps no other
+        reference to it (row materialisation, join emit); everything
+        else goes through the copying constructor.
+        """
+        row = cls.__new__(cls)
+        row._values = values
+        return row
+
     def __getitem__(self, name):
         try:
             return self._values[name]
@@ -196,11 +208,16 @@ class Row:
                     "conflicting values for column %r during merge" % (name,)
                 )
             merged[name] = value
-        return Row(merged)
+        return Row._adopt(merged)
 
     def project(self, names):
         """Return a new row containing only ``names``."""
-        return Row({name: self[name] for name in names})
+        values = self._values
+        try:
+            return Row._adopt({name: values[name] for name in names})
+        except KeyError as missing:
+            raise SchemaError("row has no column %r (has %s)"
+                              % (missing.args[0], sorted(values))) from None
 
     def __eq__(self, other):
         if not isinstance(other, Row):

@@ -592,7 +592,7 @@ class Database:
         """
         from repro.common.errors import CheckpointError
 
-        durable_source = None
+        durable_source = query = None
         if isinstance(suspended, (str, bytes)) or hasattr(suspended,
                                                           "__fspath__"):
             durable_source = os.fspath(suspended)
@@ -601,35 +601,40 @@ class Database:
                     match = _durable_snapshot_query_id(durable_source)
                     query_id = match
                 durable_source = os.path.dirname(durable_source) or "."
-            suspended = self.load_suspended(
-                os.fspath(suspended), query_id=query_id)
-        if (self.feedback is not None
-                and getattr(suspended.executor, "feedback", None) is None):
-            suspended.executor.feedback = self.feedback
         store = self._durable_store(state_dir
                                     if state_dir is not None
                                     else durable_source)
         try:
+            if durable_source is not None:
+                suspended = self.load_suspended(
+                    os.fspath(suspended), query_id=query_id)
+            query = suspended.query
+            if (self.feedback is not None and getattr(
+                    suspended.executor, "feedback", None) is None):
+                suspended.executor.feedback = self.feedback
             return suspended.executor.resume(
                 suspended, budget=budget, policy=policy,
                 telemetry=self._telemetry_for(trace, telemetry),
                 checkpoint=checkpoint, store=store, query_id=query_id,
             )
-        except CheckpointError:
-            if durable_source is None:
+        except CheckpointError as error:
+            # A snapshot of another format version still names its
+            # query; one that failed any other validation does not.
+            query = query or getattr(error, "query", None)
+            if durable_source is None or query is None:
                 raise
-            # The durable snapshot no longer fits the re-optimized
-            # plan: discard it and restart from scratch rather than
-            # failing a recovery the caller cannot fix.
+            # The durable snapshot is of another format, or no longer
+            # fits the re-optimized plan: discard it and restart from
+            # scratch rather than failing a recovery the caller cannot
+            # fix.
             from repro.robustness.durability import default_query_id
             from repro.robustness.recovery import RecoveryEvent
 
             if store is not None:
-                store.discard(query_id
-                              or default_query_id(suspended.query))
+                store.discard(query_id or default_query_id(query))
                 store.instruments.recovery("restarted")
             report = self.execute_guarded(
-                suspended.query, budget=budget, policy=policy,
+                query, budget=budget, policy=policy,
                 trace=trace, telemetry=telemetry, checkpoint=checkpoint,
                 state_dir=store, query_id=query_id,
             )

@@ -12,18 +12,18 @@ expressions) plus an output window, and each result is a batch of
 ``(score, row)`` dicts, mirroring the batch-at-a-time ``next_batch``
 plane.
 
-Two deliberate asymmetries versus the in-process operators:
+The worker runs the same
+:class:`~repro.operators.rank_kernel.RankJoinKernel` as the in-process
+:class:`~repro.operators.hrjn.HRJN` (``alternate`` strategy), through
+the same positional adapter over the shared columns, with heap
+positions as payloads instead of Rows -- so its output stream is the
+serial operator's by construction.
 
-* The worker runs a *lean columnar* kernel (raw column buffers indexed
-  by heap position, no Operator or Row indirection) that mirrors
-  :class:`~repro.operators.hrjn.HRJN` with the default ``alternate``
-  strategy step for step -- same threshold formula, same 1e-9 epsilon,
-  same polling order, same tie order, same ``fsum`` term order -- so
-  its output stream is identical to the serial operator's.
-* Tasks are windowed, not resident: a refill re-runs the kernel to a
-  deeper target and ships only the new suffix.  Budgets double on each
-  refill so total recomputation stays within a constant factor of the
-  final depth.
+One deliberate asymmetry versus the in-process operators remains:
+tasks are windowed, not resident.  A refill re-runs the kernel to a
+deeper target and ships only the new suffix; budgets double on each
+refill so total recomputation stays within a constant factor of the
+final depth.
 
 Segment lifecycle: generation-keyed names (``repro_<pid>_g<n>``) are
 created on pool start, freed (closed + unlinked) on rebuild and
@@ -32,22 +32,19 @@ the degraded inline path attaches the very same segment in-process, so
 every execution mode reads identical bytes.
 """
 
-import heapq
 import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from math import fsum
 
 from repro.common.errors import ExecutionError, TransientFaultError
+from repro.common.scoring import SumScore
 from repro.common.types import Row
 from repro.operators.base import Operator, OperatorStats, ScoreSpec
+from repro.operators.rank_kernel import PositionalInput, RankJoinKernel
+from repro.operators.scan import ColumnarView
 from repro.storage import shm
-from repro.storage.columns import compile_score_closure
-
-#: Tolerance for floating-point threshold comparisons (matches HRJN).
-_EPSILON = 1e-9
 
 _GENERATION = itertools.count(1)
 
@@ -72,29 +69,26 @@ def _release_segment(name):
         view.close()
 
 
-class _Side:
-    """One ranked input of the worker kernel, fully columnar."""
+class _ShmScan(Operator):
+    """One shard input over the shared segment, as the kernel sees a scan.
 
-    __slots__ = ("order", "names", "columns", "evaluate", "key",
-                 "position", "top", "last", "exhausted", "hash")
+    Offers what a pull of
+    :class:`~repro.operators.rank_kernel.PositionalInput` asks of an
+    IndexScan -- ``fuse_columnar`` and the ``_consumed`` cursor -- with
+    the heap position itself as the payload, so the worker touches no
+    Row and builds output dicts only for the window it ships.
+    """
 
-    def __init__(self, view, side_spec):
-        table = view.table(side_spec["table"])
-        self.order = table.order(side_spec["index"])
-        self.names = table.names
-        self.columns = [table.columns[name] for name in table.names]
-        # compile_score_closure reproduces ScoreExpression.evaluate bit
-        # for bit (same fsum, same term order) as a position closure.
-        expression = side_spec["expression"]
-        self.evaluate = compile_score_closure(
-            list(expression.weights.items()), table.columns,
-        )
-        self.key = table.columns[side_spec["key"]]
-        self.position = 0
-        self.top = None
-        self.last = None
-        self.exhausted = False
-        self.hash = {}
+    def __init__(self, table, index_name):
+        super().__init__()
+        self.table = table
+        self.order = table.order(index_name)
+        self._consumed = 0
+
+    def fuse_columnar(self):
+        # ``int`` is the identity on a position: the payload.
+        return ColumnarView(self.table.columns, self.order, int,
+                            len(self.order))
 
 
 def _run_shard_task(spec, skip, budget, attempt=1):
@@ -112,106 +106,38 @@ def _run_shard_task(spec, skip, budget, attempt=1):
             or "injected shard fault (attempt %d)" % (attempt,)
         )
     view = _attach_segment(spec["segment"])
-    sides = (_Side(view, spec["left"]), _Side(view, spec["right"]))
-    score_column = spec["score_column"]
+    sides = [spec["left"], spec["right"]]
+    tables = [view.table(side["table"]) for side in sides]
+    # A bare Operator owns what the adapters ask of a rank join: the
+    # ``pulled`` counters and the (absent) guard and tracer hooks.
+    join = Operator(children=[_ShmScan(table, side["index"])
+                              for table, side in zip(tables, sides)])
+    kernel = RankJoinKernel(
+        tuple(
+            PositionalInput.over(join, index, (side["key"],),
+                                 ScoreSpec.weighted(side["expression"]))
+            for index, side in enumerate(sides)
+        ),
+        SumScore(), "alternate", join.stats,
+    )
     needed = skip + budget
-    queue = []
-    emitted = []
-    sequence = 0
-    turn = 0
-    neg_inf = float("-inf")
-
-    def pull(side_index):
-        nonlocal sequence
-        side = sides[side_index]
-        if side.position >= len(side.order):
-            side.exhausted = True
-            return
-        position = side.order[side.position]
-        side.position += 1
-        score = side.evaluate(position)
-        if side.top is None:
-            side.top = score
-        side.last = score
-        key = side.key[position]
-        side.hash.setdefault(key, []).append((score, position))
-        other = sides[1 - side_index]
-        matches = other.hash.get(key)
-        if not matches:
-            return
-        # Output dicts are built straight from the shared columns at
-        # the two heap positions; the sparse-join regime pulls far more
-        # rows than it matches, so this stays on the (rare) match path.
-        names, columns = side.names, side.columns
-        other_names, other_columns = other.names, other.columns
-        for other_score, other_position in matches:
-            if side_index == 0:
-                combined = fsum((score, other_score))
-                output = {name: column[position]
-                          for name, column in zip(names, columns)}
-                for name, column in zip(other_names, other_columns):
-                    output[name] = column[other_position]
-            else:
-                combined = fsum((other_score, score))
-                output = {name: column[other_position]
-                          for name, column in zip(other_names,
-                                                  other_columns)}
-                for name, column in zip(names, columns):
-                    output[name] = column[position]
-            output[score_column] = combined
-            heapq.heappush(queue, (-combined, sequence, output))
-            sequence += 1
-
-    def threshold():
-        left, right = sides
-        terms = []
-        if not left.exhausted:
-            if left.last is None or right.top is None:
-                return None
-            terms.append(fsum((left.last, right.top)))
-        if not right.exhausted:
-            if right.last is None or left.top is None:
-                return None
-            terms.append(fsum((left.top, right.last)))
-        if not terms:
-            return neg_inf
-        return max(terms)
-
-    while len(emitted) < needed:
-        bound = threshold()
-        if queue:
-            best = -queue[0][0]
-            if bound is not None and (best >= bound - _EPSILON
-                                      or bound == neg_inf):
-                emitted.append(heapq.heappop(queue)[2])
-                continue
-        elif bound == neg_inf:
-            break
-        left, right = sides
-        if left.exhausted and right.exhausted:
-            side_index = None
-        elif left.exhausted:
-            side_index = 1
-        elif right.exhausted:
-            side_index = 0
-        elif left.last is None:
-            side_index = 0
-        elif right.last is None:
-            side_index = 1
-        else:
-            side_index = turn
-            turn = 1 - turn
-        if side_index is None:
-            if not queue:
-                break
-            emitted.append(heapq.heappop(queue)[2])
-            continue
-        pull(side_index)
-
+    reported = kernel.advance(needed)
+    # Output dicts are built straight from the shared columns at the
+    # two heap positions, left columns first, for the shipped window.
+    left, right = ([(name, table.columns[name]) for name in table.names]
+                   for table in tables)
+    score_column = spec["score_column"]
+    rows = []
+    for negated, _sequence, left_position, right_position in reported[skip:]:
+        output = {name: column[left_position] for name, column in left}
+        for name, column in right:
+            output[name] = column[right_position]
+        output[score_column] = -negated
+        rows.append(output)
     return {
-        "rows": emitted[skip:],
-        "pulled": (sides[0].position, sides[1].position),
-        "exhausted": len(emitted) < needed,
+        "rows": rows,
+        "pulled": tuple(join.stats.pulled),
+        "exhausted": len(reported) < needed,
     }
 
 
@@ -526,23 +452,28 @@ class ShardStream(Operator):
         self._budget *= 2
         return True
 
+    # Window dicts arrive fresh from the task (unpickled, or built
+    # inline) and each is delivered once, so Rows adopt them.
     def _next(self):
         while True:
-            if self._cursor < len(self._buffer):
-                row = self._buffer[self._cursor]
-                self._cursor += 1
+            cursor = self._cursor
+            if cursor < len(self._buffer):
+                self._cursor = cursor + 1
                 self._delivered += 1
-                return Row(row)
+                return Row._adopt(self._buffer[cursor])
             if not self._refill():
                 return None
 
     def _next_batch(self, n):
         rows = []
         while len(rows) < n:
-            row = self._next()
-            if row is None:
+            cursor = self._cursor
+            chunk = self._buffer[cursor:cursor + n - len(rows)]
+            if not chunk and not self._refill():
                 break
-            rows.append(row)
+            self._cursor += len(chunk)
+            self._delivered += len(chunk)
+            rows.extend(map(Row._adopt, chunk))
         return rows
 
     # ------------------------------------------------------------------

@@ -165,15 +165,26 @@ class ScoreSpec:
     the accessor (``row -> float``) with a human/optimizer-readable
     description used for matching interesting order expressions and for
     plan display.
+
+    ``column_name`` is the qualified column when the score is one
+    plain column, and ``weights`` -- an ordered ``[(column, weight), ...]``
+    list -- declares that ``accessor(row)`` equals
+    ``fsum(weight * row[column] ...)`` in that order.  Either lets a
+    positional consumer read the score from raw columns instead of
+    calling ``accessor`` (see
+    :func:`~repro.storage.columns.compile_score_closure`).
     """
 
-    __slots__ = ("accessor", "description")
+    __slots__ = ("accessor", "description", "column_name", "weights")
 
-    def __init__(self, accessor, description):
+    def __init__(self, accessor, description, weights=None):
+        self.column_name = None
+        self.weights = weights
         if isinstance(accessor, str):
             column = accessor
             if description is None:
                 description = column
+            self.column_name = column
             self.accessor = lambda row, _c=column: row[_c]
         elif callable(accessor):
             if description is None:
@@ -190,12 +201,18 @@ class ScoreSpec:
         """Score is a plain column, e.g. ``ScoreSpec.column("A.c1")``."""
         return cls(qualified_name, qualified_name)
 
+    @classmethod
+    def weighted(cls, expression):
+        """Spec of a weighted-sum ``ScoreExpression``, weights included."""
+        return cls(expression.accessor(), expression.description(),
+                   weights=list(expression.weights.items()))
+
     def checked(self):
         """Return a spec that rejects NaN/±inf scores with a DataError.
 
         Operators that read scores without a
-        :class:`~repro.operators.joins.RankedInput` in front (NRJN's
-        inner, MHRJN, NRA-RJ, J*) wrap their specs with this so a
+        :class:`~repro.operators.rank_kernel.RankedInput` in front
+        (MHRJN, NRA-RJ, J*) wrap their specs with this so a
         degenerate score fails the query at the offending row instead
         of silently corrupting the threshold.
         """

@@ -19,7 +19,38 @@ from repro.storage.columns import (
 )
 
 
-class Filter(Operator):
+class _FusedBatches(Operator):
+    """What Filter and Project share: when their fused batch path is on.
+
+    Subclasses implement ``_setup_fused`` (set ``self._fused`` to a
+    tuple led by the fused child, or ``None``).
+    """
+
+    _fused = None
+    fused_batches = 0
+    fused_rows = 0
+
+    def _open(self):
+        self._setup_fused()
+
+    def _load_state_dict(self, state):
+        # Restored trees skip open(); re-derive the fused view (the
+        # child's state was restored first, so its cursor is current).
+        self._setup_fused()
+
+    def _close(self):
+        self._fused = None
+
+    def _fusion_active(self):
+        """Fusion is valid only while no tracer/guard hooks the pulls."""
+        if self._fused is None or self._tracer is not None \
+                or self._guard is not None:
+            return False
+        child = self._fused[0]
+        return child._tracer is None and child._guard is None
+
+
+class Filter(_FusedBatches):
     """Selection: passes rows satisfying ``predicate(row)``.
 
     Parameters
@@ -44,9 +75,6 @@ class Filter(Operator):
         self.predicate = predicate
         self.description = description or "<predicate>"
         self.predicates = tuple(predicates) if predicates else ()
-        self._fused = None
-        self.fused_batches = 0
-        self.fused_rows = 0
 
     @property
     def schema(self):
@@ -71,25 +99,6 @@ class Filter(Operator):
         if view.order is None:
             selector = compile_mask_selector(self.predicates, view.columns)
         self._fused = (child, view, closure, selector)
-
-    def _open(self):
-        self._setup_fused()
-
-    def _load_state_dict(self, state):
-        # Restored trees skip open(); re-derive the fused view (the
-        # child's state was restored first, so its cursor is current).
-        self._setup_fused()
-
-    def _close(self):
-        self._fused = None
-
-    def _fusion_active(self):
-        """Fusion is valid only while no tracer/guard hooks the pulls."""
-        if self._fused is None or self._tracer is not None \
-                or self._guard is not None:
-            return False
-        child = self._fused[0]
-        return child._tracer is None and child._guard is None
 
     def _next(self):
         while True:
@@ -132,14 +141,11 @@ class Filter(Operator):
             stop = min(start + want, length)
             if selector is not None:
                 out.extend(map(row_at, selector(start, stop)))
-            elif order is None:
-                for position in range(start, stop):
-                    if accept(position):
-                        out.append(row_at(position))
             else:
-                for position in range(start, stop):
-                    if accept(order[position]):
-                        out.append(row_at(position))
+                positions = (range(start, stop) if order is None
+                             else order[start:stop])
+                out.extend([row_at(position) for position in positions
+                            if accept(position)])
             scanned = stop - start
             child.advance(scanned)
             pulled[0] += scanned
@@ -153,7 +159,7 @@ class Filter(Operator):
         return "Filter(%s)" % (self.description,)
 
 
-class Project(Operator):
+class Project(_FusedBatches):
     """Projection onto a subset of qualified column names."""
 
     def __init__(self, child, columns, name=None):
@@ -164,9 +170,6 @@ class Project(Operator):
         resolved = child.schema.project(self.columns)
         self._schema = resolved
         self._names = resolved.qualified_names()
-        self._fused = None
-        self.fused_batches = 0
-        self.fused_rows = 0
 
     @property
     def schema(self):
@@ -186,22 +189,6 @@ class Project(Operator):
         if not buffers:
             return  # Degenerate empty projection: row path handles it.
         self._fused = (child, view, buffers)
-
-    def _open(self):
-        self._setup_fused()
-
-    def _load_state_dict(self, state):
-        self._setup_fused()
-
-    def _close(self):
-        self._fused = None
-
-    def _fusion_active(self):
-        if self._fused is None or self._tracer is not None \
-                or self._guard is not None:
-            return False
-        child = self._fused[0]
-        return child._tracer is None and child._guard is None
 
     def _next(self):
         row = self._pull(0)
@@ -230,7 +217,8 @@ class Project(Operator):
         else:
             positions = order[start:stop]
             slices = [[buffer[p] for p in positions] for buffer in buffers]
-        rows = [Row(dict(zip(names, values))) for values in zip(*slices)]
+        adopt = Row._adopt
+        rows = [adopt(dict(zip(names, values))) for values in zip(*slices)]
         child.advance(stop - start)
         self.stats.pulled[0] += stop - start
         self.fused_batches += 1

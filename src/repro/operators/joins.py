@@ -7,16 +7,29 @@ residual predicate can be layered with :class:`repro.operators.Filter`.
 """
 
 from repro.common.errors import ExecutionError
-from repro.operators.base import Operator, ScoreSpec, check_score
+from repro.operators.base import Operator
+
+
+def key_spec(key):
+    """Normalise a join key to ``(columns, accessor)``.
+
+    ``key`` is a column name, a tuple of column names (composite key)
+    or a ``row -> key`` callable.  ``columns`` is the tuple of names
+    (``None`` for a callable) positional consumers read instead of
+    calling ``accessor``.
+    """
+    if isinstance(key, str):
+        return (key,), lambda row, _c=key: row[_c]
+    if isinstance(key, tuple):
+        return key, lambda row, _c=key: tuple(row[c] for c in _c)
+    if callable(key):
+        return None, key
+    raise ExecutionError("join key must be a column name or callable")
 
 
 def _key_accessor(key):
-    """Normalise a key spec (column name or callable) to a callable."""
-    if isinstance(key, str):
-        return lambda row, _c=key: row[_c]
-    if callable(key):
-        return key
-    raise ExecutionError("join key must be a column name or callable")
+    """Normalise a key spec to its ``row -> key`` callable."""
+    return key_spec(key)[1]
 
 
 #: Input batch size for blocking build phases (hash tables, inner
@@ -120,6 +133,8 @@ class IndexNestedLoopsJoin(Operator):
         self.right_key = _key_accessor(right_key)
         self._schema = left.schema.merge(right.schema)
         self._lookup = None
+        #: Matches still to emit, last first: ``pop()`` is O(1) where
+        #: ``pop(0)`` moved the whole list per emitted row.
         self._pending = []
 
     @property
@@ -140,12 +155,13 @@ class IndexNestedLoopsJoin(Operator):
     def _next(self):
         while True:
             if self._pending:
-                return self._pending.pop(0)
+                return self._pending.pop()
             outer = self._pull(0)
             if outer is None:
                 return None
             matches = self._lookup.get(self.left_key(outer), ())
-            self._pending = [outer.merge(match) for match in matches]
+            self._pending = [outer.merge(match)
+                             for match in reversed(matches)]
 
     def _close(self):
         self._lookup = None
@@ -155,13 +171,13 @@ class IndexNestedLoopsJoin(Operator):
         return {
             "lookup": {key: list(rows)
                        for key, rows in self._lookup.items()},
-            "pending": list(self._pending),
+            "pending": self._pending[::-1],
         }
 
     def _load_state_dict(self, state):
         self._lookup = {key: list(rows)
                         for key, rows in state["lookup"].items()}
-        self._pending = list(state["pending"])
+        self._pending = state["pending"][::-1]
 
     def describe(self):
         return "IndexNestedLoopsJoin"
@@ -182,7 +198,7 @@ class HashJoin(Operator):
         self.right_key = _key_accessor(right_key)
         self._schema = left.schema.merge(right.schema)
         self._build = None
-        self._pending = []
+        self._pending = []  # Last first, as in IndexNestedLoopsJoin.
 
     @property
     def schema(self):
@@ -202,12 +218,13 @@ class HashJoin(Operator):
     def _next(self):
         while True:
             if self._pending:
-                return self._pending.pop(0)
+                return self._pending.pop()
             probe = self._pull(0)
             if probe is None:
                 return None
             matches = self._build.get(self.left_key(probe), ())
-            self._pending = [probe.merge(match) for match in matches]
+            self._pending = [probe.merge(match)
+                             for match in reversed(matches)]
 
     def _close(self):
         self._build = None
@@ -217,13 +234,13 @@ class HashJoin(Operator):
         return {
             "build": {key: list(rows)
                       for key, rows in self._build.items()},
-            "pending": list(self._pending),
+            "pending": self._pending[::-1],
         }
 
     def _load_state_dict(self, state):
         self._build = {key: list(rows)
                        for key, rows in state["build"].items()}
-        self._pending = list(state["pending"])
+        self._pending = state["pending"][::-1]
 
     def describe(self):
         return "HashJoin"
@@ -244,9 +261,10 @@ class SymmetricHashJoin(Operator):
         self.right_key = _key_accessor(right_key)
         self._schema = left.schema.merge(right.schema)
         self._tables = None
+        self._buffered = 0
         self._exhausted = None
         self._turn = 0
-        self._pending = []
+        self._pending = []  # Last first, as in IndexNestedLoopsJoin.
 
     @property
     def schema(self):
@@ -254,18 +272,15 @@ class SymmetricHashJoin(Operator):
 
     def _open(self):
         self._tables = ({}, {})
+        self._buffered = 0
         self._exhausted = [False, False]
         self._turn = 0
         self._pending = []
 
-    def _buffer_size(self):
-        return sum(len(rows) for table in self._tables
-                   for rows in table.values())
-
     def _next(self):
         while True:
             if self._pending:
-                return self._pending.pop(0)
+                return self._pending.pop()
             if all(self._exhausted):
                 return None
             side = self._turn
@@ -280,8 +295,9 @@ class SymmetricHashJoin(Operator):
             other_key_fn = self.right_key if side == 0 else self.left_key
             key = key_fn(row)
             self._tables[side].setdefault(key, []).append(row)
-            self.stats.note_buffer(self._buffer_size())
-            matches = self._tables[1 - side].get(key, ())
+            self._buffered += 1
+            self.stats.note_buffer(self._buffered)
+            matches = reversed(self._tables[1 - side].get(key, ()))
             if side == 0:
                 self._pending = [row.merge(match) for match in matches]
             else:
@@ -299,7 +315,7 @@ class SymmetricHashJoin(Operator):
             ],
             "exhausted": list(self._exhausted),
             "turn": self._turn,
-            "pending": list(self._pending),
+            "pending": self._pending[::-1],
         }
 
     def _load_state_dict(self, state):
@@ -307,74 +323,11 @@ class SymmetricHashJoin(Operator):
             {key: list(rows) for key, rows in table.items()}
             for table in state["tables"]
         )
+        self._buffered = sum(len(rows) for table in self._tables
+                             for rows in table.values())
         self._exhausted = list(state["exhausted"])
         self._turn = state["turn"]
-        self._pending = list(state["pending"])
+        self._pending = state["pending"][::-1]
 
     def describe(self):
         return "SymmetricHashJoin"
-
-
-class RankedInput:
-    """Helper binding a child operator index to its score accessor.
-
-    Used by rank-join operators to treat both inputs uniformly; also
-    tracks the top (first) and bottom (last seen) scores that feed the
-    threshold computation.
-    """
-
-    __slots__ = ("index", "score_spec", "top_score", "last_score",
-                 "exhausted")
-
-    def __init__(self, index, score_spec):
-        if not isinstance(score_spec, ScoreSpec):
-            raise ExecutionError("rank-join inputs need a ScoreSpec")
-        self.index = index
-        self.score_spec = score_spec
-        self.top_score = None
-        self.last_score = None
-        self.exhausted = False
-
-    def observe(self, row):
-        """Record the score of a newly pulled row; returns the score.
-
-        Rejects NaN/±inf scores with a
-        :class:`~repro.common.errors.DataError` -- the threshold
-        arithmetic assumes finite, totally ordered scores, and a single
-        NaN would silently disable the early-out forever.
-        """
-        score = check_score(
-            self.score_spec(row),
-            "rank-join input %d, %s"
-            % (self.index, self.score_spec.description),
-        )
-        if self.top_score is None:
-            self.top_score = score
-        elif score > self.top_score + 1e-9:
-            raise ExecutionError(
-                "rank-join input %d is not sorted descending on %s "
-                "(saw %r after top %r)"
-                % (self.index, self.score_spec.description, score,
-                   self.top_score)
-            )
-        if self.last_score is not None and score > self.last_score + 1e-9:
-            raise ExecutionError(
-                "rank-join input %d is not sorted descending on %s"
-                % (self.index, self.score_spec.description)
-            )
-        self.last_score = score
-        return score
-
-    def state_dict(self):
-        """Serialize the threshold bookkeeping for a checkpoint."""
-        return {
-            "top": self.top_score,
-            "last": self.last_score,
-            "exhausted": self.exhausted,
-        }
-
-    def load_state_dict(self, state):
-        """Restore bookkeeping serialized by :meth:`state_dict`."""
-        self.top_score = state["top"]
-        self.last_score = state["last"]
-        self.exhausted = state["exhausted"]

@@ -10,24 +10,16 @@ the running threshold
 which upper-bounds every join result involving a not-yet-seen outer
 tuple.  Unlike HRJN only one input (the outer) needs ranked access --
 this is exactly the weaker join-eligibility rule of Section 3.2.
+
+In kernel terms (:mod:`repro.operators.rank_kernel`) that is an HRJN
+whose right input is consumed in full on open: an exhausted right
+input leaves exactly the threshold above and polls only the left.
 """
 
-import heapq
-
-from repro.common.errors import ExecutionError
-from repro.common.scoring import MonotoneScore, SumScore
-from repro.common.types import Column, Row, Schema
-from repro.operators.base import Operator, ScoreSpec
-from repro.operators.joins import _key_accessor
-
-_EPSILON = 1e-9
-
-#: Batch size for draining the blocking inner build (matches
-#: ``repro.operators.joins._drain_build``).
-_BUILD_BATCH = 1024
+from repro.operators.hrjn import HRJN
 
 
-class NRJN(Operator):
+class NRJN(HRJN):
     """Nested-loops Rank Join.
 
     Parameters
@@ -35,9 +27,11 @@ class NRJN(Operator):
     outer:
         Ranked child (descending on ``outer_score``); left input.
     inner:
-        Unrestricted child; fully materialised on open.
+        Unrestricted child; fully materialised on open (as a hash
+        lookup -- same results as a rescan per outer tuple, just
+        faster).
     outer_key / inner_key:
-        Equi-join key accessors.
+        Equi-join keys (see :class:`~repro.operators.hrjn.HRJN`).
     outer_score / inner_score:
         Score specs; ``inner_score`` only needs to be *evaluable* per
         row (the inner stream need not be sorted).
@@ -52,177 +46,15 @@ class NRJN(Operator):
     def __init__(self, outer, inner, outer_key, inner_key, outer_score,
                  inner_score, combiner=None, output_score_column=None,
                  name=None):
-        name = name or "NRJN"
-        super().__init__(children=(outer, inner), name=name)
-        self.outer_key = _key_accessor(outer_key)
-        self.inner_key = _key_accessor(inner_key)
-        if isinstance(outer_score, str):
-            outer_score = ScoreSpec.column(outer_score)
-        if isinstance(inner_score, str):
-            inner_score = ScoreSpec.column(inner_score)
-        # NRJN reads scores without a RankedInput boundary, so the
-        # NaN/inf rejection happens in the checked specs instead.
-        self.outer_score = outer_score.checked()
-        self.inner_score = inner_score.checked()
-        if combiner is None:
-            combiner = SumScore()
-        if not isinstance(combiner, MonotoneScore):
-            raise ExecutionError("combiner must be a MonotoneScore")
-        self.combiner = combiner
-        self.output_score_column = (
-            output_score_column or "_score_%s" % (name,)
+        super().__init__(
+            outer, inner, outer_key, inner_key, outer_score, inner_score,
+            combiner=combiner, output_score_column=output_score_column,
+            name=name or "NRJN",
         )
-        self.score_spec = ScoreSpec.column(self.output_score_column)
-        merged = outer.schema.merge(inner.schema)
-        self._schema = Schema(
-            tuple(merged.columns)
-            + (Column(self.output_score_column, table=None,
-                      type_name="float"),)
-        )
-        self._inner_lookup = None
-        self._inner_top = None
-        self._queue = None
-        self._sequence = None
-        self._last_outer = None
-        self._outer_top = None
-        self._outer_exhausted = False
-
-    @property
-    def schema(self):
-        return self._schema
 
     def _open(self):
-        # Materialise the inner input: a nested-loops join must be able
-        # to rescan it, so the full inner is consumed up front.  Build a
-        # hash lookup (same results as a scan, just faster) and record
-        # the top inner score for the threshold.
-        lookup = {}
-        top = None
-        inner_score = self.inner_score
-        inner_key = self.inner_key
-        while True:
-            # Batched drain of the blocking build side; pulled counts
-            # advance exactly as row-wise pulls would (and degrade to
-            # row-at-a-time under an execution guard).
-            batch = self._pull_batch(1, _BUILD_BATCH)
-            for row in batch:
-                score = inner_score(row)
-                if top is None or score > top:
-                    top = score
-                lookup.setdefault(inner_key(row), []).append((score, row))
-            if len(batch) < _BUILD_BATCH:
-                break
-        self._inner_lookup = lookup
-        self._inner_top = top
-        self._queue = []
-        self._sequence = 0
-        self._last_outer = None
-        self._outer_top = None
-        self._outer_exhausted = False
-        self.stats.note_buffer(len(self._queue))
-
-    def _close(self):
-        self._inner_lookup = None
-        self._queue = None
-
-    def _state_dict(self):
-        return {
-            "inner_lookup": {
-                key: list(entries)
-                for key, entries in self._inner_lookup.items()
-            },
-            "inner_top": self._inner_top,
-            "queue": [(neg, seq, dict(output))
-                      for neg, seq, output in self._queue],
-            "sequence": self._sequence,
-            "last_outer": self._last_outer,
-            "outer_top": self._outer_top,
-            "outer_exhausted": self._outer_exhausted,
-        }
-
-    def _load_state_dict(self, state):
-        self._inner_lookup = {
-            key: list(entries)
-            for key, entries in state["inner_lookup"].items()
-        }
-        self._inner_top = state["inner_top"]
-        self._queue = [(neg, seq, dict(output))
-                       for neg, seq, output in state["queue"]]
-        heapq.heapify(self._queue)
-        self._sequence = state["sequence"]
-        self._last_outer = state["last_outer"]
-        self._outer_top = state["outer_top"]
-        self._outer_exhausted = state["outer_exhausted"]
-
-    def threshold(self):
-        """Upper bound on unseen join-result scores (see module doc)."""
-        if self._outer_exhausted:
-            return float("-inf")
-        if self._last_outer is None or self._inner_top is None:
-            return None
-        return self.combiner((self._last_outer, self._inner_top))
-
-    def _advance_outer(self):
-        row = self._pull(0)
-        if row is None:
-            self._outer_exhausted = True
-            return
-        score = self.outer_score(row)
-        if self._outer_top is None:
-            self._outer_top = score
-        elif score > self._outer_top + _EPSILON:
-            raise ExecutionError(
-                "NRJN outer input is not sorted descending on %s"
-                % (self.outer_score.description,)
-            )
-        self._last_outer = score
-        for inner_score, inner_row in self._inner_lookup.get(
-                self.outer_key(row), ()):
-            combined = self.combiner((score, inner_score))
-            output = row.merge(inner_row).as_dict()
-            output[self.output_score_column] = combined
-            heapq.heappush(
-                self._queue, (-combined, self._sequence, output),
-            )
-            self._sequence += 1
-        self.stats.note_buffer(len(self._queue))
-
-    def _next(self):
-        while True:
-            threshold = self.threshold()
-            if self._queue:
-                best = -self._queue[0][0]
-                if (threshold is not None
-                        and (best >= threshold - _EPSILON
-                             or threshold == float("-inf"))):
-                    _neg, _seq, output = heapq.heappop(self._queue)
-                    return Row(output)
-            elif threshold == float("-inf"):
-                return None
-            if self._outer_exhausted:
-                if not self._queue:
-                    return None
-                _neg, _seq, output = heapq.heappop(self._queue)
-                return Row(output)
-            self._advance_outer()
-
-    @property
-    def depths(self):
-        """Return ``(d_outer, d_inner)`` tuples pulled so far."""
-        return tuple(self.stats.pulled)
-
-    def observed_selectivity(self):
-        """Join selectivity realised so far, or ``None`` before any pull.
-
-        Join results found (emitted plus buffered) over the consumed
-        outer prefix times the materialised inner.
-        """
-        d_outer, d_inner = self.stats.pulled
-        pairs = d_outer * d_inner
-        if pairs <= 0:
-            return None
-        hits = self.stats.rows_out + (len(self._queue) if self._queue else 0)
-        return hits / pairs
+        super()._open()
+        self._kernel.preload(1)
 
     def describe(self):
         return "NRJN(f=%r, score->%s)" % (

@@ -1,0 +1,452 @@
+"""The rank-join kernel: the one threshold / priority-queue loop.
+
+:class:`~repro.operators.hrjn.HRJN`,
+:class:`~repro.operators.nrjn.NRJN` and the shard-pool worker
+(:func:`repro.executor.shard_pool._run_shard_task`) all run
+:class:`RankJoinKernel`.  It owns the two hash tables, the priority
+queue, the polling strategy and the threshold of Section 2.2,
+``T = max(f(lastL, topR), f(topL, lastR))``, recomputed only when an
+input advances.  Queue entries are ``(-combined, sequence,
+left_payload, right_payload)``: a join combination is *buffered* as two
+references and the caller builds an output row only for the entries
+:meth:`RankJoinKernel.advance` reports.  Ties break by push sequence,
+so payloads are never compared.
+
+Inputs reach the kernel through two adapters with one protocol
+(``pull() -> (key, score, payload) | None`` and ``drain()``):
+:class:`PositionalInput` reads a fusable scan's raw columns by position
+and hands on the scan's cached Row (in the worker: the position);
+:class:`RowInput` pulls Rows from any other child.  Guards and tracers
+never select a different path: both adapters call ``before_pull`` /
+``on_pulled`` per pull and charge ``pull_ns``.  See
+``docs/columnar.md`` section 3.
+"""
+
+import heapq
+from math import fsum, isfinite
+from time import perf_counter_ns
+
+from repro.common.errors import ExecutionError
+from repro.common.scoring import SumScore
+from repro.operators.base import ScoreSpec, check_score
+from repro.operators.joins import _drain_build
+from repro.storage.columns import compile_score_closure, score_values
+
+#: Tolerance for floating-point threshold and sortedness comparisons.
+EPSILON = 1e-9
+
+#: Supported input-polling strategies.
+POLL_STRATEGIES = ("alternate", "threshold", "left", "right")
+
+_NEG_INF = float("-inf")
+
+
+class RankedInput:
+    """One ranked input: its score spec and threshold bookkeeping.
+
+    Tracks the top (first) and last seen scores that feed the
+    threshold, and validates every score entering the kernel.
+    """
+
+    __slots__ = ("index", "score_spec", "top_score", "last_score",
+                 "exhausted")
+
+    def __init__(self, index, score_spec):
+        if not isinstance(score_spec, ScoreSpec):
+            raise ExecutionError("rank-join inputs need a ScoreSpec")
+        self.index = index
+        self.score_spec = score_spec
+        self.top_score = None
+        self.last_score = None
+        self.exhausted = False
+
+    def observe(self, row):
+        """Record the score of a newly pulled row; returns the score."""
+        return self.check(self.score_spec(row))
+
+    def context(self):
+        """Where a bad score entered, for error messages."""
+        return "rank-join input %d, %s" % (self.index,
+                                           self.score_spec.description)
+
+    def check(self, score):
+        """Validate and record the next score of the stream.
+
+        A NaN/±inf score raises :class:`~repro.common.errors.DataError`
+        (one NaN would silently disable the early-out forever), an
+        ascending step :class:`ExecutionError`.
+        """
+        try:
+            finite = isfinite(score)
+        except TypeError:
+            finite = False
+        if not finite:
+            check_score(score, self.context())
+        top = self.top_score
+        if top is None:
+            self.top_score = score
+        elif score > top + EPSILON:
+            raise ExecutionError(
+                "rank-join input %d is not sorted descending on %s "
+                "(saw %r after top %r)"
+                % (self.index, self.score_spec.description, score, top)
+            )
+        last = self.last_score
+        if last is not None and score > last + EPSILON:
+            raise ExecutionError(
+                "rank-join input %d is not sorted descending on %s"
+                % (self.index, self.score_spec.description)
+            )
+        self.last_score = score
+        return score
+
+
+class RowInput(RankedInput):
+    """Kernel input pulling Rows from child ``index`` of ``owner``."""
+
+    __slots__ = ("owner", "key")
+
+    def __init__(self, owner, index, key, score_spec):
+        super().__init__(index, score_spec)
+        self.owner = owner
+        self.key = key
+
+    def pull(self):
+        row = self.owner._pull(self.index)
+        if row is None:
+            return None
+        return self.key(row), self.observe(row), row
+
+    def drain(self):
+        """Pull the rest of the stream: ``(keys, scores, rows)``."""
+        rows = []
+        _drain_build(self.owner, self.index, rows.append)
+        key, score = self.key, self.score_spec
+        return ([key(row) for row in rows], [score(row) for row in rows],
+                rows)
+
+
+class PositionalInput(RankedInput):
+    """Kernel input reading a fusable scan's columns by position.
+
+    ``owner`` supplies the hooks a pull consults (``_guard``,
+    ``_tracer``, ``stats.pulled``), ``scan`` the cursor (``_consumed``
+    / ``advance``): the protocol the fused Filter/Project use.
+    """
+
+    __slots__ = ("owner", "scan", "order", "length", "key_at",
+                 "score_at", "row_at", "columns")
+
+    @classmethod
+    def over(cls, owner, index, key_columns, score_spec):
+        """The adapter for child ``index``, or ``None`` if ineligible."""
+        scan = owner.children[index]
+        fuse = getattr(scan, "fuse_columnar", None)
+        if (fuse is None or key_columns is None
+                or (score_spec.column_name is None
+                    and score_spec.weights is None)):
+            return None
+        view = fuse()
+        columns = view.columns
+        try:
+            keys = [columns[name] for name in key_columns]
+            if score_spec.column_name is not None:
+                score_at = columns[score_spec.column_name].__getitem__
+            else:
+                score_at = compile_score_closure(score_spec.weights,
+                                                 columns)
+        except KeyError:
+            return None
+        self = cls(index, score_spec)
+        self.owner = owner
+        self.scan = scan
+        self.order = view.order
+        self.length = view.length
+        if len(keys) == 1:
+            self.key_at = keys[0].__getitem__
+        else:
+            self.key_at = lambda position, _k=keys: tuple(
+                column[position] for column in _k)
+        self.score_at = score_at
+        self.row_at = view.row_at
+        self.columns = columns
+        return self
+
+    def pull(self):
+        owner = self.owner
+        index = self.index
+        guard = owner._guard
+        if guard is not None:
+            guard.before_pull(owner, index)
+        traced = owner._tracer is not None
+        if traced:
+            started = perf_counter_ns()
+        scan = self.scan
+        cursor = scan._consumed
+        entry = None
+        if cursor < self.length:
+            order = self.order
+            position = cursor if order is None else order[cursor]
+            scan._consumed = cursor + 1  # scan.advance(1), inlined
+            scan.stats.rows_out += 1
+            owner.stats.pulled[index] += 1
+            score = self.score_at(position)
+            entry = (self.key_at(position), score, self.row_at(position))
+        if traced:
+            self._charge(perf_counter_ns() - started)
+        if entry is None:
+            return None
+        if guard is not None:
+            guard.on_pulled(owner, index)
+        # check(), inlined for the common case: a finite float no
+        # higher than the last score (which check() held to the top).
+        last = self.last_score
+        if type(score) is float and last is not None \
+                and _NEG_INF < score <= last:
+            self.last_score = score
+        else:
+            self.check(score)
+        return entry
+
+    def _charge(self, elapsed):
+        """Book traced wall-clock as a pull would: parent and scan."""
+        self.owner.stats.pull_ns[self.index] += elapsed
+        scan = self.scan
+        if scan._tracer is not None:
+            scan.stats.time_next_ns += elapsed
+            scan.stats.next_calls += 1
+
+    def drain(self):
+        """Read the rest of the stream in one pass over the columns.
+
+        Only the accounting is per pull under a guard (same trip points
+        as row-wise pulls, including the pull that finds the end).
+        """
+        owner = self.owner
+        index = self.index
+        scan = self.scan
+        traced = owner._tracer is not None
+        if traced:
+            started = perf_counter_ns()
+        start = scan._consumed
+        count = max(0, self.length - start)
+        guard = owner._guard
+        if guard is None:
+            scan.advance(count)
+            owner.stats.pulled[index] += count
+        else:
+            for _ in range(count):
+                guard.before_pull(owner, index)
+                scan.advance(1)
+                owner.stats.pulled[index] += 1
+                guard.on_pulled(owner, index)
+            guard.before_pull(owner, index)
+        stop = start + count
+        positions = (range(start, stop) if self.order is None
+                     else self.order[start:stop])
+        spec = self.score_spec
+        if spec.column_name is not None:
+            scores = list(map(self.score_at, positions))
+        else:
+            scores = score_values(spec.weights, self.columns, positions)
+        entries = (list(map(self.key_at, positions)), scores,
+                   list(map(self.row_at, positions)))
+        if traced:
+            self._charge(perf_counter_ns() - started)
+        return entries
+
+
+class RankJoinKernel:
+    """Hash tables + priority queue + threshold of one binary rank join.
+
+    ``inputs`` are the ``(left, right)`` adapters; combined scores are
+    always ``combiner((left_score, right_score))``.  ``strategy`` is one
+    of :data:`POLL_STRATEGIES`: alternate polling starts left, and every
+    strategy first forces one tuple from each side.  ``stats`` is the
+    owner's :class:`~repro.operators.base.OperatorStats`, told the queue
+    length after every pull.
+    """
+
+    __slots__ = ("inputs", "combine", "strategy", "stats", "tables",
+                 "queue", "sequence", "turn", "threshold")
+
+    def __init__(self, inputs, combiner, strategy, stats):
+        self.inputs = inputs
+        # SumScore.__call__ is fsum behind two frames of arity checks.
+        self.combine = fsum if type(combiner) is SumScore else combiner
+        self.strategy = strategy
+        self.stats = stats
+        self.tables = ({}, {})
+        self.queue = []
+        self.sequence = 0
+        self.turn = 0
+        self._refresh()
+
+    # ------------------------------------------------------------------
+    def _refresh(self):
+        """Recompute the threshold; called whenever an input advanced.
+
+        ``None`` while unbounded (an input that is not exhausted has
+        not delivered its first tuple yet), ``-inf`` once both inputs
+        are exhausted, else the larger bound on a combination with an
+        unseen left or an unseen right tuple.
+        """
+        left, right = self.inputs
+        bound = _NEG_INF
+        if not left.exhausted:
+            if left.last_score is None or right.top_score is None:
+                self.threshold = None
+                return
+            bound = self.combine((left.last_score, right.top_score))
+        if not right.exhausted:
+            if right.last_score is None or left.top_score is None:
+                self.threshold = None
+                return
+            term = self.combine((left.top_score, right.last_score))
+            if left.exhausted or term > bound:
+                bound = term
+        self.threshold = bound
+
+    def preload(self, side):
+        """Consume input ``side`` in full before the first report.
+
+        This is NRJN's inner: the stream need not be sorted, so its
+        scores are only checked for finiteness and its top is its
+        maximum; the input then counts as exhausted.
+        """
+        source = self.inputs[side]
+        keys, scores, payloads = source.drain()
+        try:
+            finite = isfinite(sum(scores))
+        except TypeError:
+            finite = False
+        if not finite:  # Find the offending row (overflow: none is).
+            context = source.context()
+            for score in scores:
+                check_score(score, context)
+        table = self.tables[side]
+        for key, entry in zip(keys, zip(scores, payloads)):
+            table.setdefault(key, []).append(entry)
+        source.top_score = max(scores, default=None)
+        source.exhausted = True
+        self._refresh()
+
+    # ------------------------------------------------------------------
+    def advance(self, n):
+        """Report up to ``n >= 1`` queue entries, best first.
+
+        An entry is reported once its combined score reaches the
+        threshold (within :data:`EPSILON`); until then inputs are
+        polled.  Fewer than ``n`` entries means the join is exhausted.
+        """
+        out = []
+        queue = self.queue
+        pop = heapq.heappop
+        while True:
+            threshold = self.threshold
+            if threshold is not None:
+                # -inf (inputs exhausted) bounds nothing: all is final.
+                bound = threshold - EPSILON
+                while queue and -queue[0][0] >= bound:
+                    out.append(pop(queue))
+                    if len(out) == n:
+                        return out
+                if threshold == _NEG_INF:
+                    return out
+            self._poll()
+
+    def _poll(self):
+        """Pull inputs until the queue head is reportable or both end.
+
+        The other half of :meth:`advance`'s loop: its state is bound to
+        locals once per run of pulls (a sparse join pulls thousands of
+        tuples per result), not once per ``advance(1)``.  Each pulled
+        tuple probes the other side's hash table; matches are buffered.
+        """
+        queue = self.queue
+        inputs = left, right = self.inputs
+        pulls = (left.pull, right.pull)
+        tables = self.tables
+        combine = self.combine
+        strategy = self.strategy
+        stats = self.stats
+        push = heapq.heappush
+        while True:
+            # An exhausted side yields to the other; both sides deliver
+            # one tuple before any strategy applies.
+            if left.exhausted:
+                side = 1
+            elif right.exhausted or left.last_score is None:
+                side = 0
+            elif right.last_score is None:
+                side = 1
+            elif strategy == "alternate":
+                side = self.turn
+                self.turn = 1 - side
+            elif strategy == "threshold":
+                # The side whose unseen-term dominates lowers the
+                # threshold fastest.
+                side = 0 if (
+                    combine((left.last_score, right.top_score))
+                    >= combine((left.top_score, right.last_score))) else 1
+            else:
+                side = 0 if strategy == "left" else 1
+            entry = pulls[side]()
+            if entry is None:
+                inputs[side].exhausted = True
+            else:
+                key, score, payload = entry
+                tables[side].setdefault(key, []).append((score, payload))
+                matches = tables[1 - side].get(key)
+                if matches:
+                    sequence = self.sequence
+                    if side == 0:
+                        for other_score, other in matches:
+                            push(queue, (-combine((score, other_score)),
+                                         sequence, payload, other))
+                            sequence += 1
+                    else:
+                        for other_score, other in matches:
+                            push(queue, (-combine((other_score, score)),
+                                         sequence, other, payload))
+                            sequence += 1
+                    self.sequence = sequence
+                # Every pull reports the queue length; without a guard
+                # that is a no-op unless the queue just grew.
+                if matches or stats.guard is not None:
+                    stats.note_buffer(len(queue))
+            self._refresh()
+            threshold = self.threshold
+            if threshold is not None and (
+                    threshold == _NEG_INF
+                    or (queue and -queue[0][0] >= threshold - EPSILON)):
+                return
+
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Plain-data snapshot; payload rows are shared, not copied."""
+        return {
+            "inputs": [(source.top_score, source.last_score,
+                        source.exhausted) for source in self.inputs],
+            "hash": [
+                {key: list(entries) for key, entries in table.items()}
+                for table in self.tables
+            ],
+            "queue": list(self.queue),
+            "sequence": self.sequence,
+            "turn": self.turn,
+        }
+
+    def load_state_dict(self, state):
+        for source, bookkeeping in zip(self.inputs, state["inputs"]):
+            (source.top_score, source.last_score,
+             source.exhausted) = bookkeeping
+        self.tables = tuple(
+            {key: list(entries) for key, entries in table.items()}
+            for table in state["hash"]
+        )
+        self.queue = list(state["queue"])
+        heapq.heapify(self.queue)
+        self.sequence = state["sequence"]
+        self.turn = state["turn"]
+        self._refresh()

@@ -5,12 +5,12 @@ table's row facade (heap order) or the index's sorted entries, so
 ``next_batch`` is a list slice rather than an iterator drain and a
 checkpoint stores just the offset.
 
-Scans also expose :meth:`fuse_columnar`, the hook the vectorized
-:class:`~repro.operators.filters.Filter` /
-:class:`~repro.operators.filters.Project` use to evaluate compiled
-predicates and projections directly over the table's raw typed columns
-(see :mod:`repro.storage.columns`), materialising Rows only for
-surviving positions.
+Scans also expose :meth:`fuse_columnar`, the hook positional consumers
+-- the vectorized :class:`~repro.operators.filters.Filter` /
+:class:`~repro.operators.filters.Project` and the rank-join kernel's
+:class:`~repro.operators.rank_kernel.PositionalInput` -- use to read
+the table's raw typed columns (see :mod:`repro.storage.columns`) by
+position, touching Rows only for the positions they keep.
 """
 
 from repro.operators.base import Operator, ScoreSpec
@@ -28,7 +28,8 @@ class ColumnarView:
         Heap position per cursor position for sorted streams, ``None``
         when the stream is in heap order (cursor == heap position).
     row_at:
-        ``cursor_position -> Row`` getter for surviving positions.
+        ``heap_position -> Row`` getter for the positions a consumer
+        keeps.
     length:
         Stream length at fusion time.
     """
@@ -50,182 +51,24 @@ def _column_map(table):
     """
     store = table.column_store()
     columns = {}
-    for column in table.schema:
-        buffer = store.column(column.qualified_name)
-        columns[column.qualified_name] = buffer
-        columns.setdefault(column.name, buffer)
+    # store.names are the qualified names, in schema order.
+    for column, qualified, typed in zip(table.schema, store.names,
+                                        store.columns):
+        columns[qualified] = typed.data
+        columns.setdefault(column.name, typed.data)
     return columns
 
 
-class TableScan(Operator):
-    """Heap scan over a :class:`~repro.storage.table.Table`."""
+class _Scan(Operator):
+    """Cursor over ``table``: heap order, or ``index`` order when given.
 
-    def __init__(self, table, name=None):
-        super().__init__(children=(), name=name or "Scan(%s)" % (table.name,))
-        self.table = table
-        self._rows = None
-        self._consumed = 0
-
-    @property
-    def schema(self):
-        return self.table.schema
-
-    def _open(self):
-        self._rows = self.table.rows()
-        self._consumed = 0
-
-    def _next(self):
-        rows = self._rows
-        consumed = self._consumed
-        if consumed >= len(rows):
-            return None
-        self._consumed = consumed + 1
-        return rows[consumed]
-
-    def _next_batch(self, n):
-        start = self._consumed
-        rows = self._rows[start:start + n]
-        self._consumed = start + len(rows)
-        return rows
-
-    def _close(self):
-        self._rows = None
-
-    def _state_dict(self):
-        # The cursor is a position, not data: restore assumes the
-        # underlying table is unchanged between snapshot and resume.
-        return {"consumed": self._consumed}
-
-    def _load_state_dict(self, state):
-        self._consumed = state["consumed"]
-        self._rows = self.table.rows()
-
-    def fuse_columnar(self):
-        """Return a :class:`ColumnarView` over this scan's stream."""
-        table = self.table
-        return ColumnarView(
-            _column_map(table),
-            None,
-            table.rows().__getitem__,
-            len(table),
-        )
-
-    def advance(self, count):
-        """Consume ``count`` positions on behalf of a fused consumer.
-
-        Bookkeeping matches ``count`` rows flowing through
-        :meth:`next_batch`: the cursor and ``rows_out`` advance
-        identically, so checkpoints and stats cannot tell fusion
-        happened.
-        """
-        self._consumed += count
-        self.stats.rows_out += count
-
-    def describe(self):
-        return "TableScan(%s)" % (self.table.name,)
-
-
-class IndexScan(Operator):
-    """Sorted access over a :class:`~repro.storage.index.SortedIndex`.
-
-    Emits rows in index order (descending score by default).  This is
-    the ranked-stream access path rank-join operators consume; the
-    emitted order is described by :attr:`score_spec`.
+    With an index the stream is ranked and described by
+    :attr:`score_spec`.
     """
 
-    def __init__(self, table, index, name=None):
-        super().__init__(
-            children=(),
-            name=name or "IndexScan(%s.%s)" % (table.name, index.name),
-        )
+    def __init__(self, table, index, name):
+        super().__init__(children=(), name=name)
         self.table = table
-        self.index = index
-        self.score_spec = ScoreSpec(
-            lambda row, _idx=index: _idx._key_fn(row),
-            index.key_description,
-        )
-        self._entries = None
-        self._consumed = 0
-
-    @property
-    def schema(self):
-        return self.table.schema
-
-    def _open(self):
-        # Snapshot semantics: the index replaces (never mutates) its
-        # entries list on rebuild, so holding the reference pins the
-        # entries as of open even if the table is mutated concurrently.
-        self._entries = self.index.entries()
-        self._consumed = 0
-
-    def _next(self):
-        entries = self._entries
-        consumed = self._consumed
-        if consumed >= len(entries):
-            return None
-        self._consumed = consumed + 1
-        return entries[consumed][1]
-
-    def _next_batch(self, n):
-        start = self._consumed
-        entries = self._entries[start:start + n]
-        self._consumed = start + len(entries)
-        return [row for _score, row in entries]
-
-    def _close(self):
-        self._entries = None
-
-    def _state_dict(self):
-        return {"consumed": self._consumed}
-
-    def _load_state_dict(self, state):
-        self._consumed = state["consumed"]
-        self._entries = self.index.entries()
-
-    def fuse_columnar(self):
-        """Return a :class:`ColumnarView` in index (sorted) order."""
-        entries = self.index.entries()
-        order = self.index.order()
-        return ColumnarView(
-            _column_map(self.table),
-            order,
-            lambda position, _e=entries: _e[position][1],
-            len(order),
-        )
-
-    def advance(self, count):
-        """Consume ``count`` positions on behalf of a fused consumer."""
-        self._consumed += count
-        self.stats.rows_out += count
-
-    def describe(self):
-        direction = "desc" if self.index.descending else "asc"
-        return "IndexScan(%s on %s %s)" % (
-            self.table.name, self.index.key_description, direction,
-        )
-
-
-class ShardedScan(Operator):
-    """Scan of one shard of a partitioned table.
-
-    Behaves exactly like :class:`TableScan` (heap order) or
-    :class:`IndexScan` (ranked order, with a :attr:`score_spec`) over
-    the shard table, but knows *which* shard of *how many* it reads --
-    the identity the per-shard spans/metrics and the demo's per-shard
-    depth display report.
-    """
-
-    def __init__(self, table, shard_index, shard_count, index=None,
-                 name=None):
-        super().__init__(
-            children=(),
-            name=name or "ShardedScan(%s[%d/%d])" % (
-                table.name, shard_index, shard_count,
-            ),
-        )
-        self.table = table
-        self.shard_index = shard_index
-        self.shard_count = shard_count
         self.index = index
         if index is not None:
             self.score_spec = ScoreSpec(
@@ -240,6 +83,9 @@ class ShardedScan(Operator):
         return self.table.schema
 
     def _source_list(self):
+        # Snapshot semantics: table and index replace (never mutate in
+        # place) what a reader may hold, so keeping the reference pins
+        # the stream as of open under concurrent mutation.
         if self.index is None:
             return self.table.rows()
         return self.index.entries()
@@ -270,6 +116,8 @@ class ShardedScan(Operator):
         self._source = None
 
     def _state_dict(self):
+        # The cursor is a position, not data: restore assumes the
+        # underlying table is unchanged between snapshot and resume.
         return {"consumed": self._consumed}
 
     def _load_state_dict(self, state):
@@ -277,28 +125,79 @@ class ShardedScan(Operator):
         self._source = self._source_list()
 
     def fuse_columnar(self):
-        """Return a :class:`ColumnarView` over this shard's stream."""
-        if self.index is None:
-            table = self.table
-            return ColumnarView(
-                _column_map(table),
-                None,
-                table.rows().__getitem__,
-                len(table),
-            )
-        entries = self.index.entries()
-        order = self.index.order()
+        """Return a :class:`ColumnarView` over this scan's stream."""
+        table = self.table
+        order = None if self.index is None else self.index.order()
         return ColumnarView(
-            _column_map(self.table),
+            _column_map(table),
             order,
-            lambda position, _e=entries: _e[position][1],
-            len(order),
+            table.rows().__getitem__,
+            len(table) if order is None else len(order),
         )
 
     def advance(self, count):
-        """Consume ``count`` positions on behalf of a fused consumer."""
+        """Consume ``count`` positions on behalf of a positional consumer.
+
+        Bookkeeping matches ``count`` rows flowing through
+        :meth:`next_batch`: the cursor and ``rows_out`` advance
+        identically, so checkpoints and stats cannot tell the rows were
+        read by position.
+        """
         self._consumed += count
         self.stats.rows_out += count
+
+
+class TableScan(_Scan):
+    """Heap scan over a :class:`~repro.storage.table.Table`."""
+
+    def __init__(self, table, name=None):
+        super().__init__(table, None, name or "Scan(%s)" % (table.name,))
+
+    def describe(self):
+        return "TableScan(%s)" % (self.table.name,)
+
+
+class IndexScan(_Scan):
+    """Sorted access over a :class:`~repro.storage.index.SortedIndex`.
+
+    Emits rows in index order (descending score by default).  This is
+    the ranked-stream access path rank-join operators consume; the
+    emitted order is described by :attr:`score_spec`.
+    """
+
+    def __init__(self, table, index, name=None):
+        super().__init__(
+            table, index,
+            name or "IndexScan(%s.%s)" % (table.name, index.name),
+        )
+
+    def describe(self):
+        direction = "desc" if self.index.descending else "asc"
+        return "IndexScan(%s on %s %s)" % (
+            self.table.name, self.index.key_description, direction,
+        )
+
+
+class ShardedScan(_Scan):
+    """Scan of one shard of a partitioned table.
+
+    Behaves exactly like :class:`TableScan` (heap order) or
+    :class:`IndexScan` (ranked order, with a :attr:`score_spec`) over
+    the shard table, but knows *which* shard of *how many* it reads --
+    the identity the per-shard spans/metrics and the demo's per-shard
+    depth display report.
+    """
+
+    def __init__(self, table, shard_index, shard_count, index=None,
+                 name=None):
+        super().__init__(
+            table, index,
+            name or "ShardedScan(%s[%d/%d])" % (
+                table.name, shard_index, shard_count,
+            ),
+        )
+        self.shard_index = shard_index
+        self.shard_count = shard_count
 
     def describe(self):
         access = ("heap" if self.index is None

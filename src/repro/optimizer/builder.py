@@ -36,6 +36,11 @@ from repro.optimizer.plans import (
 )
 
 
+def _key(columns):
+    """Join key over ``columns``: the name, or a tuple when composite."""
+    return columns[0] if len(columns) == 1 else tuple(columns)
+
+
 class PlanBuilder:
     """Builds operator trees from optimizer plans."""
 
@@ -152,10 +157,12 @@ class PlanBuilder:
         )
 
     def _join_keys(self, plan):
-        """Return (left_key_fn, right_key_fn) for the plan's predicates.
+        """Return (left_key, right_key) for the plan's predicates.
 
-        Multiple predicates become composite keys; each predicate's
-        columns are attributed to the side that provides them.
+        Keys are column names, which lets a rank join over a scan read
+        them by position; multiple predicates become composite (tuple)
+        keys.  Each predicate's columns are attributed to the side
+        that provides them.
         """
         left_tables = plan.children[0].tables
         left_columns = []
@@ -168,14 +175,7 @@ class PlanBuilder:
                 left_columns.append(predicate.right_column)
                 right_columns.append(predicate.left_column)
 
-        def make_key(columns):
-            if len(columns) == 1:
-                column = columns[0]
-                return lambda row: row[column]
-            frozen = tuple(columns)
-            return lambda row: tuple(row[c] for c in frozen)
-
-        return make_key(left_columns), make_key(right_columns)
+        return _key(left_columns), _key(right_columns)
 
     def _build_join(self, plan):
         left = self.build(plan.children[0])
@@ -197,14 +197,8 @@ class PlanBuilder:
         left = self.build(plan.children[0])
         right = self.build(plan.children[1])
         left_key, right_key = self._join_keys(plan)
-        left_spec = ScoreSpec(
-            plan.left_expression.accessor(),
-            plan.left_expression.description(),
-        )
-        right_spec = ScoreSpec(
-            plan.right_expression.accessor(),
-            plan.right_expression.description(),
-        )
+        left_spec = ScoreSpec.weighted(plan.left_expression)
+        right_spec = ScoreSpec.weighted(plan.right_expression)
         if name is None:
             memo = self._names.get(id(plan))
             if memo is None:
@@ -254,14 +248,6 @@ class PlanBuilder:
         else:
             name = memo[1]
         children = [self.build(child) for child in plan.children]
-
-        def make_key(columns):
-            if len(columns) == 1:
-                column = columns[0]
-                return lambda row: row[column]
-            frozen = tuple(columns)
-            return lambda row: tuple(row[c] for c in frozen)
-
         nodes = []
         for position, expression in enumerate(plan.node_expressions):
             weights = (list(expression.weights.items())
@@ -272,8 +258,8 @@ class PlanBuilder:
             parent, column_pairs = plan.edges[position]
             nodes.append(AnyKNode(
                 position, parent,
-                key=make_key([pair[0] for pair in column_pairs]),
-                parent_key=make_key([pair[1] for pair in column_pairs]),
+                key=_key([pair[0] for pair in column_pairs]),
+                parent_key=_key([pair[1] for pair in column_pairs]),
                 score_weights=weights,
             ))
         return AnyK(children, nodes, name=name,
@@ -337,17 +323,8 @@ class PlanBuilder:
         """Build the pool-backed leaf for one shard's rank join."""
         from repro.executor.shard_pool import ShardStream, shard_budget
 
-        left_access, right_access = plan.children
-        left_node = left_access
-        right_node = right_access
-        left_tables = left_node.tables
-        predicate = plan.predicates[0]
-        if predicate.left_table in left_tables:
-            left_column, right_column = (predicate.left_column,
-                                         predicate.right_column)
-        else:
-            left_column, right_column = (predicate.right_column,
-                                         predicate.left_column)
+        left_node, right_node = plan.children
+        left_column, right_column = self._join_keys(plan)
         spec = {
             "left": {
                 "table": left_node.table_name,

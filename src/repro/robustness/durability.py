@@ -54,7 +54,9 @@ from repro.robustness.checkpoint import Checkpoint, SuspendedQuery
 MAGIC = b"RAQC"
 
 #: Current snapshot format version; mismatches are corruption.
-FORMAT_VERSION = 1
+#: 2: rank-join queue entries are ``(-score, seq, left_row, right_row)``
+#: sharing rows with the hash tables (1: a merged output dict each).
+FORMAT_VERSION = 2
 
 #: Header layout: magic, version, flags, payload CRC32, payload length.
 _HEADER = struct.Struct(">4sHHIQ")
@@ -102,12 +104,21 @@ def decode_snapshot(blob, source="<bytes>"):
         raise CheckpointCorruptionError(
             "snapshot %s: bad magic %r" % (source, magic),
             path=source, kind="magic")
+    body = blob[_HEADER.size:]
     if version != FORMAT_VERSION:
+        # Envelope and top-level payload keys are the same in every
+        # version (operator state inside the checkpoint is what
+        # changes), so an intact snapshot still names its query.
+        query = None
+        if len(body) == length and zlib.crc32(body) & 0xFFFFFFFF == crc:
+            try:
+                query = pickle.loads(body).get("query")
+            except Exception:  # Unreadable here: nothing to salvage.
+                pass
         raise CheckpointCorruptionError(
             "snapshot %s: format version %d not supported (expected %d)"
             % (source, version, FORMAT_VERSION),
-            path=source, kind="version")
-    body = blob[_HEADER.size:]
+            path=source, kind="version", query=query)
     if len(body) != length:
         raise CheckpointCorruptionError(
             "snapshot %s: truncated payload (%d of %d bytes)"

@@ -187,7 +187,7 @@ class ColumnStore:
     # ------------------------------------------------------------------
     def row_at(self, position):
         """Materialise the :class:`Row` at ``position``."""
-        return Row({
+        return Row._adopt({
             name: column.data[position]
             for name, column in zip(self.names, self.columns)
         })
@@ -201,7 +201,8 @@ class ColumnStore:
         """
         names = self.names
         slices = [column.data[start:stop] for column in self.columns]
-        return [Row(dict(zip(names, values))) for values in zip(*slices)]
+        adopt = Row._adopt
+        return [adopt(dict(zip(names, values))) for values in zip(*slices)]
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +229,20 @@ def compile_score_closure(weights, columns):
     return lambda position, _t=terms: fsum(
         weight * column[position] for column, weight in _t
     )
+
+
+def score_values(weights, columns, positions):
+    """Scores at ``positions`` in one pass, as a list.
+
+    Equal, element for element, to mapping
+    :func:`compile_score_closure` over ``positions``; the single-term
+    case skips the per-position call.
+    """
+    if len(weights) == 1:
+        ((name, weight),) = weights
+        column = columns[name]
+        return [weight * column[position] for position in positions]
+    return list(map(compile_score_closure(weights, columns), positions))
 
 
 def compile_predicate_closure(predicates, columns):

@@ -101,7 +101,7 @@ class Table:
             # Keep the facade live for callers holding the rows() list;
             # building one Row here matches the old per-insert cost.
             self._row_cache.append(
-                Row(dict(zip(self._store.names, values)))
+                Row._adopt(dict(zip(self._store.names, values)))
             )
         self._version += 1
         for index in self._indexes.values():

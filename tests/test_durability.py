@@ -340,6 +340,33 @@ class TestDatabaseDurableRecovery:
         report = fresh.execute_guarded(SQL, state_dir=state_dir)
         assert report.rows == clean.rows
 
+    def test_older_format_snapshot_is_rejected_and_restarted(self, tmp_path):
+        """A version-1 snapshot (rank-join queues held merged output
+        dicts) must never be restored into version-2 operators: the
+        wire check rejects it, and ``resume`` reruns its query."""
+        clean = make_db().execute_guarded(SQL)
+        state_dir = str(tmp_path / "state")
+        self._suspend_into(state_dir, hrjn_only=True, max_pulls=15)
+        store = CheckpointStore(state_dir, fsync=False)
+        (query_id,) = store.query_ids()
+        for path in store.snapshots(query_id):
+            with open(path, "r+b") as handle:
+                blob = bytearray(handle.read())
+                struct.pack_into(">H", blob, 4, 1)
+                handle.seek(0)
+                handle.write(blob)
+        with pytest.raises(CheckpointCorruptionError) as info:
+            decode_snapshot(bytes(blob))
+        assert info.value.kind == "version"
+        assert info.value.query is not None
+        fresh = make_db(hrjn_only=True)
+        report = fresh.resume(state_dir)
+        assert report.rows == clean.rows
+        assert report.recovery.path == "restarted"
+        recoveries = fresh.metrics.counter("durability_recoveries_total")
+        assert recoveries.value(outcome="restarted") == 1
+        assert store.query_ids() == []
+
     def test_stale_snapshot_restarts_with_restarted_path(self, tmp_path):
         """A snapshot whose state no longer fits the re-optimized plan
         is discarded and the query reruns, recorded as "restarted"."""

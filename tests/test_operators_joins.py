@@ -8,10 +8,10 @@ from repro.operators.joins import (
     HashJoin,
     IndexNestedLoopsJoin,
     NestedLoopsJoin,
-    RankedInput,
     SymmetricHashJoin,
 )
 from repro.operators.base import ScoreSpec
+from repro.operators.rank_kernel import RankedInput
 from repro.operators.scan import TableScan
 from repro.common.types import Row
 from repro.storage.table import Table
