@@ -111,7 +111,6 @@ from repro.robustness import (
     FaultPlan,
     FaultSpec,
     FaultyOperator,
-    GuardedExecutor,
     RecoveryLog,
     RecoveryPolicy,
     ResourceBudget,
@@ -177,7 +176,6 @@ __all__ = [
     "Filter",
     "FilterPredicate",
     "FilterRestartResult",
-    "GuardedExecutor",
     "HRJN",
     "HashJoin",
     "IndexNestedLoopsJoin",

@@ -155,8 +155,8 @@ class OverloadError(ReproError):
 class DepthOverrunError(ExecutionError):
     """A rank-join pulled past its estimated depth safety limit.
 
-    This is a recoverable control signal: the
-    :class:`~repro.robustness.recovery.GuardedExecutor` catches it
+    This is a recoverable control signal: a guarded
+    :class:`~repro.executor.executor.Executor` run catches it
     mid-query, re-estimates selectivity from observed join hits, and
     either continues with updated budgets or falls back to the blocking
     sort plan.  It is raised *before* the offending pull so no tuple is

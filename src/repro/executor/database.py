@@ -23,11 +23,7 @@ from repro.executor.plan_cache import (
 from repro.executor.prepared import PreparedQuery
 from repro.executor.shard_pool import ShardPool
 from repro.observability.metrics import MetricsRegistry
-from repro.optimizer.enumerator import (
-    OptimizationResult,
-    Optimizer,
-    OptimizerConfig,
-)
+from repro.optimizer.enumerator import OptimizationResult, OptimizerConfig
 from repro.optimizer.query import RankQuery
 from repro.sql.parser import parse_query
 from repro.storage.catalog import Catalog
@@ -135,7 +131,8 @@ class Database:
             self.catalog.attach_learned(self.feedback)
         self._executor = Executor(self.catalog, self.cost_model,
                                   self.config, metrics=self.metrics,
-                                  shard_pool=self.shard_pool)
+                                  shard_pool=self.shard_pool,
+                                  feedback=self.feedback)
         self._alias_executors = {}
 
     def _make_feedback(self, feedback):
@@ -261,7 +258,7 @@ class Database:
         if self.feedback is not None:
             derived.attach_learned(self.feedback)
         executor = Executor(derived, self.cost_model, self.config,
-                            metrics=self.metrics)
+                            metrics=self.metrics, feedback=self.feedback)
         self._alias_executors[key] = (version, executor)
         return executor
 
@@ -311,6 +308,15 @@ class Database:
             return Telemetry()
         return None
 
+    @staticmethod
+    def _as_query(query, method):
+        """``query`` parsed from SQL text, or the RankQuery itself."""
+        if isinstance(query, str):
+            query = parse_query(query)
+        if not isinstance(query, RankQuery):
+            raise TypeError("%s() takes SQL text or a RankQuery" % (method,))
+        return query
+
     def prepare(self, query):
         """Parse and fingerprint ``query`` once for repeated execution.
 
@@ -321,13 +327,8 @@ class Database:
         execution pays neither parse nor System-R enumeration.  ``k``
         is rebindable per execution (``prepared.execute(k=50)``).
         """
-        sql = None
-        if isinstance(query, str):
-            sql = query
-            query = parse_query(query)
-        if not isinstance(query, RankQuery):
-            raise TypeError("prepare() takes SQL text or a RankQuery")
-        return PreparedQuery(self, query, sql=sql)
+        sql = query if isinstance(query, str) else None
+        return PreparedQuery(self, self._as_query(query, "prepare"), sql=sql)
 
     def execute(self, query, budget=None, trace=False, telemetry=None,
                 batch_size=None, parallel=None, shards=None):
@@ -365,31 +366,29 @@ class Database:
         expression, predicates and ``k``) against an unchanged catalog
         skip enumeration entirely.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        if not isinstance(query, RankQuery):
-            raise TypeError("execute() takes SQL text or a RankQuery")
+        query = self._as_query(query, "execute")
         if shards is not None:
             self._ensure_partitionings(query, shards)
         return self._execute_fingerprinted(
-            query, query_fingerprint(query), budget=budget, trace=trace,
-            telemetry=telemetry, batch_size=batch_size, parallel=parallel,
+            query, query_fingerprint(query), trace=trace,
+            telemetry=telemetry, parallel=parallel, budget=budget,
+            batch_size=batch_size,
         )
 
-    def _execute_fingerprinted(self, query, fingerprint, budget=None,
-                               trace=False, telemetry=None,
-                               batch_size=None, parallel=None):
-        """Shared execution path for :meth:`execute` and prepared
-        queries: consult the plan cache, run, back-fill on a miss.
+    def _execute_fingerprinted(self, query, fingerprint, trace=False,
+                               telemetry=None, parallel=None, **options):
+        """The one plan-choice path of :meth:`execute`,
+        :meth:`execute_guarded` and prepared queries: serve the plan
+        from the cache, plan on a miss, run.
 
-        On a traced miss the optimizer runs *inside* the executor's
-        ``optimize`` span (so the span tree and enumeration events stay
-        exactly as an uncached traced run produces them) and the result
-        is cached from the report afterwards.
-
-        A forced ``parallel`` mode caches its rewritten plan under a
-        mode-augmented fingerprint, so forced and auto executions of
+        On a miss the executor plans inside its ``optimize`` span (so a
+        traced run's span tree and enumeration events are exactly an
+        uncached run's), and the plan is cached *before* it runs: a
+        guarded run corrects its own copy of the plan, never the cached
+        one.  A forced ``parallel`` mode caches its rewritten plan under
+        a mode-augmented fingerprint, so forced and auto executions of
         the same query shape never collide in the plan cache.
+        ``options`` are :meth:`Executor.run`'s.
         """
         if parallel not in PARALLEL_MODES:
             raise ValueError(
@@ -400,38 +399,25 @@ class Database:
         telemetry = self._telemetry_for(trace, telemetry)
         version = self.catalog.version
         epoch = self._plan_epoch(query)
-        if parallel in (None, "auto"):
-            result = self.plan_cache.get(fingerprint, query.k, version,
-                                         epoch=epoch)
-            report = executor.run(
-                query, budget=budget, telemetry=telemetry, result=result,
-                batch_size=batch_size,
-            )
-            if result is None:
-                self.plan_cache.put(fingerprint, query.k, version,
-                                    report.optimization, epoch=epoch)
-            return self._observe(query, report, fingerprint)
-        key = (fingerprint, "parallel", parallel)
+        forced = parallel not in (None, "auto")
+        key = (fingerprint, "parallel", parallel) if forced else fingerprint
         result = self.plan_cache.get(key, query.k, version, epoch=epoch)
         if result is None:
-            base = self._cached_optimization(executor, query, fingerprint)
-            result = forced_parallel_result(
-                executor.catalog, self.cost_model, base, parallel,
-            )
-            self.plan_cache.put(key, query.k, version, result, epoch=epoch)
-        report = executor.run(
-            query, budget=budget, telemetry=telemetry, result=result,
-            batch_size=batch_size,
-        )
-        return self._observe(query, report, fingerprint)
-
-    def _observe(self, query, report, fingerprint=None):
-        """Feed ``report`` into the feedback store; returns the report."""
-        if self.feedback is not None:
-            report.feedback = self.feedback.observe_report(
-                query, report, fingerprint=fingerprint,
-            )
-        return report
+            def result():
+                if forced:
+                    planned = forced_parallel_result(
+                        executor.catalog, self.cost_model,
+                        self._cached_optimization(executor, query,
+                                                  fingerprint),
+                        parallel,
+                    )
+                else:
+                    planned = executor.optimizer.optimize(
+                        query, telemetry=telemetry)
+                return self.plan_cache.put(key, query.k, version, planned,
+                                           epoch=epoch)
+        return executor.run(query, telemetry=telemetry, result=result,
+                            **options)
 
     def execute_guarded(self, query, budget=None, policy=None,
                         trace=False, telemetry=None, checkpoint=None,
@@ -439,10 +425,11 @@ class Database:
                         state_dir=None, query_id=None):
         """Run under the full robustness layer; returns the report.
 
-        Like :meth:`execute` but through a
-        :class:`~repro.robustness.recovery.GuardedExecutor`: resource
-        budgets are enforced *and* rank-join depth overruns trigger
-        adaptive recovery (mid-query selectivity re-estimation, then
+        Like :meth:`execute` -- the same plan cache, the same executor
+        -- plus a :class:`~repro.robustness.recovery.RecoveryPolicy`
+        (``policy``, defaults apply when ``None``): resource budgets
+        are enforced *and* rank-join depth overruns trigger adaptive
+        recovery (mid-query selectivity re-estimation, then
         continue-with-updated-budgets or fall back to the blocking
         sort plan).  ``report.recovery`` records the path taken;
         ``trace``/``telemetry`` behave as in :meth:`execute`, with
@@ -465,37 +452,20 @@ class Database:
         via :meth:`resume` with the same ``state_dir``.  A default
         checkpoint policy is supplied when ``checkpoint`` is omitted.
         """
-        from repro.robustness.recovery import GuardedExecutor
+        from repro.robustness.checkpoint import CheckpointPolicy
+        from repro.robustness.recovery import RecoveryPolicy
 
-        if isinstance(query, str):
-            query = parse_query(query)
-        if not isinstance(query, RankQuery):
-            raise TypeError(
-                "execute_guarded() takes SQL text or a RankQuery"
-            )
-        if parallel not in PARALLEL_MODES:
-            raise ValueError(
-                "parallel must be one of %r, got %r"
-                % (PARALLEL_MODES[1:], parallel)
-            )
+        query = self._as_query(query, "execute_guarded")
         if shards is not None:
             self._ensure_partitionings(query, shards)
         store = self._durable_store(state_dir)
         if store is not None and checkpoint is None:
-            from repro.robustness.checkpoint import CheckpointPolicy
-
             checkpoint = CheckpointPolicy()
-        base = self._executor_for(query)
-        guarded = GuardedExecutor(
-            base.catalog, self.cost_model, self.config,
-            budget=budget, policy=policy,
-            shard_pool=self.shard_pool if base is self._executor else None,
-            feedback=self.feedback,
-        )
-        return guarded.run(
-            query, telemetry=self._telemetry_for(trace, telemetry),
-            checkpoint=checkpoint, faults=faults, parallel=parallel,
-            store=store, query_id=query_id,
+        return self._execute_fingerprinted(
+            query, query_fingerprint(query), trace=trace,
+            telemetry=telemetry, parallel=parallel, budget=budget,
+            policy=policy or RecoveryPolicy(), checkpoint=checkpoint,
+            faults=faults, store=store, query_id=query_id,
         )
 
     def _durable_store(self, state_dir):
@@ -515,9 +485,9 @@ class Database:
         directory written by a previous (possibly killed) process; in
         the directory case ``query_id`` picks the query, defaulting to
         the directory's only one.  Returns a
-        :class:`~repro.robustness.checkpoint.SuspendedQuery` bound to a
-        fresh guarded executor over this database's catalog -- hand it
-        to :meth:`resume`.  Raises
+        :class:`~repro.robustness.checkpoint.SuspendedQuery` re-planned
+        over this database's catalog -- hand it to :meth:`resume`.
+        Raises
         :class:`~repro.common.errors.CheckpointCorruptionError` when
         the snapshot fails validation (the file is deleted first) and
         :class:`~repro.common.errors.ExecutionError` when no snapshot
@@ -525,7 +495,6 @@ class Database:
         """
         from repro.common.errors import ExecutionError
         from repro.robustness.durability import CheckpointStore, rehydrate
-        from repro.robustness.recovery import GuardedExecutor
 
         source = os.fspath(source) if hasattr(source, "__fspath__") \
             else source
@@ -547,13 +516,7 @@ class Database:
             store = CheckpointStore(os.path.dirname(source) or ".",
                                     metrics=self.metrics)
             payload = store.read_snapshot(source)
-        base = self._executor_for(payload["query"])
-        guarded = GuardedExecutor(
-            base.catalog, self.cost_model, self.config,
-            shard_pool=self.shard_pool if base is self._executor else None,
-            feedback=self.feedback,
-        )
-        suspended = rehydrate(payload, guarded)
+        suspended = rehydrate(payload, self._executor_for(payload["query"]))
         store.instruments.recovery("resumed")
         return suspended
 
@@ -568,10 +531,11 @@ class Database:
         path (a ``.ckpt`` file or a state directory, as written by an
         ``execute_guarded(state_dir=...)`` run in this or an earlier
         process), which is rehydrated via :meth:`load_suspended`
-        first.  Pass a fresh (larger) ``budget``; the resumed run
-        starts its accounting from zero and re-emits nothing -- the
-        returned report's rows extend exactly where the suspended run
-        stopped.
+        first.  ``budget`` defaults to the one the query was suspended
+        under (unlimited for a rehydrated snapshot); pass a larger one
+        to let it finish.  The resumed run starts its accounting from
+        zero and re-emits nothing -- the returned report's rows extend
+        exactly where the suspended run stopped.
 
         A durable resume degrades instead of failing: when the
         snapshot's checkpointed state no longer fits the re-optimized
@@ -582,67 +546,70 @@ class Database:
 
         ``state_dir`` keeps the *continued* run durable too: new
         checkpoints taken while draining the remainder are persisted
-        there under ``query_id``.
+        there under ``query_id``.  With a feedback store attached the
+        resumed run reports into it like every other execution.
+        """
+        from repro.robustness.recovery import restart_event
 
-        When this database has a feedback store, the resuming executor
-        reports into it as well -- instalment workloads (a server
-        draining suspended queries across scheduler steps) learn from
-        each instalment's observed statistics, not just from queries
-        that ran to completion.
+        telemetry = self._telemetry_for(trace, telemetry)
+        options = {"budget": budget, "policy": policy,
+                   "telemetry": telemetry, "checkpoint": checkpoint}
+        if not (isinstance(suspended, (str, bytes))
+                or hasattr(suspended, "__fspath__")):
+            return self._executor_for(suspended.query).resume(
+                suspended, store=self._durable_store(state_dir),
+                query_id=query_id, **options)
+        source = directory = os.fspath(suspended)
+        if not os.path.isdir(source):
+            if query_id is None:
+                query_id = _durable_snapshot_query_id(source)
+            directory = os.path.dirname(source) or "."
+        store = self._durable_store(state_dir if state_dir is not None
+                                    else directory)
+
+        def restart(query):
+            return self.execute_guarded(
+                query, budget=budget, policy=policy, telemetry=telemetry,
+                checkpoint=checkpoint, state_dir=store, query_id=query_id,
+            )
+
+        report, restarted = self._resume_or_restart(
+            lambda: self.load_suspended(source, query_id=query_id),
+            restart, store, query_id, **options)
+        if restarted:
+            report.recovery.record(restart_event(len(report.rows)))
+        return report
+
+    def _resume_or_restart(self, load, restart, store, query_id, **options):
+        """Resume the durable suspension ``load()`` returns, or restart.
+
+        The one rule for durable snapshots: a snapshot that cannot be
+        used -- corrupt, of another format version, or no longer
+        fitting the re-optimized plan -- is discarded, counted as a
+        ``restarted`` recovery, and ``restart(query)`` reruns the query
+        from scratch.  Returns ``(report, restarted)``; the caller
+        records :func:`~repro.robustness.recovery.restart_event` on the
+        report that completes the query.
         """
         from repro.common.errors import CheckpointError
+        from repro.robustness.durability import default_query_id
 
-        durable_source = query = None
-        if isinstance(suspended, (str, bytes)) or hasattr(suspended,
-                                                          "__fspath__"):
-            durable_source = os.fspath(suspended)
-            if not os.path.isdir(durable_source):
-                if query_id is None:
-                    match = _durable_snapshot_query_id(durable_source)
-                    query_id = match
-                durable_source = os.path.dirname(durable_source) or "."
-        store = self._durable_store(state_dir
-                                    if state_dir is not None
-                                    else durable_source)
+        query = None
         try:
-            if durable_source is not None:
-                suspended = self.load_suspended(
-                    os.fspath(suspended), query_id=query_id)
+            suspended = load()
             query = suspended.query
-            if (self.feedback is not None and getattr(
-                    suspended.executor, "feedback", None) is None):
-                suspended.executor.feedback = self.feedback
-            return suspended.executor.resume(
-                suspended, budget=budget, policy=policy,
-                telemetry=self._telemetry_for(trace, telemetry),
-                checkpoint=checkpoint, store=store, query_id=query_id,
-            )
+            return self._executor_for(query).resume(
+                suspended, store=store, query_id=query_id, **options), False
         except CheckpointError as error:
             # A snapshot of another format version still names its
             # query; one that failed any other validation does not.
             query = query or getattr(error, "query", None)
-            if durable_source is None or query is None:
+            if query is None:
                 raise
-            # The durable snapshot is of another format, or no longer
-            # fits the re-optimized plan: discard it and restart from
-            # scratch rather than failing a recovery the caller cannot
-            # fix.
-            from repro.robustness.durability import default_query_id
-            from repro.robustness.recovery import RecoveryEvent
-
-            if store is not None:
-                store.discard(query_id or default_query_id(query))
-                store.instruments.recovery("restarted")
-            report = self.execute_guarded(
-                query, budget=budget, policy=policy,
-                trace=trace, telemetry=telemetry, checkpoint=checkpoint,
-                state_dir=store, query_id=query_id,
-            )
-            report.recovery.record(RecoveryEvent(
-                "restart", "durability", None, None, len(report.rows),
-                "durable snapshot unusable; restarted from scratch",
-            ))
-            return report
+        if store is not None:
+            store.discard(query_id or default_query_id(query))
+            store.instruments.recovery("restarted")
+        return restart(query), True
 
     def explain(self, query):
         """Optimize only; returns the OptimizationResult."""

@@ -6,9 +6,29 @@ operator's counters into an :class:`ExecutionReport` -- the measured
 depths and buffer sizes the Section 5 experiments read.
 """
 
+from repro.common.errors import (
+    BudgetExceededError,
+    DepthOverrunError,
+    TransientFaultError,
+)
+from repro.observability.tracer import NULL_TRACER
+from repro.operators.topk import Limit
 from repro.optimizer.builder import PlanBuilder
-from repro.optimizer.enumerator import Optimizer
+from repro.optimizer.enumerator import OptimizationResult, Optimizer
 from repro.optimizer.plans import RankJoinPlan, ScoreMergePlan
+from repro.robustness.budget import ExecutionGuard
+from repro.robustness.checkpoint import CheckpointManager, CheckpointPolicy
+from repro.robustness.durability import default_query_id
+from repro.robustness.faults import inject_faults
+from repro.robustness.recovery import (
+    RecoveryLog,
+    RecoveryPolicy,
+    install_depth_limits,
+    on_overrun,
+    restore_checkpoint,
+    resume_from,
+    suspend,
+)
 
 
 class OperatorSnapshot:
@@ -58,7 +78,7 @@ class ExecutionReport:
     for estimates.
 
     ``recovery`` is the :class:`~repro.robustness.recovery.RecoveryLog`
-    of a guarded execution (``None`` for plain runs): it records
+    of a guarded execution (``None`` for unguarded runs): it records
     whether the query ran straight through, continued after mid-query
     re-estimation, or fell back to the blocking sort plan.
 
@@ -74,10 +94,9 @@ class ExecutionReport:
 
     ``feedback`` is the summary dict returned by
     :meth:`~repro.feedback.store.FeedbackStore.observe_report` when the
-    serving database (or guarded executor) has an adaptive feedback
-    store attached -- the fingerprint, smoothed depth error, and
-    learned selectivities this execution contributed (``None``
-    otherwise).
+    executor has an adaptive feedback store attached -- the
+    fingerprint, smoothed depth error, and learned selectivities this
+    execution contributed (``None`` otherwise).
     """
 
     def __init__(self, query, result, rows, operators, recovery=None,
@@ -242,78 +261,375 @@ class ExecutionReport:
         return "ExecutionReport(%d rows)" % (len(self.rows),)
 
 
+def _checkpoint_policy(checkpoint):
+    """Normalise a ``checkpoint`` argument to a policy or None."""
+    if checkpoint is None or isinstance(checkpoint, CheckpointPolicy):
+        return checkpoint
+    return CheckpointPolicy(every_rows=int(checkpoint))
+
+
+def _durable_persist(store, query_id, query, policy):
+    """The manager persist hook writing checkpoints to ``store``."""
+    if store is None:
+        return None
+    if query_id is None:
+        query_id = default_query_id(query)
+
+    def persist(checkpoint, pre_open=False):
+        store.save_checkpoint(query_id, query, checkpoint,
+                              policy=policy, pre_open=pre_open)
+
+    return persist
+
+
+class _Run:
+    """One execution's state, shared by the drive loop and recovery.
+
+    ``root`` and ``result`` always name the tree actually running and
+    the plan it was built from: a mid-flight re-plan swaps both, the
+    first selectivity correction swaps ``result`` for the run's own
+    copy (``owns_plan``), and a fallback swaps ``root`` for the sort
+    plan's tree.
+    """
+
+    __slots__ = ("executor", "query", "result", "root", "telemetry",
+                 "tracer", "guard", "policy", "recovery", "manager",
+                 "rows", "reestimates", "replans", "migrated", "owns_plan")
+
+    def __init__(self, executor, query, root=None, telemetry=None):
+        self.executor = executor
+        self.query = query
+        self.result = None
+        self.root = root
+        self.telemetry = telemetry
+        self.tracer = NULL_TRACER if telemetry is None else telemetry.tracer
+        self.guard = self.policy = self.recovery = self.manager = None
+        self.rows = []
+        self.reestimates = self.replans = 0
+        self.migrated = self.owns_plan = False
+
+
 class Executor:
     """Optimize-build-run pipeline over one catalog.
+
+    One pipeline serves every execution: plan -> build -> [inject
+    faults] -> instrument -> [guard + Propagate depth limits] ->
+    [checkpoint manager + durable persistence] -> one drive loop ->
+    [sort-plan fallback through the same loop] -> snapshots -> report
+    -> [feedback] -> [retire durable snapshots].  Each bracketed stage
+    is a no-op unless its :meth:`run` argument is given, so a plain run
+    is a guarded run with null policies.
 
     ``metrics`` optionally names a persistent
     :class:`~repro.observability.metrics.MetricsRegistry` (the serving
     database's registry) fed with batch-drain counters; per-run
-    telemetry stays separate and opt-in.
+    telemetry stays separate and opt-in.  ``feedback`` optionally
+    attaches a :class:`~repro.feedback.store.FeedbackStore`: every run
+    reports its observed statistics into it, depth-overrun re-estimates
+    are learned instead of discarded, and -- with checkpointing active
+    -- a guarded run may re-plan mid-flight (see ``docs/adaptivity.md``).
+    The executor holds no per-run state, so one instance serves
+    concurrent callers.
     """
 
     def __init__(self, catalog, cost_model, config=None, metrics=None,
-                 shard_pool=None):
+                 shard_pool=None, feedback=None):
         self.catalog = catalog
         self.optimizer = Optimizer(catalog, cost_model, config)
         self.builder = PlanBuilder(catalog, shard_pool=shard_pool)
         self.metrics = metrics
+        self.feedback = feedback
 
-    def run(self, query, budget=None, telemetry=None, result=None,
-            batch_size=None):
+    def run(self, query, budget=None, policy=None, telemetry=None,
+            checkpoint=None, faults=None, result=None, store=None,
+            query_id=None, batch_size=None):
         """Optimize ``query``, execute it, and return the report.
 
-        With a :class:`~repro.robustness.budget.ResourceBudget` the
-        operator tree runs under an execution guard: breaching the
-        budget raises
+        ``budget`` -- a :class:`~repro.robustness.budget.ResourceBudget`
+        enforced by an execution guard: a breach raises
         :class:`~repro.common.errors.BudgetExceededError` carrying the
-        partial operator snapshots gathered so far.
+        partial operator snapshots (or suspends, see ``checkpoint``).
 
-        With a :class:`~repro.observability.Telemetry` the run is
-        traced end to end: an ``execute`` span covering ``optimize`` ->
-        ``build`` -> ``open`` -> ``next`` -> ``close`` phases (with
-        per-operator spans nested), optimizer events/counters from the
-        MEMO, Propagate depth-assignment events, and per-operator
-        counters recorded after the drain.  The report's ``telemetry``
-        attribute carries the bundle.
+        ``policy`` -- a
+        :class:`~repro.robustness.recovery.RecoveryPolicy` makes the
+        run *guarded*: every rank join gets a Propagate depth limit and
+        an overrun is recovered from (re-estimate, re-plan, migrate, or
+        fall back to the sort plan).  The report's ``recovery`` records
+        the path taken; it is ``None`` for unguarded runs.
 
-        ``result`` short-circuits plan choice with an already-computed
-        :class:`~repro.optimizer.enumerator.OptimizationResult` (the
-        plan-cache hit path); the caller is responsible for its
-        freshness.  ``batch_size`` drains the root batch-at-a-time via
+        ``telemetry`` -- a :class:`~repro.observability.Telemetry`
+        traces the run end to end: an ``execute`` span
+        (``execute_guarded`` under a policy) covering ``optimize`` ->
+        ``build`` -> ``open`` -> ``next`` -> ``close`` (-> ``fallback``)
+        with per-operator spans nested, optimizer and Propagate events,
+        recovery decisions, and per-operator counters recorded after
+        the drain.  The report's ``telemetry`` carries the bundle.
+
+        ``checkpoint`` -- a
+        :class:`~repro.robustness.checkpoint.CheckpointPolicy` or an
+        ``int`` shorthand (checkpoint every N delivered rows) turns on
+        state-preserving recovery and implies the default recovery
+        policy: a transient fault restores the last checkpoint instead
+        of failing, a budget breach yields ``report.suspension``
+        (resumable via :meth:`resume`) instead of raising, and a
+        fallback decision migrates the live rank-join state instead of
+        rebuilding from scratch.
+
+        ``faults`` injects a :class:`~repro.robustness.faults.FaultPlan`
+        into the built tree -- the entry point for chaos testing.
+
+        ``result`` short-circuits plan choice with an
+        :class:`~repro.optimizer.enumerator.OptimizationResult` (a
+        plan-cache hit, or the plan admission chose), or a zero-argument
+        callable producing one inside the ``optimize`` span (a
+        plan-cache miss); the caller is responsible for its freshness.
+
+        ``store`` (a
+        :class:`~repro.robustness.durability.CheckpointStore`) makes
+        every checkpoint durable under ``query_id`` (derived from the
+        query fingerprint when omitted), so a killed process can
+        continue the query; a run that completes retires them.
+
+        ``batch_size`` drains the root batch-at-a-time via
         :meth:`~repro.operators.base.Operator.next_batch` instead of
         row-at-a-time ``next()`` -- output is identical, Python call
         overhead is amortised across each batch.
         """
-        if telemetry is None:
-            if result is None:
-                result = self.optimizer.optimize(query)
-            root = self.builder.build_query(result)
-            rows = self._collect(root, budget, batch_size=batch_size)
-            operators = [OperatorSnapshot(op) for op in root.walk()]
-            if self.metrics is not None:
-                self._record_columnar(self.metrics, root)
-            return ExecutionReport(query, result, rows, operators)
-        tracer = telemetry.tracer
-        with tracer.span("execute", tables=",".join(sorted(query.tables)),
+        return self._execute(query, result, budget, policy, telemetry,
+                             checkpoint, faults, store, query_id,
+                             batch_size)
+
+    def resume(self, suspended, budget=None, policy=None, telemetry=None,
+               checkpoint=None, store=None, query_id=None):
+        """Continue a :class:`SuspendedQuery` from its checkpoint.
+
+        :meth:`run` seeded with the checkpoint: the plan is rebuilt from
+        the suspended optimization result (operator names are a
+        function of the plan, so the rebuilt tree matches the
+        checkpoint), the checkpoint is restored into it, and the drain
+        continues under a *fresh* guard -- accounting restarts from
+        zero.  ``budget``, ``policy`` and ``checkpoint`` default to the
+        ones the query was suspended under.  The returned report's rows
+        include everything the suspended run already delivered.
+
+        A *pre-open* suspension (``suspended.pre_open``) carries no
+        checkpoint -- the breach fired inside an atomic ``open()`` --
+        so the rebuilt tree simply starts from scratch.
+        """
+        if checkpoint is None:
+            checkpoint = suspended.policy or CheckpointPolicy()
+        return self._execute(
+            suspended.query, suspended.result,
+            suspended.budget if budget is None else budget,
+            policy or suspended.recovery_policy or RecoveryPolicy(),
+            telemetry, checkpoint, None, store, query_id, None, suspended,
+        )
+
+    def run_plan(self, query, plan, k=None, result=None):
+        """Execute a specific plan (bypassing plan choice).
+
+        Used by experiments that compare alternatives the optimizer
+        would have pruned.  ``k`` truncates ranked output.  Callers
+        that already optimized can pass their ``result`` to reuse it;
+        otherwise the report optimizes lazily, only if its estimate
+        side (``optimization`` / ``analyze``) is actually consulted --
+        forced-plan experiments never pay for plan choice twice.
+        """
+        root = self.builder.build(plan)
+        if k is not None:
+            root = Limit(root, k)
+        run = _Run(self, query, root)
+        self._drain(run, None)
+        operators = [OperatorSnapshot(op) for op in root.walk()]
+        if result is None:
+            def result(_optimizer=self.optimizer, _query=query):
+                return _optimizer.optimize(_query)
+        return ExecutionReport(query, result, run.rows, operators)
+
+    def _execute(self, query, result, budget, policy, telemetry, checkpoint,
+                 faults, store, query_id, batch_size, suspended=None):
+        """The one pipeline behind :meth:`run` and :meth:`resume`."""
+        checkpoint = _checkpoint_policy(checkpoint)
+        if checkpoint is not None and policy is None:
+            policy = RecoveryPolicy()
+        run = _Run(self, query, telemetry=telemetry)
+        tracer = run.tracer
+        metrics = events = None
+        if telemetry is not None:
+            metrics, events = telemetry.metrics, telemetry.events
+        with tracer.span("execute" if policy is None else "execute_guarded",
+                         tables=",".join(sorted(query.tables)),
                          k=query.k if query.is_ranking else None):
-            if result is None:
-                with tracer.span("optimize"):
-                    result = self.optimizer.optimize(
-                        query, telemetry=telemetry,
-                    )
-            else:
-                with tracer.span("optimize", cached=True):
-                    pass  # Plan served from the cache: span records it.
+            run.result = result = self._plan(run, result)
             with tracer.span("build"):
                 root = self.builder.build_query(result)
-            self._record_propagate(telemetry, query, result)
-            telemetry.instrument(root)
-            rows = self._collect(root, budget, telemetry, batch_size)
+            if faults is not None:
+                root = inject_faults(root, faults, metrics=metrics)
+            if telemetry is not None:
+                self._record_propagate(telemetry, query, result)
+                telemetry.instrument(root)
+            run.root = root
+            if budget is not None or policy is not None:
+                run.guard = ExecutionGuard(budget,
+                                           metrics=metrics).attach(root)
+            try:
+                if policy is not None:
+                    run.policy = policy
+                    run.recovery = RecoveryLog(event_log=events,
+                                               metrics=metrics)
+                    install_depth_limits(run)
+                if checkpoint is not None:
+                    run.manager = CheckpointManager(
+                        root, checkpoint, guard=run.guard, events=events,
+                        metrics=metrics, persist=_durable_persist(
+                            store, query_id, query, checkpoint))
+                if suspended is not None:
+                    resume_from(run, suspended)
+                if run.guard is not None:
+                    run.guard.start()
+                suspension = self._drain(run, run.manager, batch_size)
+                if run.recovery is not None:
+                    run.recovery.record_shard_recoveries(run.root)
+                    if run.recovery.path == "fallback":
+                        with tracer.span("fallback"):
+                            self._fall_back(run)
+            finally:
+                if run.guard is not None:
+                    run.guard.detach()
+        return self._report(run, suspension, store, query_id)
+
+    def _plan(self, run, result):
+        """The optimize stage: plan, or take the plan handed in."""
+        if result is not None and not callable(result):
+            with run.tracer.span("optimize", cached=True):
+                return result
+        with run.tracer.span("optimize"):
+            if result is None:
+                return self.optimizer.optimize(run.query,
+                                               telemetry=run.telemetry)
+            return result()
+
+    def _drain(self, run, manager, batch_size=None):
+        """The drive loop: open, pull to exhaustion, close.
+
+        The only place the tree is pulled -- row-at-a-time, or by
+        batches of ``batch_size``.  A depth overrun goes to
+        :func:`~repro.robustness.recovery.on_overrun`; with a checkpoint
+        ``manager`` a transient fault rewinds to the last checkpoint and
+        a budget breach suspends; anything else propagates.  Returns
+        the :class:`SuspendedQuery` of a suspended run, else ``None``.
+        """
+        rows = run.rows
+        tracer = run.tracer
+        attributes = {} if batch_size is None else {"batch_size": batch_size}
+        try:
+            while True:
+                root = run.root
+                try:
+                    # An overrun can fire while *opening* (an operator
+                    # materialising input up front); a failed open
+                    # unwinds cleanly, so recovery simply re-opens.
+                    if not root._opened:
+                        with tracer.span("open"):
+                            root.open()
+                    with tracer.span("next", **attributes):
+                        if batch_size is None:
+                            pull = root.next
+                            row = pull()
+                            while row is not None:
+                                rows.append(row)
+                                if manager is not None:
+                                    manager.maybe_checkpoint(rows)
+                                row = pull()
+                            return None
+                        delivered = len(rows)
+                        batches = 0
+                        while True:
+                            batch = root.next_batch(batch_size)
+                            rows.extend(batch)
+                            batches += 1
+                            if manager is not None:
+                                manager.maybe_checkpoint(rows)
+                            if len(batch) < batch_size:
+                                break
+                    self._count_batches(batches, len(rows) - delivered)
+                    return None
+                except DepthOverrunError as overrun:
+                    if not on_overrun(run, overrun):
+                        return None
+                except TransientFaultError:
+                    if manager is None or not manager.can_resume():
+                        raise
+                    restore_checkpoint(run)
+                except BudgetExceededError as breach:
+                    if manager is None or not manager.policy.suspend_on_budget:
+                        raise
+                    return suspend(run, breach)
+        finally:
+            with tracer.span("close"):
+                run.root.close()
+
+    def _count_batches(self, batches, rows):
+        """Feed a batch drain's totals into the persistent registry."""
+        if self.metrics is not None:
+            self.metrics.counter(
+                "executor_batches_total", "root batches drained",
+            ).inc(batches)
+            self.metrics.counter(
+                "executor_batch_rows_total",
+                "rows delivered through batch drains",
+            ).inc(rows)
+
+    def _fall_back(self, run):
+        """Drain the blocking sort plan from scratch.
+
+        The guard keeps its clock and pull counters, so the fallback
+        still answers to the original deadline and pull budget; it runs
+        without checkpoints, so a breach or fault here raises.
+        """
+        result = run.result
+        fallback = OptimizationResult(
+            result.query, result.memo, self.optimizer.fallback_plan(result),
+            result.required_order)
+        run.root = self.builder.build_query(fallback)
+        run.rows = []
+        run.guard.depth_limits.clear()
+        run.guard.attach(run.root)
+        if run.telemetry is not None:
+            run.telemetry.instrument(run.root)
+        self._drain(run, None)
+
+    def _report(self, run, suspension, store, query_id):
+        """Snapshots -> report -> feedback -> retire durable snapshots."""
+        root = run.root
         operators = [OperatorSnapshot(op) for op in root.walk()]
-        telemetry.record_operators(operators)
-        self._record_parallel(telemetry, root)
-        return ExecutionReport(query, result, rows, operators,
-                               telemetry=telemetry)
+        recovery = run.recovery
+        if recovery is not None:
+            recovery.stats["pulled_total"] = run.guard.total_pulled
+            if run.manager is not None:
+                recovery.stats["checkpoints"] = run.manager.checkpoints_taken
+                recovery.stats["resumes"] = run.manager.resumes
+        telemetry = run.telemetry
+        if telemetry is not None:
+            telemetry.record_operators(operators)
+            self._record_parallel(telemetry, root)
+        elif self.metrics is not None:
+            self._record_columnar(self.metrics, root)
+        report = ExecutionReport(run.query, run.result, run.rows, operators,
+                                 recovery=recovery, telemetry=telemetry,
+                                 suspension=suspension)
+        if self.feedback is not None:
+            # Every run lands here -- plain, guarded, served instalments
+            # and resumes -- including suspended ones, whose partial
+            # depths still carry selectivity evidence.
+            report.feedback = self.feedback.observe_report(run.query, report)
+        if store is not None and suspension is None:
+            # A completed run leaves nothing to recover, and a stale
+            # snapshot would wrongly re-run the query on the next resume
+            # over the state directory.  A suspended run keeps its own:
+            # that snapshot *is* the recovery state.
+            store.discard(query_id or default_query_id(run.query))
+        return report
 
     @staticmethod
     def _record_columnar(metrics, root):
@@ -403,94 +719,3 @@ class Executor:
                             input=0)
             depth_gauge.set(estimate.d_right, plan=node.describe(),
                             input=1)
-
-    def run_plan(self, query, plan, k=None, result=None):
-        """Execute a specific plan (bypassing plan choice).
-
-        Used by experiments that compare alternatives the optimizer
-        would have pruned.  ``k`` truncates ranked output.  Callers
-        that already optimized can pass their ``result`` to reuse it;
-        otherwise the report optimizes lazily, only if its estimate
-        side (``optimization`` / ``analyze``) is actually consulted --
-        forced-plan experiments never pay for plan choice twice.
-        """
-        from repro.operators.topk import Limit
-
-        root = self.builder.build(plan)
-        if k is not None:
-            root = Limit(root, k)
-        rows = list(root)
-        operators = [OperatorSnapshot(op) for op in root.walk()]
-        if result is None:
-            def result(_optimizer=self.optimizer, _query=query):
-                return _optimizer.optimize(_query)
-        return ExecutionReport(query, result, rows, operators)
-
-    def _collect(self, root, budget, telemetry=None, batch_size=None):
-        """Drain ``root``, optionally under a budget guard and tracing."""
-        if budget is None and telemetry is None:
-            return self._drain(root, batch_size)
-        if budget is None:
-            return self._drain_traced(root, telemetry, batch_size)
-        from repro.robustness.budget import ExecutionGuard
-
-        guard = ExecutionGuard(budget).attach(root)
-        try:
-            guard.start()
-            if telemetry is None:
-                return self._drain(root, batch_size)
-            return self._drain_traced(root, telemetry, batch_size)
-        finally:
-            guard.detach()
-
-    def _drain(self, root, batch_size):
-        """Full open/next/close drain, row- or batch-at-a-time."""
-        if batch_size is None:
-            return list(root)
-        root.open()
-        try:
-            return self._drain_batches(root, batch_size)
-        finally:
-            root.close()
-
-    def _drain_batches(self, root, batch_size):
-        """Pull batches from an open ``root`` until a short batch."""
-        rows = []
-        batches = 0
-        while True:
-            batch = root.next_batch(batch_size)
-            rows.extend(batch)
-            batches += 1
-            if len(batch) < batch_size:
-                break
-        if self.metrics is not None:
-            self.metrics.counter(
-                "executor_batches_total", "root batches drained",
-            ).inc(batches)
-            self.metrics.counter(
-                "executor_batch_rows_total",
-                "rows delivered through batch drains",
-            ).inc(len(rows))
-        return rows
-
-    def _drain_traced(self, root, telemetry, batch_size=None):
-        """Run the open/next/close lifecycle under executor spans."""
-        tracer = telemetry.tracer
-        with tracer.span("open"):
-            root.open()
-        rows = []
-        attrs = {} if batch_size is None else {"batch_size": batch_size}
-        try:
-            with tracer.span("next", **attrs):
-                if batch_size is not None:
-                    rows = self._drain_batches(root, batch_size)
-                else:
-                    while True:
-                        row = root.next()
-                        if row is None:
-                            break
-                        rows.append(row)
-        finally:
-            with tracer.span("close"):
-                root.close()
-        return rows

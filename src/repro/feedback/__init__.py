@@ -17,7 +17,7 @@ moment the query finished.  This package closes the loop:
   that join plans with the observed value instead of the System R
   guess -- with epoch-scoped plan-cache invalidation, so a learned
   update evicts exactly the fingerprints whose predicates it touches;
-* the :class:`~repro.robustness.recovery.GuardedExecutor` uses the
+* a guarded :class:`~repro.executor.executor.Executor` run uses the
   store on a depth overrun to *re-plan mid-flight*: checkpoint the
   running tree, re-run the enumerator with corrected statistics, and
   migrate the live operator state into the new plan without rereading

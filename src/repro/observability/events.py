@@ -16,7 +16,7 @@ kind                      emitted when
 ``plan_pruned``           a plan is rejected or evicted by the dominance test
 ``pipelining_exemption``  a pipelined plan survives a cheaper blocking plan
 ``propagate_depth``       Algorithm Propagate assigns a depth to a plan node
-``recovery``              the GuardedExecutor re-estimates or falls back
+``recovery``              a guarded run re-estimates or falls back
 ========================  ====================================================
 """
 

@@ -440,7 +440,7 @@ class Operator:
             "children": [child.state_dict() for child in self.children],
         }
 
-    def load_state_dict(self, state, strict_names=True):
+    def load_state_dict(self, state):
         """Restore a snapshot produced by :meth:`state_dict`.
 
         The target must be structurally identical to the checkpointed
@@ -449,18 +449,13 @@ class Operator:
         :class:`~repro.common.errors.CheckpointError` is raised.
         Restoring marks the subtree open (when the snapshot was taken
         open), so the caller continues with ``next()`` directly;
-        ``open()`` must not be called on a restored tree.
-
-        ``strict_names=False`` relaxes only the name check: mid-flight
-        re-planning restores into a tree built from a *fresh*
-        optimization result, whose builder assigned new counter-based
-        names (``HRJN3`` vs ``HRJN2``) to structurally identical
-        operators.  Class and child-count checks always apply -- and
-        relaxed callers must verify structural equivalence of the plan
-        shapes themselves before restoring.
+        ``open()`` must not be called on a restored tree.  Operator
+        names are a function of the plan shape (see
+        :class:`~repro.optimizer.builder.PlanBuilder`), so any build of
+        the same shape -- including a mid-flight re-plan's -- matches.
         """
         if self.checkpoint_transparent:
-            self.children[0].load_state_dict(state, strict_names)
+            self.children[0].load_state_dict(state)
             self._opened = self.children[0]._opened
             return
         if state["operator"] != type(self).__name__:
@@ -468,7 +463,7 @@ class Operator:
                 "checkpoint holds %s state but the plan has %s at %r"
                 % (state["operator"], type(self).__name__, self.name)
             )
-        if strict_names and state["name"] != self.name:
+        if state["name"] != self.name:
             raise CheckpointError(
                 "checkpoint was taken on operator %r, cannot restore "
                 "into %r -- rebuild the plan from the same "
@@ -480,7 +475,7 @@ class Operator:
                 % (len(state["children"]), self.name, len(self.children))
             )
         for child, child_state in zip(self.children, state["children"]):
-            child.load_state_dict(child_state, strict_names)
+            child.load_state_dict(child_state)
         self.stats.load_state_dict(state["stats"])
         if state["opened"]:
             self._load_state_dict(state["state"])

@@ -169,7 +169,7 @@ class Project(_FusedBatches):
         # typos fail at plan-build time rather than mid-execution.
         resolved = child.schema.project(self.columns)
         self._schema = resolved
-        self._names = resolved.qualified_names()
+        self._qualified = resolved.qualified_names()
 
     @property
     def schema(self):
@@ -183,7 +183,7 @@ class Project(_FusedBatches):
             return
         view = fuse()
         try:
-            buffers = [view.columns[name] for name in self._names]
+            buffers = [view.columns[name] for name in self._qualified]
         except KeyError:
             return
         if not buffers:
@@ -194,12 +194,12 @@ class Project(_FusedBatches):
         row = self._pull(0)
         if row is None:
             return None
-        return row.project(self._names)
+        return row.project(self._qualified)
 
     def _next_batch(self, n):
         if self._fusion_active():
             return self._next_batch_fused(n)
-        names = self._names
+        names = self._qualified
         return [row.project(names) for row in self._pull_batch(0, n)]
 
     def _next_batch_fused(self, n):
@@ -210,7 +210,7 @@ class Project(_FusedBatches):
         child, view, buffers = self._fused
         start = child._consumed
         stop = min(start + n, view.length)
-        names = self._names
+        names = self._qualified
         order = view.order
         if order is None:
             slices = [buffer[start:stop] for buffer in buffers]
@@ -226,4 +226,4 @@ class Project(_FusedBatches):
         return rows
 
     def describe(self):
-        return "Project(%s)" % (", ".join(self._names),)
+        return "Project(%s)" % (", ".join(self._qualified),)

@@ -41,60 +41,51 @@ def _key(columns):
     return columns[0] if len(columns) == 1 else tuple(columns)
 
 
+class _Call:
+    """State of one top-level build: the query's ``k`` and the counter
+    numbering its rank-join, any-k and score-merge groups from 1."""
+
+    __slots__ = ("k", "_numbers")
+
+    def __init__(self, k=None):
+        self.k = k
+        self._numbers = itertools.count(1)
+
+    def name(self, prefix):
+        return "%s%d" % (prefix, next(self._numbers))
+
+
 class PlanBuilder:
-    """Builds operator trees from optimizer plans."""
+    """Builds operator trees from optimizer plans.
+
+    Operator names are a function of the plan: each :meth:`build_query`
+    / :meth:`build` call numbers its rank-join, any-k and score-merge
+    groups from 1 in post-order, so rebuilding a plan -- a checkpoint
+    resume, a re-plan into the same shape, a recovering process --
+    reproduces every name and ``_score_<name>`` column, and the builder
+    keeps no state between calls.
+    """
 
     def __init__(self, catalog, shard_pool=None):
         self.catalog = catalog
         self.shard_pool = shard_pool
-        self._counter = itertools.count(1)
-        # Rank-join names memoised per plan node, so rebuilding the
-        # same plan (checkpoint resume into a fresh tree) reproduces
-        # identical operator names and score columns.  The plan node is
-        # kept as a strong reference so id() values cannot be reused.
-        self._names = {}
-        # Target k of the query being built; ScoreMergePlan nodes use
-        # it to resolve their execution vehicle and per-shard budgets.
-        self._k = None
 
     # ------------------------------------------------------------------
     def build_query(self, result):
         """Build the full executable tree for an OptimizationResult.
 
         Adds the final Limit for ranking queries and the projection for
-        an explicit select list.
+        an explicit select list.  ScoreMergePlan nodes resolve their
+        execution vehicle and per-shard budgets at the query's ``k``.
         """
         query = result.query
-        self._k = float(query.k) if query.is_ranking else None
-        root = self.build(result.best_plan)
+        k = float(query.k) if query.is_ranking else None
+        root = self._build(result.best_plan, _Call(k))
         if query.is_ranking:
             root = Limit(root, query.k)
         if query.select is not None:
             root = Project(root, query.select)
         return root
-
-    def adopt_rank_join_names(self, old_plan, new_plan):
-        """Memoise ``old_plan``'s rank-join names for ``new_plan``.
-
-        A mid-flight re-plan re-enumerates and gets *new* plan nodes;
-        building them would draw fresh names -- and fresh
-        ``_score_<name>`` output columns, making post-migration rows
-        differ from a serial run's.  Walking both plan trees in
-        lockstep and copying the memoised names over keeps the rebuilt
-        tree's operator names and score columns identical wherever the
-        shapes match; where they diverge, the walk just stops (the
-        migration's compatibility check rejects such plans anyway).
-        """
-        if ((isinstance(old_plan, RankJoinPlan)
-             and isinstance(new_plan, RankJoinPlan))
-                or (isinstance(old_plan, AnyKPlan)
-                    and isinstance(new_plan, AnyKPlan))):
-            memo = self._names.get(id(old_plan))
-            if memo is not None:
-                self._names[id(new_plan)] = (new_plan, memo[1])
-        for old_child, new_child in zip(old_plan.children,
-                                        new_plan.children):
-            self.adopt_rank_join_names(old_child, new_child)
 
     def build(self, plan):
         """Build the operator tree for one plan node.
@@ -103,20 +94,23 @@ class PlanBuilder:
         (``operator.plan``) so EXPLAIN ANALYZE can pair estimated and
         actual cardinalities after execution.
         """
+        return self._build(plan, _Call())
+
+    def _build(self, plan, call):
         if isinstance(plan, AccessPlan):
             operator = self._build_access(plan)
         elif isinstance(plan, FilterPlan):
-            operator = self._build_filter(plan)
+            operator = self._build_filter(plan, call)
         elif isinstance(plan, SortPlan):
-            operator = self._build_sort(plan)
+            operator = self._build_sort(plan, call)
         elif isinstance(plan, RankJoinPlan):
-            operator = self._build_rank_join(plan)
+            operator = self._build_rank_join(plan, call)
         elif isinstance(plan, AnyKPlan):
-            operator = self._build_anyk(plan)
+            operator = self._build_anyk(plan, call)
         elif isinstance(plan, ScoreMergePlan):
-            operator = self._build_score_merge(plan)
+            operator = self._build_score_merge(plan, call)
         elif isinstance(plan, JoinPlan):
-            operator = self._build_join(plan)
+            operator = self._build_join(plan, call)
         else:
             raise OptimizerError("cannot build plan node %r" % (plan,))
         operator.plan = plan
@@ -135,8 +129,8 @@ class PlanBuilder:
         index = table.get_index(plan.index_name)
         return IndexScan(table, index)
 
-    def _build_filter(self, plan):
-        child = self.build(plan.children[0])
+    def _build_filter(self, plan, call):
+        child = self._build(plan.children[0], call)
         predicates = plan.predicates
 
         def accept(row, _predicates=predicates):
@@ -148,8 +142,8 @@ class PlanBuilder:
             predicates=predicates,
         )
 
-    def _build_sort(self, plan):
-        child = self.build(plan.children[0])
+    def _build_sort(self, plan, call):
+        child = self._build(plan.children[0], call)
         expression = plan.order.expression
         return Sort(
             child, expression.accessor(), descending=True,
@@ -177,9 +171,9 @@ class PlanBuilder:
 
         return _key(left_columns), _key(right_columns)
 
-    def _build_join(self, plan):
-        left = self.build(plan.children[0])
-        right = self.build(plan.children[1])
+    def _build_join(self, plan, call):
+        left = self._build(plan.children[0], call)
+        right = self._build(plan.children[1], call)
         left_key, right_key = self._join_keys(plan)
         if plan.method == "hash":
             return HashJoin(left, right, left_key, right_key)
@@ -193,22 +187,15 @@ class PlanBuilder:
             return HashJoin(left, right, left_key, right_key)
         raise OptimizerError("unknown join method %r" % (plan.method,))
 
-    def _build_rank_join(self, plan, name=None, output_score_column=None):
-        left = self.build(plan.children[0])
-        right = self.build(plan.children[1])
+    def _build_rank_join(self, plan, call, name=None,
+                         output_score_column=None):
+        left = self._build(plan.children[0], call)
+        right = self._build(plan.children[1], call)
         left_key, right_key = self._join_keys(plan)
         left_spec = ScoreSpec.weighted(plan.left_expression)
         right_spec = ScoreSpec.weighted(plan.right_expression)
         if name is None:
-            memo = self._names.get(id(plan))
-            if memo is None:
-                name = "%s%d" % (plan.operator.upper(),
-                                 next(self._counter))
-                self._names[id(plan)] = (plan, name)
-            else:
-                name = memo[1]
-        else:
-            self._names[id(plan)] = (plan, name)
+            name = call.name(plan.operator.upper())
         score_column = output_score_column or "_score_%s" % (name,)
         if plan.operator == "hrjn":
             return HRJN(
@@ -230,24 +217,17 @@ class PlanBuilder:
             output_score_column=score_column,
         )
 
-    def _build_anyk(self, plan):
+    def _build_anyk(self, plan, call):
         """Build the any-k DP operator for an :class:`AnyKPlan`.
 
-        Names are memoised per plan node like rank joins, so rebuilding
-        the same plan (checkpoint resume) reproduces identical operator
-        names and score columns.  Node scores are passed as ordered
-        weight lists, routing the operator's scoring through the
-        columnar ``compile_score_closure`` path.
+        Node scores are passed as ordered weight lists, routing the
+        operator's scoring through the columnar
+        ``compile_score_closure`` path.
         """
         from repro.operators.anyk import AnyK, AnyKNode
 
-        memo = self._names.get(id(plan))
-        if memo is None:
-            name = "ANYK%d" % (next(self._counter),)
-            self._names[id(plan)] = (plan, name)
-        else:
-            name = memo[1]
-        children = [self.build(child) for child in plan.children]
+        name = call.name("ANYK")
+        children = [self._build(child, call) for child in plan.children]
         nodes = []
         for position, expression in enumerate(plan.node_expressions):
             weights = (list(expression.weights.items())
@@ -276,7 +256,7 @@ class PlanBuilder:
             self.shard_pool = ShardPool(self.catalog)
         return self.shard_pool
 
-    def _build_score_merge(self, plan):
+    def _build_score_merge(self, plan, call):
         """Build ScoreMerge over per-shard rank-join pipelines.
 
         One group name is drawn from the rank-join counter and shared:
@@ -284,15 +264,10 @@ class PlanBuilder:
         ``_score_<group>`` the serial rank join would have written, so
         parallel output rows are byte-identical to serial ones.
         """
-        memo = self._names.get(id(plan))
-        if memo is None:
-            group = "HRJN%d" % (next(self._counter),)
-            self._names[id(plan)] = (plan, group)
-        else:
-            group = memo[1]
+        group = call.name("HRJN")
         score_column = "_score_%s" % (group,)
-        k = self._k if self._k is not None else float(plan.cardinality
-                                                      or 1.0)
+        k = call.k if call.k is not None else float(plan.cardinality
+                                                    or 1.0)
         mode = plan.resolved_mode(k)
         budgets = plan.child_budgets(k)
         shard_count = len(plan.children)
@@ -308,7 +283,7 @@ class PlanBuilder:
                 )
             else:
                 child = self._build_rank_join(
-                    child_plan, name="%s[s%d]" % (group, index),
+                    child_plan, call, name="%s[s%d]" % (group, index),
                     output_score_column=score_column,
                 )
             child.plan = child_plan

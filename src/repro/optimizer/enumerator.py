@@ -190,7 +190,7 @@ class Optimizer:
         The paper's ``k*`` crossover pits the pipelined rank-join plan
         against a blocking sort plan whose cost is flat in ``k``.  When
         a rank-join's actual depth overruns its estimate at run time,
-        the :class:`~repro.robustness.recovery.GuardedExecutor` needs
+        the guarded executor (:mod:`repro.robustness.recovery`) needs
         that alternative back: the cheapest retained root plan that is
         not rank-join based and delivers the required order -- or, when
         pruning removed them all, a sort glued over the cheapest

@@ -16,8 +16,8 @@ Three layers on top of the iterator executor:
   :class:`~repro.robustness.checkpoint.CheckpointPolicy`) and
   :class:`~repro.robustness.checkpoint.SuspendedQuery` handles for
   budget-paused queries;
-* :mod:`repro.robustness.recovery` -- the
-  :class:`~repro.robustness.recovery.GuardedExecutor`, which recovers
+* :mod:`repro.robustness.recovery` -- the decisions a guarded
+  :class:`~repro.executor.executor.Executor` run takes: it recovers
   mid-query from rank-join depth mis-estimation by re-estimating
   selectivity from observed join hits and either continuing with
   updated budgets or falling back to the blocking sort plan (migrating
@@ -53,7 +53,6 @@ from repro.robustness.faults import (
     inject_faults,
 )
 from repro.robustness.recovery import (
-    GuardedExecutor,
     RecoveryEvent,
     RecoveryLog,
     RecoveryPolicy,
@@ -69,7 +68,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FaultyOperator",
-    "GuardedExecutor",
     "RecoveryEvent",
     "RecoveryLog",
     "RecoveryPolicy",

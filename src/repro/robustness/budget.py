@@ -13,11 +13,10 @@ buffer occupancy, wall-clock deadline) enforced by an
 The guard also tracks *depth limits* on rank-join operators -- the
 Propagate estimates scaled by a safety factor.  Exceeding a depth
 limit raises the recoverable
-:class:`~repro.common.errors.DepthOverrunError` (caught by the
-:class:`~repro.robustness.recovery.GuardedExecutor` for mid-query
-re-estimation), while exceeding a hard budget raises
-:class:`~repro.common.errors.BudgetExceededError` carrying partial
-operator snapshots.
+:class:`~repro.common.errors.DepthOverrunError` (caught by a guarded
+executor run for mid-query re-estimation), while exceeding a hard
+budget raises :class:`~repro.common.errors.BudgetExceededError`
+carrying partial operator snapshots.
 """
 
 import time

@@ -138,7 +138,7 @@ class CheckpointManager:
     persist:
         Optional callable receiving every taken :class:`Checkpoint` --
         the durability hook: the
-        :class:`~repro.robustness.recovery.GuardedExecutor` wires a
+        :class:`~repro.executor.executor.Executor` wires a
         :class:`~repro.robustness.durability.CheckpointStore` write
         here so cadence/pressure/suspend checkpoints become crash-safe
         the moment they are taken.
@@ -208,7 +208,7 @@ class CheckpointManager:
         return (self.latest is not None
                 and self.resumes < self.policy.max_resumes)
 
-    def restore(self, root=None, kind=None, strict_names=True):
+    def restore(self, root=None, kind=None):
         """Restore the latest checkpoint; returns the delivered rows.
 
         With ``root`` the snapshot is loaded into that (freshly built)
@@ -219,19 +219,13 @@ class CheckpointManager:
         is the rows delivered up to the checkpoint -- the caller's row
         buffer must be reset to it, since anything delivered after the
         snapshot will be re-emitted.
-
-        ``strict_names=False`` restores into a tree built from a
-        *different* optimization result (mid-flight re-planning), where
-        the builder assigned fresh counter names; the caller is
-        responsible for checking structural plan equivalence first (see
-        :meth:`Operator.load_state_dict <repro.operators.base.Operator.load_state_dict>`).
         """
         if self.latest is None:
             raise CheckpointError("no checkpoint to restore")
         if kind is None:
             kind = "in_place" if root is None else "fresh_plan"
         target = root if root is not None else self.root
-        target.load_state_dict(self.latest.state, strict_names=strict_names)
+        target.load_state_dict(self.latest.state)
         if root is not None:
             self.root = root
         self.resumes += 1
@@ -264,27 +258,32 @@ class SuspendedQuery:
     executor checkpoints the tree and attaches one of these to the
     report (``report.suspension``).  Hand it to
     :meth:`~repro.executor.database.Database.resume` (or
-    ``GuardedExecutor.resume``) with a fresh budget to continue exactly
-    where the query stopped.
+    :meth:`Executor.resume <repro.executor.executor.Executor.resume>`)
+    with a fresh budget to continue exactly where the query stopped.
+    Any executor over the same catalog can resume it: operator names
+    are a function of the plan, so the rebuilt tree matches the
+    checkpoint.
 
     Attributes
     ----------
     query / result:
         The original :class:`~repro.optimizer.query.RankQuery` and its
         :class:`OptimizationResult` (the plan is rebuilt from the
-        latter, so resumed operators match the checkpoint's names).
+        latter).
     checkpoint:
         The :class:`Checkpoint` taken at the breach, or ``None`` for a
         *pre-open* suspension (see ``pre_open``).
     reason:
         The budget-breach message.
-    executor:
-        The :class:`~repro.robustness.recovery.GuardedExecutor` that
-        suspended the query; resuming reuses it (same catalog and plan
-        builder, so rebuilt operator names line up).
     policy:
         The :class:`CheckpointPolicy` in force when suspending (reused
         on resume unless overridden).
+    budget / recovery_policy:
+        The :class:`~repro.robustness.budget.ResourceBudget` and
+        :class:`~repro.robustness.recovery.RecoveryPolicy` the query
+        was suspended under, likewise reused on resume unless
+        overridden (``None`` -- a suspension rehydrated from disk --
+        resumes unlimited under the default policy).
     pre_open:
         True when the budget tripped *inside* ``open()`` -- before the
         tree produced anything.  Some operators perform one atomic step
@@ -296,18 +295,19 @@ class SuspendedQuery:
         instalment on resume so the atomic step eventually clears.
     """
 
-    __slots__ = ("query", "result", "checkpoint", "reason", "executor",
-                 "policy", "pre_open")
+    __slots__ = ("query", "result", "checkpoint", "reason", "policy",
+                 "pre_open", "budget", "recovery_policy")
 
-    def __init__(self, query, result, checkpoint, reason, executor,
-                 policy=None, pre_open=False):
+    def __init__(self, query, result, checkpoint, reason, policy=None,
+                 pre_open=False, budget=None, recovery_policy=None):
         self.query = query
         self.result = result
         self.checkpoint = checkpoint
         self.reason = reason
-        self.executor = executor
         self.policy = policy
         self.pre_open = pre_open
+        self.budget = budget
+        self.recovery_policy = recovery_policy
 
     @property
     def rows_delivered(self):

@@ -251,8 +251,8 @@ class CheckpointStore:
         """Persist one :class:`Checkpoint` of ``query``; returns the path.
 
         This is the cadence-persistence entry point the
-        :class:`~repro.robustness.recovery.GuardedExecutor` hooks into
-        the checkpoint manager: every in-memory checkpoint taken under
+        :class:`~repro.executor.executor.Executor` hooks into the
+        checkpoint manager: every in-memory checkpoint taken under
         a wired store also becomes durable.
         """
         payload = {
@@ -431,15 +431,16 @@ class CheckpointStore:
 def rehydrate(payload, executor):
     """Rebuild a :class:`SuspendedQuery` from a snapshot payload.
 
-    ``executor`` must be a *fresh*
-    :class:`~repro.robustness.recovery.GuardedExecutor` over the same
-    catalog the snapshot was taken against: the query is re-optimized
-    (deterministic for an unchanged catalog, so the rebuilt plan's
-    operator names line up with the checkpointed state) and packaged
-    with the deserialized checkpoint.  The actual state restore happens
-    inside ``executor.resume``; a structural mismatch there raises
+    ``executor`` is any :class:`~repro.executor.executor.Executor` over
+    the catalog the snapshot was taken against: the query is
+    re-optimized (deterministic for an unchanged catalog, and operator
+    names are a function of the plan, so the rebuilt tree lines up with
+    the checkpointed state) and packaged with the deserialized
+    checkpoint.  The actual state restore happens inside
+    ``executor.resume``; a structural mismatch there raises
     :class:`~repro.common.errors.CheckpointError`, which callers treat
-    as "snapshot unusable -- restart from scratch".
+    as "snapshot unusable -- restart from scratch".  The suspension
+    carries no budget: it resumes unlimited unless given one.
     """
     query = payload["query"]
     result = executor.optimizer.optimize(query)
@@ -451,6 +452,6 @@ def rehydrate(payload, executor):
     return SuspendedQuery(
         query, result, checkpoint,
         reason=payload.get("reason") or "recovered from durable snapshot",
-        executor=executor, policy=payload.get("policy"),
+        policy=payload.get("policy"),
         pre_open=bool(payload.get("pre_open")),
     )

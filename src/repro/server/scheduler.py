@@ -26,14 +26,14 @@ every unfinished query suspended at a resumable checkpoint.
 import asyncio
 import time
 
-from repro.common.errors import (
-    CheckpointError,
-    ExecutionError,
-    TransientFaultError,
-)
+from repro.common.errors import ExecutionError, TransientFaultError
 from repro.robustness.budget import ResourceBudget, TenantBudget
 from repro.robustness.checkpoint import CheckpointPolicy
-from repro.robustness.recovery import GuardedExecutor, RecoveryEvent
+from repro.robustness.recovery import (
+    RecoveryEvent,
+    RecoveryPolicy,
+    restart_event,
+)
 from repro.server.admission import INTERACTIVE
 from repro.server.session import (
     CANCELLED,
@@ -90,17 +90,16 @@ class SchedulerConfig:
 class _Job:
     """Scheduler-internal state for one admitted query."""
 
-    __slots__ = ("session", "decision", "executor", "faults", "sequence",
+    __slots__ = ("session", "decision", "faults", "sequence",
                  "deadline_at", "submitted_at", "suspension",
                  "rows_streamed", "pre_open_restarts", "attempts",
                  "retries", "last_report", "first_run_at", "query_id",
                  "durable_resume", "restarted")
 
-    def __init__(self, session, decision, executor, faults, sequence,
+    def __init__(self, session, decision, faults, sequence,
                  deadline_at, submitted_at, query_id=None):
         self.session = session
         self.decision = decision
-        self.executor = executor
         self.faults = faults
         self.sequence = sequence
         self.deadline_at = deadline_at
@@ -135,8 +134,9 @@ class InstalmentScheduler:
     ----------
     database:
         The :class:`~repro.executor.database.Database` executed
-        against (its catalog, cost model and shard pool are shared by
-        every job's :class:`GuardedExecutor`).
+        against: every instalment runs on its executor for the query
+        (``Database._executor_for``) under the default
+        :class:`~repro.robustness.recovery.RecoveryPolicy`.
     config:
         A :class:`SchedulerConfig` (defaults apply when ``None``).
     instruments:
@@ -247,21 +247,10 @@ class InstalmentScheduler:
             raise ExecutionError("scheduler is not running")
         if self._draining:
             raise ExecutionError("scheduler is draining")
-        if resume_from is not None:
-            executor = resume_from.executor
-        else:
-            base = self.database._executor_for(decision.query)
-            executor = GuardedExecutor(
-                base.catalog, self.database.cost_model,
-                self.database.config,
-                shard_pool=(self.database.shard_pool
-                            if base is self.database._executor else None),
-                feedback=getattr(self.database, "feedback", None),
-            )
         now = self.clock()
         self._sequence += 1
         job = _Job(
-            session, decision, executor, faults, self._sequence,
+            session, decision, faults, self._sequence,
             deadline_at=(now + deadline if deadline is not None else None),
             submitted_at=now, query_id=query_id,
         )
@@ -376,37 +365,42 @@ class InstalmentScheduler:
         rerun in the same instalment -- the ``"restarted"`` recovery
         path -- rather than failing the recovered query.
         """
-        if job.suspension is not None:
-            try:
-                report = job.executor.resume(
-                    job.suspension, budget=budget,
-                    checkpoint=self.config.checkpoint,
-                    store=self.store, query_id=job.query_id,
-                )
-            except CheckpointError:
-                if not job.durable_resume:
-                    raise
-                job.suspension = None
-                job.durable_resume = False
-                job.restarted = True
-                if self.store is not None and job.query_id is not None:
-                    self.store.discard(job.query_id)
-                    self.store.instruments.recovery("restarted")
-            else:
-                job.durable_resume = False
-                return report
-        return job.executor.run(
-            job.decision.query, result=job.decision.result,
-            budget=budget, checkpoint=self.config.checkpoint,
-            faults=(job.faults if job.attempts == 1 else None),
-            store=self.store, query_id=job.query_id,
+        db = self.database
+        checkpoint = self.config.checkpoint
+        suspension = job.suspension
+
+        def from_scratch(query=job.decision.query):
+            job.suspension = None
+            return db._executor_for(query).run(
+                query, result=job.decision.result, budget=budget,
+                policy=RecoveryPolicy(), checkpoint=checkpoint,
+                faults=(job.faults if job.attempts == 1 else None),
+                store=self.store, query_id=job.query_id,
+            )
+
+        if suspension is None:
+            return from_scratch()
+        if not job.durable_resume:
+            return db._executor_for(suspension.query).resume(
+                suspension, budget=budget, checkpoint=checkpoint,
+                store=self.store, query_id=job.query_id,
+            )
+        report, restarted = db._resume_or_restart(
+            lambda: suspension, from_scratch, self.store, job.query_id,
+            budget=budget, checkpoint=checkpoint,
         )
+        job.durable_resume = False
+        job.restarted = job.restarted or restarted
+        return report
 
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
     def _suspend(self, job, report):
         suspension = report.suspension
+        # An instalment's budget is a time slice, not the query's own:
+        # a drained handle resumed outside the server runs unlimited.
+        suspension.budget = None
         job.suspension = suspension
         if suspension.pre_open:
             job.pre_open_restarts += 1
@@ -450,10 +444,7 @@ class InstalmentScheduler:
 
     def _complete(self, job, report):
         if job.restarted:
-            report.recovery.record(RecoveryEvent(
-                "restart", "durability", None, None, len(report.rows),
-                "durable snapshot unusable; restarted from scratch",
-            ))
+            report.recovery.record(restart_event(len(report.rows)))
         if job.decision.shed:
             report.recovery.record(RecoveryEvent(
                 "shed", "admission", None, None, len(report.rows),

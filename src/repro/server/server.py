@@ -231,7 +231,6 @@ class Server:
     def _recover_one(self, query_id, record):
         from repro.common.errors import CheckpointCorruptionError
         from repro.robustness.durability import rehydrate
-        from repro.robustness.recovery import GuardedExecutor
 
         db = self.database
         suspension = None
@@ -241,14 +240,8 @@ class Server:
             payload = None  # counted + deleted by the store already
         if payload is not None:
             try:
-                base = db._executor_for(payload["query"])
-                executor = GuardedExecutor(
-                    base.catalog, db.cost_model, db.config,
-                    shard_pool=(db.shard_pool
-                                if base is db._executor else None),
-                    feedback=getattr(db, "feedback", None),
-                )
-                suspension = rehydrate(payload, executor)
+                suspension = rehydrate(
+                    payload, db._executor_for(payload["query"]))
             except ReproError:
                 suspension = None
         try:

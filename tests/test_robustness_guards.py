@@ -22,7 +22,7 @@ from repro.operators.scan import IndexScan
 from repro.operators.topk import Limit
 from repro.optimizer.plans import RankJoinPlan
 from repro.robustness.budget import ExecutionGuard, ResourceBudget
-from repro.robustness.recovery import GuardedExecutor, RecoveryPolicy
+from repro.robustness.recovery import RecoveryPolicy
 
 SQL = """
 WITH Ranked AS (
@@ -302,7 +302,5 @@ class TestFallbackPlanRetrieval:
     def test_guarded_executor_is_executor_drop_in(self):
         db = make_db()
         query = db.parse(SQL)
-        base = db.executor()
-        guarded = GuardedExecutor(base.catalog, db.cost_model, db.config)
-        assert ranking_scores(guarded.run(query)) == ranking_scores(
-            base.run(query))
+        assert ranking_scores(db.execute_guarded(query)) == ranking_scores(
+            db.execute(query))

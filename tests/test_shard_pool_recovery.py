@@ -19,7 +19,7 @@ from repro.common.rng import make_rng
 from repro.executor.database import Database
 from repro.executor.shard_pool import ShardPool, ShardStream
 from repro.optimizer.enumerator import OptimizerConfig
-from repro.robustness.recovery import GuardedExecutor, RecoveryLog
+from repro.robustness.recovery import RecoveryLog
 
 SQL = """
 WITH Ranked AS (
@@ -200,7 +200,7 @@ class TestShardStreamWorkerDeath:
         stream.open()
         drain(stream)
         log = RecoveryLog()
-        GuardedExecutor._record_shard_recoveries(stream, log)
+        log.record_shard_recoveries(stream)
         stream.close()
         kinds = [event.kind for event in log.events]
         assert "shard_pool_degraded" in kinds
