@@ -11,11 +11,12 @@ cache and batch-at-a-time data plane target:
 * ``warm_prepared`` -- a :class:`~repro.executor.prepared.PreparedQuery`
   re-executed with bound ``k``: parse and optimization are both
   skipped, the steady-state serving path;
-* ``batch_rows_{1,64,512}`` -- draining a blocking sort plan through
-  ``next_batch`` at different batch sizes (batch 1 degenerates to a
-  call per row; larger batches amortize per-call accounting);
-* ``row_at_a_time`` -- the classic one-``next``-per-row drain of the
-  same sort plan, for reference.
+* ``batch_rows_{1,64,512}`` -- building a blocking sort plan's tree
+  and draining it by hand through ``next_batch`` at different batch
+  lengths (batch 1 degenerates to a call per row; longer batches
+  amortize per-call accounting);
+* ``row_at_a_time`` -- the classic one-``next``-per-row hand drain of
+  the same sort plan, for reference.
 
 Results land in ``BENCH_serving_throughput.json`` through
 :class:`benchmarks.runner.BenchRecorder`; every case carries a ``qps``
@@ -139,18 +140,33 @@ def run(repeats=3, out_dir=None):
                     repeats=repeats, qps=1.0 / prepared_seconds)
 
     batch_db = build_batch_db()
-    drain = batch_db.prepare(batch_sql())
-    drain.execute()
+    build = batch_db.executor().builder.build_query
+    plan = batch_db.prepare(batch_sql()).explain()
+
+    def drain(batch_size=None):
+        """Build the sort plan's tree and drain it by hand."""
+        root = build(plan)
+        root.open()
+        try:
+            if batch_size is None:
+                pull = root.next
+                while pull() is not None:
+                    pass
+                return
+            while len(root.next_batch(batch_size)) == batch_size:
+                pass
+        finally:
+            root.close()
+
+    drain()
     batch_seconds = {}
     for batch_size in BATCH_SIZES:
-        seconds = _time_case(
-            lambda _n=batch_size: drain.execute(batch_size=_n), repeats,
-        )
+        seconds = _time_case(lambda _n=batch_size: drain(_n), repeats)
         batch_seconds[batch_size] = seconds
         recorder.record("batch_rows_%d" % (batch_size,),
                         median_seconds=seconds, repeats=repeats,
                         qps=1.0 / seconds, batch_size=batch_size)
-    row_seconds = _time_case(drain.execute, repeats)
+    row_seconds = _time_case(drain, repeats)
     recorder.record("row_at_a_time", median_seconds=row_seconds,
                     repeats=repeats, qps=1.0 / row_seconds)
 

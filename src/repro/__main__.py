@@ -34,9 +34,9 @@ Under ``serve``, ``--state-dir`` additionally journals every
 admission and replays unfinished queries at startup via
 ``Server.recover()``.
 
-Serving flags (``demo`` and ``sql``): ``--prepare`` executes through
+Serving flag (``demo`` and ``sql``): ``--prepare`` executes through
 :meth:`Database.prepare` (plan cache + prepared query) and prints the
-cache counters; ``--batch-size N`` drains the plan batch-at-a-time.
+cache counters.
 
 Adaptivity flags (``demo``, ``sql`` and ``serve``): ``--feedback``
 attaches the adaptive feedback store (learned selectivities, per-
@@ -163,9 +163,8 @@ def _run_query(db, query, args):
     ``--checkpoint-every N`` routes through the guarded executor with a
     row-cadence checkpoint policy (state-preserving recovery); without
     it the plain executor runs the query.  ``--prepare`` goes through
-    :meth:`Database.prepare` (plan-cache serving path) and
-    ``--batch-size N`` drains the plan batch-at-a-time; neither combines
-    with the guarded executor, which stays row-wise.
+    :meth:`Database.prepare` (plan-cache serving path); it does not
+    combine with the guarded executor.
     """
     trace = _wants_telemetry(args)
     parallel = getattr(args, "parallel", None)
@@ -176,20 +175,17 @@ def _run_query(db, query, args):
         return db.execute_guarded(query, trace=trace, checkpoint=every,
                                   parallel=parallel, shards=shards,
                                   state_dir=state_dir)
-    batch_size = getattr(args, "batch_size", None)
     if getattr(args, "prepare", False):
         prepared = db.prepare(query)
         if shards is not None:
             db._ensure_partitionings(prepared.query, shards)
-        report = prepared.execute(trace=trace, batch_size=batch_size,
-                                  parallel=parallel)
+        report = prepared.execute(trace=trace, parallel=parallel)
         stats = db.plan_cache.stats()
         print("plan cache: %d hit(s), %d miss(es), %d entr%s"
               % (stats["hits"], stats["misses"], stats["size"],
                  "y" if stats["size"] == 1 else "ies"))
         return report
-    return db.execute(query, trace=trace, batch_size=batch_size,
-                      parallel=parallel, shards=shards)
+    return db.execute(query, trace=trace, parallel=parallel, shards=shards)
 
 
 def _print_shard_depths(report):
@@ -360,10 +356,6 @@ def main(argv=None):
                         help="run demo/sql through Database.prepare (the "
                              "plan-cache serving path) and print the "
                              "cache counters")
-    parser.add_argument("--batch-size", metavar="N", type=int,
-                        default=None,
-                        help="drain the plan batch-at-a-time, N rows per "
-                             "next_batch call (default: row-at-a-time)")
     parser.add_argument("--shards", metavar="N", type=int, default=None,
                         help="hash-partition join inputs into N shards "
                              "(enables sharded parallel rank joins)")

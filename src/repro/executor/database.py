@@ -111,9 +111,10 @@ class Database:
 
     The database keeps a persistent ``metrics``
     :class:`~repro.observability.metrics.MetricsRegistry` accumulating
-    serving-level counters (plan-cache hits/misses/evictions, batch
-    drains) across every query it runs -- distinct from the per-run
-    ``Telemetry`` bundles, which stay opt-in.
+    serving-level counters (plan-cache hits/misses/evictions, the
+    fused columnar counters of untraced runs) across every query it
+    runs -- distinct from the per-run ``Telemetry`` bundles, which stay
+    opt-in.
     """
 
     def __init__(self, cost_model=None, config=None,
@@ -331,7 +332,7 @@ class Database:
         return PreparedQuery(self, self._as_query(query, "prepare"), sql=sql)
 
     def execute(self, query, budget=None, trace=False, telemetry=None,
-                batch_size=None, parallel=None, shards=None):
+                parallel=None, shards=None):
         """Run SQL text or a :class:`RankQuery`; returns the report.
 
         ``shards`` hash-partitions both sides of every join predicate
@@ -356,11 +357,6 @@ class Database:
         Pass an existing :class:`~repro.observability.Telemetry` as
         ``telemetry`` to aggregate several queries into one bundle.
 
-        ``batch_size`` drains the operator tree batch-at-a-time
-        (``next_batch``) instead of row-at-a-time -- identical output,
-        amortised interpreter overhead; see ``docs/serving.md`` for
-        sizing guidance.
-
         Plan choice goes through the database's plan cache: repeated
         executions of the same query shape (same join graph, score
         expression, predicates and ``k``) against an unchanged catalog
@@ -372,7 +368,6 @@ class Database:
         return self._execute_fingerprinted(
             query, query_fingerprint(query), trace=trace,
             telemetry=telemetry, parallel=parallel, budget=budget,
-            batch_size=batch_size,
         )
 
     def _execute_fingerprinted(self, query, fingerprint, trace=False,
@@ -612,10 +607,10 @@ class Database:
         return restart(query), True
 
     def explain(self, query):
-        """Optimize only; returns the OptimizationResult."""
-        if isinstance(query, str):
-            query = parse_query(query)
-        return self._executor_for(query).optimizer.optimize(query)
+        """Optimize (through the plan cache) without executing; returns
+        the OptimizationResult."""
+        query = self._as_query(query, "explain")
+        return self._cached_optimization(self._executor_for(query), query)
 
     def optimizer(self):
         """Expose the optimizer (for experiments over the MEMO)."""

@@ -30,6 +30,9 @@ from repro.robustness.recovery import (
     suspend,
 )
 
+#: Rows per ``next_batch`` call of an unguarded drain.
+DRAIN_BATCH = 256
+
 
 class OperatorSnapshot:
     """Frozen instrumentation for one operator after a run.
@@ -322,9 +325,10 @@ class Executor:
 
     ``metrics`` optionally names a persistent
     :class:`~repro.observability.metrics.MetricsRegistry` (the serving
-    database's registry) fed with batch-drain counters; per-run
-    telemetry stays separate and opt-in.  ``feedback`` optionally
-    attaches a :class:`~repro.feedback.store.FeedbackStore`: every run
+    database's registry) fed with the fused columnar counters of
+    untraced runs; per-run telemetry stays separate and opt-in.
+    ``feedback`` optionally attaches a
+    :class:`~repro.feedback.store.FeedbackStore`: every run
     reports its observed statistics into it, depth-overrun re-estimates
     are learned instead of discarded, and -- with checkpointing active
     -- a guarded run may re-plan mid-flight (see ``docs/adaptivity.md``).
@@ -342,7 +346,7 @@ class Executor:
 
     def run(self, query, budget=None, policy=None, telemetry=None,
             checkpoint=None, faults=None, result=None, store=None,
-            query_id=None, batch_size=None):
+            query_id=None):
         """Optimize ``query``, execute it, and return the report.
 
         ``budget`` -- a :class:`~repro.robustness.budget.ResourceBudget`
@@ -390,14 +394,11 @@ class Executor:
         query fingerprint when omitted), so a killed process can
         continue the query; a run that completes retires them.
 
-        ``batch_size`` drains the root batch-at-a-time via
-        :meth:`~repro.operators.base.Operator.next_batch` instead of
-        row-at-a-time ``next()`` -- output is identical, Python call
-        overhead is amortised across each batch.
+        The root is drained by batches (see :meth:`_drain`); every
+        operator's counters are those of a row-at-a-time drain.
         """
         return self._execute(query, result, budget, policy, telemetry,
-                             checkpoint, faults, store, query_id,
-                             batch_size)
+                             checkpoint, faults, store, query_id)
 
     def resume(self, suspended, budget=None, policy=None, telemetry=None,
                checkpoint=None, store=None, query_id=None):
@@ -422,7 +423,7 @@ class Executor:
             suspended.query, suspended.result,
             suspended.budget if budget is None else budget,
             policy or suspended.recovery_policy or RecoveryPolicy(),
-            telemetry, checkpoint, None, store, query_id, None, suspended,
+            telemetry, checkpoint, None, store, query_id, suspended,
         )
 
     def run_plan(self, query, plan, k=None, result=None):
@@ -447,7 +448,7 @@ class Executor:
         return ExecutionReport(query, result, run.rows, operators)
 
     def _execute(self, query, result, budget, policy, telemetry, checkpoint,
-                 faults, store, query_id, batch_size, suspended=None):
+                 faults, store, query_id, suspended=None):
         """The one pipeline behind :meth:`run` and :meth:`resume`."""
         checkpoint = _checkpoint_policy(checkpoint)
         if checkpoint is not None and policy is None:
@@ -487,7 +488,7 @@ class Executor:
                     resume_from(run, suspended)
                 if run.guard is not None:
                     run.guard.start()
-                suspension = self._drain(run, run.manager, batch_size)
+                suspension = self._drain(run, run.manager)
                 if run.recovery is not None:
                     run.recovery.record_shard_recoveries(run.root)
                     if run.recovery.path == "fallback":
@@ -509,19 +510,23 @@ class Executor:
                                                telemetry=run.telemetry)
             return result()
 
-    def _drain(self, run, manager, batch_size=None):
+    def _drain(self, run, manager):
         """The drive loop: open, pull to exhaustion, close.
 
-        The only place the tree is pulled -- row-at-a-time, or by
-        batches of ``batch_size``.  A depth overrun goes to
-        :func:`~repro.robustness.recovery.on_overrun`; with a checkpoint
-        ``manager`` a transient fault rewinds to the last checkpoint and
-        a budget breach suspends; anything else propagates.  Returns
-        the :class:`SuspendedQuery` of a suspended run, else ``None``.
+        The only place the tree is pulled: by batches of
+        :data:`DRAIN_BATCH` rows, or of one row under a guard -- a trip
+        snapshots the live tree (a breach into its error, a recovery
+        into the state it continues from), so a row produced inside an
+        unfinished batch would be lost.  A depth overrun goes
+        to :func:`~repro.robustness.recovery.on_overrun`; with a
+        checkpoint ``manager`` a transient fault rewinds to the last
+        checkpoint and a budget breach suspends; anything else
+        propagates.  Returns the :class:`SuspendedQuery` of a suspended
+        run, else ``None``.
         """
         rows = run.rows
         tracer = run.tracer
-        attributes = {} if batch_size is None else {"batch_size": batch_size}
+        size = DRAIN_BATCH if run.guard is None else 1
         try:
             while True:
                 root = run.root
@@ -532,28 +537,14 @@ class Executor:
                     if not root._opened:
                         with tracer.span("open"):
                             root.open()
-                    with tracer.span("next", **attributes):
-                        if batch_size is None:
-                            pull = root.next
-                            row = pull()
-                            while row is not None:
-                                rows.append(row)
-                                if manager is not None:
-                                    manager.maybe_checkpoint(rows)
-                                row = pull()
-                            return None
-                        delivered = len(rows)
-                        batches = 0
+                    with tracer.span("next"):
                         while True:
-                            batch = root.next_batch(batch_size)
+                            batch = root.next_batch(size)
                             rows.extend(batch)
-                            batches += 1
+                            if len(batch) < size:
+                                return None
                             if manager is not None:
                                 manager.maybe_checkpoint(rows)
-                            if len(batch) < batch_size:
-                                break
-                    self._count_batches(batches, len(rows) - delivered)
-                    return None
                 except DepthOverrunError as overrun:
                     if not on_overrun(run, overrun):
                         return None
@@ -568,17 +559,6 @@ class Executor:
         finally:
             with tracer.span("close"):
                 run.root.close()
-
-    def _count_batches(self, batches, rows):
-        """Feed a batch drain's totals into the persistent registry."""
-        if self.metrics is not None:
-            self.metrics.counter(
-                "executor_batches_total", "root batches drained",
-            ).inc(batches)
-            self.metrics.counter(
-                "executor_batch_rows_total",
-                "rows delivered through batch drains",
-            ).inc(rows)
 
     def _fall_back(self, run):
         """Drain the blocking sort plan from scratch.
@@ -613,8 +593,9 @@ class Executor:
         if telemetry is not None:
             telemetry.record_operators(operators)
             self._record_parallel(telemetry, root)
-        elif self.metrics is not None:
-            self._record_columnar(self.metrics, root)
+        metrics = self.metrics if telemetry is None else telemetry.metrics
+        if metrics is not None:
+            self._record_columnar(metrics, root)
         report = ExecutionReport(run.query, run.result, run.rows, operators,
                                  recovery=recovery, telemetry=telemetry,
                                  suspension=suspension)
@@ -633,12 +614,7 @@ class Executor:
 
     @staticmethod
     def _record_columnar(metrics, root):
-        """Feed fused-fast-path counters into a metrics registry.
-
-        Tracing disables fusion (the tracer hooks per-pull), so these
-        counters come from the *untraced* serving path and land in the
-        persistent registry, not per-run telemetry.
-        """
+        """Feed fused-fast-path counters into the run's registry."""
         from repro.operators.filters import Filter, Project
 
         for op in root.walk():

@@ -76,7 +76,7 @@ class PreparedQuery:
         return bound
 
     def execute(self, k=None, budget=None, trace=False, telemetry=None,
-                batch_size=None, parallel=None):
+                parallel=None):
         """Execute the prepared query; returns the
         :class:`~repro.executor.executor.ExecutionReport`.
 
@@ -86,7 +86,7 @@ class PreparedQuery:
         """
         return self.database._execute_fingerprinted(
             self.bind(k), self.fingerprint, budget=budget, trace=trace,
-            telemetry=telemetry, batch_size=batch_size, parallel=parallel,
+            telemetry=telemetry, parallel=parallel,
         )
 
     def explain(self, k=None):

@@ -565,7 +565,10 @@ class Operator:
         advance by the batch length, exactly as ``n`` row-wise pulls
         would.  With an execution guard attached this falls back to
         row-at-a-time :meth:`_pull` so per-pull budget and depth-limit
-        enforcement keeps its precise trip points.
+        enforcement keeps its precise trip points: the child may be a
+        join that charges pulls of its own while producing the batch,
+        so a cap computed beforehand (as :meth:`_read_positions` does
+        for a scan, which charges nothing) would move the trip point.
         """
         if self._guard is not None:
             rows = []
@@ -583,6 +586,41 @@ class Operator:
             self.stats.pull_ns[child_index] += perf_counter_ns() - started
         self.stats.pulled[child_index] += len(rows)
         return rows
+
+    def _read_positions(self, child_index, want, length):
+        """Read up to ``want`` positions of scan child ``child_index``.
+
+        The leaf batch of a positional reader (fused Filter/Project,
+        NRJN's inner build): cursor, ``rows_out`` and ``pulled`` advance
+        as ``want`` pulls from a ``length``-position stream would, and a
+        guard (:meth:`~repro.robustness.budget.ExecutionGuard.admit`)
+        trips at the same pull, the one finding the end included.
+        Returns the ``(start, stop)`` cursor range read.
+        """
+        scan = self.children[child_index]
+        start = scan._consumed
+        stop = min(start + want, length)
+        guard = self._guard
+        tripped = False
+        if guard is not None:
+            attempts = min(want, stop - start + 1)
+            allowed = guard.admit(self, child_index, attempts)
+            tripped = allowed < attempts
+            stop = min(stop, start + allowed)
+            guard.on_pulled(self, child_index, stop - start)
+        scan.advance(stop - start)
+        self.stats.pulled[child_index] += stop - start
+        if tripped:
+            guard.before_pull(self, child_index)  # Spent: this raises.
+        return start, stop
+
+    def _charge_pull(self, child_index, elapsed):
+        """Book a positional read's traced wall-clock as a pull's."""
+        self.stats.pull_ns[child_index] += elapsed
+        child = self.children[child_index]
+        if child._tracer is not None:
+            child.stats.time_next_ns += elapsed
+            child.stats.next_calls += 1
 
     def reset_stats(self):
         """Recursively zero instrumentation on this subtree."""

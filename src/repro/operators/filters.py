@@ -8,9 +8,14 @@ at heap positions -- no Row is materialised except for surviving
 positions.  Fusion is pure optimisation: the child's cursor and every
 stats counter (``rows_out``, ``pulled``) advance exactly as the
 row-at-a-time path would, so checkpoints, equivalence suites, and
-depth accounting cannot observe it.  Tracing and execution guards
-disable fusion (they hook the per-pull protocol).
+depth accounting cannot observe it.  Tracing and execution guards do
+not turn it off: a fused batch charges a tracer's ``pull_ns`` once,
+and each chunk is one leaf batch
+(:meth:`~repro.operators.base.Operator._read_positions`) a guard admits
+as a whole.
 """
+
+from time import perf_counter_ns
 
 from repro.operators.base import Operator
 from repro.storage.columns import (
@@ -20,10 +25,12 @@ from repro.storage.columns import (
 
 
 class _FusedBatches(Operator):
-    """What Filter and Project share: when their fused batch path is on.
+    """What Filter and Project share: the fused view and its batches.
 
     Subclasses implement ``_setup_fused`` (set ``self._fused`` to a
-    tuple led by the fused child, or ``None``).
+    tuple led by the child's columnar view, or ``None``),
+    ``_fused_batch`` and ``_row_batch``; a batch takes the fused path
+    whenever the view is set.
     """
 
     _fused = None
@@ -41,13 +48,18 @@ class _FusedBatches(Operator):
     def _close(self):
         self._fused = None
 
-    def _fusion_active(self):
-        """Fusion is valid only while no tracer/guard hooks the pulls."""
-        if self._fused is None or self._tracer is not None \
-                or self._guard is not None:
-            return False
-        child = self._fused[0]
-        return child._tracer is None and child._guard is None
+    def _next_batch(self, n):
+        if self._fused is None:
+            return self._row_batch(n)
+        if self._tracer is None:
+            rows = self._fused_batch(n)
+        else:
+            started = perf_counter_ns()
+            rows = self._fused_batch(n)
+            self._charge_pull(0, perf_counter_ns() - started)
+        self.fused_batches += 1
+        self.fused_rows += len(rows)
+        return rows
 
 
 class Filter(_FusedBatches):
@@ -98,7 +110,7 @@ class Filter(_FusedBatches):
         selector = None
         if view.order is None:
             selector = compile_mask_selector(self.predicates, view.columns)
-        self._fused = (child, view, closure, selector)
+        self._fused = (view, closure, selector)
 
     def _next(self):
         while True:
@@ -108,9 +120,7 @@ class Filter(_FusedBatches):
             if self.predicate(row):
                 return row
 
-    def _next_batch(self, n):
-        if self._fusion_active():
-            return self._next_batch_fused(n)
+    def _row_batch(self, n):
         # Chunk size tracks the remaining demand so no surviving row is
         # ever buffered across calls: the operator stays stateless and
         # the checkpoint contract is untouched.
@@ -124,21 +134,19 @@ class Filter(_FusedBatches):
                 break
         return out
 
-    def _next_batch_fused(self, n):
+    def _fused_batch(self, n):
         # Mirrors the chunked row path exactly: each round consumes
         # `want` positions from the child (or fewer at exhaustion), so
         # the pulled/rows_out counters match the row path batch for
         # batch.
-        child, view, accept, selector = self._fused
+        view, accept, selector = self._fused
         order = view.order
         length = view.length
         row_at = view.row_at
         out = []
-        pulled = self.stats.pulled
         while len(out) < n:
             want = n - len(out)
-            start = child._consumed
-            stop = min(start + want, length)
+            start, stop = self._read_positions(0, want, length)
             if selector is not None:
                 out.extend(map(row_at, selector(start, stop)))
             else:
@@ -146,13 +154,8 @@ class Filter(_FusedBatches):
                              else order[start:stop])
                 out.extend([row_at(position) for position in positions
                             if accept(position)])
-            scanned = stop - start
-            child.advance(scanned)
-            pulled[0] += scanned
-            if scanned < want:
+            if stop - start < want:
                 break
-        self.fused_batches += 1
-        self.fused_rows += len(out)
         return out
 
     def describe(self):
@@ -188,7 +191,7 @@ class Project(_FusedBatches):
             return
         if not buffers:
             return  # Degenerate empty projection: row path handles it.
-        self._fused = (child, view, buffers)
+        self._fused = (view, buffers)
 
     def _next(self):
         row = self._pull(0)
@@ -196,20 +199,17 @@ class Project(_FusedBatches):
             return None
         return row.project(self._qualified)
 
-    def _next_batch(self, n):
-        if self._fusion_active():
-            return self._next_batch_fused(n)
+    def _row_batch(self, n):
         names = self._qualified
         return [row.project(names) for row in self._pull_batch(0, n)]
 
-    def _next_batch_fused(self, n):
+    def _fused_batch(self, n):
         # Build the narrow output rows straight from column slices; the
         # wide input rows are never materialised.
         from repro.common.types import Row
 
-        child, view, buffers = self._fused
-        start = child._consumed
-        stop = min(start + n, view.length)
+        view, buffers = self._fused
+        start, stop = self._read_positions(0, n, view.length)
         names = self._qualified
         order = view.order
         if order is None:
@@ -218,12 +218,7 @@ class Project(_FusedBatches):
             positions = order[start:stop]
             slices = [[buffer[p] for p in positions] for buffer in buffers]
         adopt = Row._adopt
-        rows = [adopt(dict(zip(names, values))) for values in zip(*slices)]
-        child.advance(stop - start)
-        self.stats.pulled[0] += stop - start
-        self.fused_batches += 1
-        self.fused_rows += len(rows)
-        return rows
+        return [adopt(dict(zip(names, values))) for values in zip(*slices)]
 
     def describe(self):
         return "Project(%s)" % (", ".join(self._qualified),)

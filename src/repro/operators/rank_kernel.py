@@ -18,7 +18,8 @@ Inputs reach the kernel through two adapters with one protocol
 and hands on the scan's cached Row (in the worker: the position);
 :class:`RowInput` pulls Rows from any other child.  Guards and tracers
 never select a different path: both adapters call ``before_pull`` /
-``on_pulled`` per pull and charge ``pull_ns``.  See
+``on_pulled`` per pull and charge ``pull_ns``, and a positional
+``drain`` is one leaf batch admitted by the guard as a whole.  See
 ``docs/columnar.md`` section 3.
 """
 
@@ -193,7 +194,7 @@ class PositionalInput(RankedInput):
             score = self.score_at(position)
             entry = (self.key_at(position), score, self.row_at(position))
         if traced:
-            self._charge(perf_counter_ns() - started)
+            owner._charge_pull(index, perf_counter_ns() - started)
         if entry is None:
             return None
         if guard is not None:
@@ -208,40 +209,19 @@ class PositionalInput(RankedInput):
             self.check(score)
         return entry
 
-    def _charge(self, elapsed):
-        """Book traced wall-clock as a pull would: parent and scan."""
-        self.owner.stats.pull_ns[self.index] += elapsed
-        scan = self.scan
-        if scan._tracer is not None:
-            scan.stats.time_next_ns += elapsed
-            scan.stats.next_calls += 1
-
     def drain(self):
         """Read the rest of the stream in one pass over the columns.
 
-        Only the accounting is per pull under a guard (same trip points
-        as row-wise pulls, including the pull that finds the end).
+        The rest is one leaf batch: under a guard it trips where
+        row-wise pulls would, including the pull that finds the end.
         """
         owner = self.owner
-        index = self.index
-        scan = self.scan
         traced = owner._tracer is not None
         if traced:
             started = perf_counter_ns()
-        start = scan._consumed
-        count = max(0, self.length - start)
-        guard = owner._guard
-        if guard is None:
-            scan.advance(count)
-            owner.stats.pulled[index] += count
-        else:
-            for _ in range(count):
-                guard.before_pull(owner, index)
-                scan.advance(1)
-                owner.stats.pulled[index] += 1
-                guard.on_pulled(owner, index)
-            guard.before_pull(owner, index)
-        stop = start + count
+        length = self.length
+        start, stop = owner._read_positions(
+            self.index, length - self.scan._consumed + 1, length)
         positions = (range(start, stop) if self.order is None
                      else self.order[start:stop])
         spec = self.score_spec
@@ -252,7 +232,7 @@ class PositionalInput(RankedInput):
         entries = (list(map(self.key_at, positions)), scores,
                    list(map(self.row_at, positions)))
         if traced:
-            self._charge(perf_counter_ns() - started)
+            owner._charge_pull(self.index, perf_counter_ns() - started)
         return entries
 
 

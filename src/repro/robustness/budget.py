@@ -296,9 +296,30 @@ class ExecutionGuard:
                     limit=limit,
                 )
 
-    def on_pulled(self, operator, child_index):
-        """Charge one delivered tuple against the pull budget."""
-        self.total_pulled += 1
+    def admit(self, operator, child_index, n):
+        """How many of ``n`` pulls may proceed before the next trip.
+
+        :meth:`before_pull` for a leaf batch read from a scan, which
+        charges nothing while it is read -- so the cap trips at exactly
+        the pull :meth:`before_pull` would.  The deadline is checked
+        once per call.  Raises what :meth:`before_pull` raises when no
+        pull may proceed; the caller charges with :meth:`on_pulled`.
+        """
+        budget = self.budget
+        allowed = n
+        if budget.max_pulls is not None:
+            allowed = min(allowed, budget.max_pulls - self.total_pulled)
+        limits = self.depth_limits.get(id(operator))
+        if limits is not None and limits[child_index] is not None:
+            allowed = min(allowed, limits[child_index]
+                          - operator.stats.pulled[child_index])
+        if allowed <= 0 or budget.deadline_seconds is not None:
+            self.before_pull(operator, child_index)
+        return allowed
+
+    def on_pulled(self, operator, child_index, count=1):
+        """Charge ``count`` delivered tuples against the pull budget."""
+        self.total_pulled += count
 
     def note_buffer(self, operator, size):
         """Check an operator's buffer occupancy against the budget."""

@@ -10,11 +10,13 @@ five rank-join variants) is covered.
 
 import pytest
 
-from repro.common.errors import ExecutionError
+from repro.common.errors import BudgetExceededError, ExecutionError
 from repro.common.rng import make_rng
 from repro.executor.database import Database
+from repro.robustness.budget import ExecutionGuard, ResourceBudget
 
 from tests.test_checkpoint_roundtrip import FACTORIES, drain, full_run
+from tests.test_parallel_equivalence import SHAPES, make_db
 
 BATCH_SIZES = (1, 2, 3, 7, 64)
 
@@ -149,46 +151,80 @@ SELECT x, y, z, rank FROM Ranked WHERE rank <= 10
 SORT_SQL = "SELECT A.c1 FROM A ORDER BY A.c1 DESC LIMIT 100"
 
 
+def hand_drain(root, batch_size=None):
+    """Open, drain and close a built tree: ``next()`` by default."""
+    root.open()
+    try:
+        if batch_size is None:
+            return list(iter(root.next, None))
+        return drain_batched(root, batch_size)
+    finally:
+        root.close()
+
+
+def tree_counters(root):
+    return [(op.name, tuple(op.stats.pulled), op.stats.rows_out,
+             op.stats.max_buffer) for op in root.walk()]
+
+
+def report_counters(report):
+    return [(snap.name, snap.pulled, snap.rows_out, snap.max_buffer)
+            for snap in report.operators]
+
+
 class TestEndToEndBatching:
     @pytest.mark.parametrize("sql", [END_TO_END_SQL, SORT_SQL])
     @pytest.mark.parametrize("batch_size", [1, 64, 512])
     def test_execute_batched_matches_row_at_a_time(self, sql, batch_size):
         db = build_db()
-        expected = [dict(r) for r in db.execute(sql).rows]
-        batched = db.execute(sql, batch_size=batch_size)
-        assert [dict(r) for r in batched.rows] == expected
-
-    def test_traced_batched_run_matches_and_annotates(self):
-        db = build_db()
-        expected = [dict(r) for r in db.execute(END_TO_END_SQL).rows]
-        report = db.execute(END_TO_END_SQL, trace=True, batch_size=64)
-        assert [dict(r) for r in report.rows] == expected
-        assert report.telemetry.tracer.find("next").attributes == {
-            "batch_size": 64,
-        }
+        report = db.execute(sql)
+        build = db.executor().builder.build_query
+        expected = hand_drain(build(report.optimization))
+        batched = hand_drain(build(report.optimization), batch_size)
+        assert report.rows == expected == batched
 
     def test_untraced_next_span_has_no_batch_attribute(self):
         db = build_db()
         report = db.execute(END_TO_END_SQL, trace=True)
         assert report.telemetry.tracer.find("next").attributes == {}
 
-    def test_batch_metrics_are_recorded(self):
-        db = build_db()
-        db.execute(SORT_SQL, batch_size=64)
-        metrics = {m["name"]: m["value"] for m in db.metrics.as_dicts()}
-        assert metrics["executor_batch_rows_total"] == 100
-        # 100 rows at batch 64: one full batch plus the short tail.
-        assert metrics["executor_batches_total"] == 2
 
-    def test_row_at_a_time_records_no_batch_metrics(self):
-        db = build_db()
-        db.execute(SORT_SQL)
-        names = {m["name"] for m in db.metrics.as_dicts()}
-        assert "executor_batches_total" not in names
+class TestExecuteDrainIsTheRowDrain:
+    """``execute``'s batch drain leaves exactly a ``next()`` drain's
+    rows and per-operator counters on the same built plan."""
 
-    def test_prepared_execute_accepts_batch_size(self):
-        db = build_db()
-        prepared = db.prepare(SORT_SQL)
-        expected = [dict(r) for r in prepared.execute().rows]
-        batched = prepared.execute(batch_size=32)
-        assert [dict(r) for r in batched.rows] == expected
+    def check(self, report, executor):
+        root = executor.builder.build_query(report.optimization)
+        assert hand_drain(root) == report.rows
+        assert tree_counters(root) == report_counters(report)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape(self, shape):
+        db = make_db()
+        self.check(db.execute(SHAPES[shape]), db.executor())
+
+    @pytest.mark.parametrize("shape", ["base_k5", "three_way"])
+    def test_sharded_shape(self, shape):
+        db = make_db()
+        report = db.execute(SHAPES[shape], parallel="inline", shards=2)
+        assert any(snap.name.startswith("ScoreMerge")
+                   for snap in report.operators)
+        self.check(report, db.executor())
+
+    @pytest.mark.parametrize("shape", ["base_k5", "selection_left",
+                                       "three_way"])
+    def test_budget_breach_snapshot(self, shape):
+        """A guarded drain delivers one row per call, so a breach
+        snapshot holds the root's ``rows_out`` of a row drain."""
+        db = make_db()
+        budget = ResourceBudget(max_pulls=40)
+        with pytest.raises(BudgetExceededError) as executed:
+            db.execute(SHAPES[shape], budget=budget)
+        root = db.executor().builder.build_query(db.explain(SHAPES[shape]))
+        ExecutionGuard(budget).attach(root)
+        with pytest.raises(BudgetExceededError) as by_hand:
+            hand_drain(root)
+        assert ([(s.name, s.pulled, s.rows_out)
+                 for s in executed.value.snapshots]
+                == [(s.name, s.pulled, s.rows_out)
+                    for s in by_hand.value.snapshots])

@@ -317,15 +317,103 @@ class TestFusedEquivalence:
         )
         assert fused == plain
 
-    def test_tracer_disables_fusion_without_changing_rows(self):
-        from repro.observability import Telemetry
+    def test_tracer_keeps_fusion_without_changing_rows(self):
+        db = selection_db()
+        plain = db.execute(SELECTION_SQL)
+        traced = db.execute(SELECTION_SQL, trace=True)
+        assert traced.rows == plain.rows
+        assert counters(traced) == counters(plain)
+        batches = traced.telemetry.metrics.get("columnar_fused_batches_total")
+        assert batches.value(operator="Filter") > 0
+        snap = next(s for s in traced.operators if s.name == "Filter")
+        assert snap.pull_ns[0] > 0
 
-        telemetry = Telemetry()
-        traced = fused_filter(lambda: TableScan(L), PRED_BOTH)
-        telemetry.instrument(traced)
-        expected = drain_rows(row_filter(lambda: TableScan(L),
-                                         PRED_BOTH))
-        assert drain_batches(traced, 7) == expected
+
+SELECTION_SQL = "SELECT A.c1, A.c2 FROM A WHERE A.c1 >= 0.5"
+
+
+def selection_db():
+    from repro.executor.database import Database
+
+    rng = make_rng(5)
+    db = Database()
+    db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
+        [float(rng.uniform(0, 1)), int(rng.integers(0, 50))]
+        for _ in range(200)
+    ])
+    db.analyze()
+    return db
+
+
+def counters(report):
+    return [(s.name, s.pulled, s.rows_out, s.max_buffer)
+            for s in report.operators]
+
+
+# ----------------------------------------------------------------------
+# Guarded leaf batches
+# ----------------------------------------------------------------------
+GUARDED_FACTORIES = {
+    "filter": lambda: fused_filter(lambda: TableScan(L), PRED_BOTH),
+    "filter_sorted": lambda: fused_filter(lambda: index_scan(L),
+                                          PRED_SCORE),
+    "project": lambda: Project(TableScan(L), ("L.id", "L.score")),
+}
+
+#: ``(rows delivered, [(operator, pulled, rows_out)])`` at the breach
+#: (``None``: the drain completed) of a ``next_batch(7)`` drain under
+#: ``max_pulls=m``, captured while a guard sent these operators down
+#: their row path.  At m=60 the pull that finds the end of the
+#: 60-row table is the one that trips.
+GUARDED_GOLDEN = {
+    ("filter", 0): (0, [("Filter", (0,), 0), ("Scan(L)", (), 0)]),
+    ("filter", 1): (0, [("Filter", (1,), 0), ("Scan(L)", (), 1)]),
+    ("filter", 7): (0, [("Filter", (7,), 0), ("Scan(L)", (), 7)]),
+    ("filter", 60): (28, [("Filter", (60,), 28), ("Scan(L)", (), 60)]),
+    ("filter", 150): (33, None),
+    ("filter_sorted", 0): (0, [("Filter", (0,), 0),
+                               ("IndexScan(L.L_idx)", (), 0)]),
+    ("filter_sorted", 1): (0, [("Filter", (1,), 0),
+                               ("IndexScan(L.L_idx)", (), 1)]),
+    ("filter_sorted", 7): (7, [("Filter", (7,), 7),
+                               ("IndexScan(L.L_idx)", (), 7)]),
+    ("filter_sorted", 60): (35, [("Filter", (60,), 35),
+                                 ("IndexScan(L.L_idx)", (), 60)]),
+    ("filter_sorted", 150): (37, None),
+    ("project", 0): (0, [("Project", (0,), 0), ("Scan(L)", (), 0)]),
+    ("project", 1): (0, [("Project", (1,), 0), ("Scan(L)", (), 1)]),
+    ("project", 7): (7, [("Project", (7,), 7), ("Scan(L)", (), 7)]),
+    ("project", 60): (56, [("Project", (60,), 56), ("Scan(L)", (), 60)]),
+    ("project", 150): (60, None),
+}
+
+
+class TestGuardedLeafBatches:
+    @pytest.mark.parametrize("kind, m", sorted(GUARDED_GOLDEN))
+    def test_pull_budget_trips_where_row_pulls_do(self, kind, m):
+        from repro.common.errors import BudgetExceededError
+        from repro.robustness.budget import ExecutionGuard, ResourceBudget
+
+        operator = GUARDED_FACTORIES[kind]()
+        guard = ExecutionGuard(ResourceBudget(max_pulls=m)).attach(operator)
+        delivered, breach = 0, None
+        operator.open()
+        try:
+            while True:
+                batch = operator.next_batch(7)
+                delivered += len(batch)
+                if len(batch) < 7:
+                    break
+        except BudgetExceededError as error:
+            breach = [(s.name, s.pulled, s.rows_out)
+                      for s in error.snapshots]
+        finally:
+            operator.close()
+        assert (delivered, breach) == GUARDED_GOLDEN[kind, m]
+        assert guard.total_pulled == min(m, len(L))
+        if breach is None:
+            assert operator.fused_batches > 0
+            assert operator.stats.pulled == [len(L)]
 
 
 # ----------------------------------------------------------------------
@@ -333,19 +421,8 @@ class TestFusedEquivalence:
 # ----------------------------------------------------------------------
 class TestColumnarMetrics:
     def test_fused_counters_recorded_on_batch_drain(self):
-        from repro.executor.database import Database
-
-        rng = make_rng(5)
-        db = Database()
-        db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
-            [float(rng.uniform(0, 1)), int(rng.integers(0, 50))]
-            for _ in range(200)
-        ])
-        db.analyze()
-        report = db.execute(
-            "SELECT A.c1, A.c2 FROM A WHERE A.c1 >= 0.5",
-            batch_size=64,
-        )
+        db = selection_db()
+        report = db.execute(SELECTION_SQL)
         rows = db.metrics.get("columnar_fused_rows_total")
         assert rows is not None
         assert sum(v for _l, v in rows.samples()) == len(report.rows)

@@ -53,6 +53,18 @@ class TestCacheHitsAndMisses:
         second = db.execute(TOPK_SQL)
         assert second.optimization is first.optimization
 
+    def test_explain_after_execute_is_a_hit(self):
+        db = build_db()
+        report = db.execute(TOPK_SQL)
+        result = db.explain(TOPK_SQL)
+        assert db.plan_cache.stats()["hits"] == 1
+        assert result.best_plan is report.best_plan
+
+    def test_explain_rejects_non_queries(self):
+        db = build_db()
+        with pytest.raises(TypeError, match="explain"):
+            db.explain(42)
+
     def test_whitespace_variants_share_an_entry(self):
         db = build_db()
         db.execute(TOPK_SQL)
