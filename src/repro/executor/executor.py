@@ -289,15 +289,14 @@ class _Run:
     """One execution's state, shared by the drive loop and recovery.
 
     ``root`` and ``result`` always name the tree actually running and
-    the plan it was built from: a mid-flight re-plan swaps both, the
-    first selectivity correction swaps ``result`` for the run's own
-    copy (``owns_plan``), and a fallback swaps ``root`` for the sort
-    plan's tree.
+    the plan it was built from: a mid-flight re-plan swaps both, a
+    selectivity correction swaps ``result`` for the run's own corrected
+    copy, and a fallback swaps ``root`` for the sort plan's tree.
     """
 
     __slots__ = ("executor", "query", "result", "root", "telemetry",
                  "tracer", "guard", "policy", "recovery", "manager",
-                 "rows", "reestimates", "replans", "migrated", "owns_plan")
+                 "rows", "reestimates", "replans", "migrated")
 
     def __init__(self, executor, query, root=None, telemetry=None):
         self.executor = executor
@@ -309,7 +308,7 @@ class _Run:
         self.guard = self.policy = self.recovery = self.manager = None
         self.rows = []
         self.reestimates = self.replans = 0
-        self.migrated = self.owns_plan = False
+        self.migrated = False
 
 
 class Executor:

@@ -38,6 +38,45 @@ def _walk_plan(plan):
             yield descendant
 
 
+def _effective_order(interesting, order):
+    """Project a plan's order onto the entry's ``interesting`` orders.
+
+    A produced order that is not interesting for this MEMO entry
+    carries no benefit and is compared as DC (System R semantics).
+    """
+    if order.is_none:
+        return order
+    for candidate in interesting:
+        if candidate.order_property.covers(order):
+            return order
+    return OrderProperty.none()
+
+
+class _MemoBuild:
+    """State of one :meth:`Optimizer.build_memo` call: the query, its
+    MEMO, and the interesting orders retained at each table subset,
+    computed once per subset.  Local to the call, so one optimizer
+    serves concurrent callers."""
+
+    __slots__ = ("query", "memo", "rank_aware", "_interesting")
+
+    def __init__(self, query, memo, rank_aware):
+        self.query = query
+        self.memo = memo
+        self.rank_aware = rank_aware
+        self._interesting = {}
+
+    def interesting_at(self, tables):
+        tables = frozenset(tables)
+        orders = self._interesting.get(tables)
+        if orders is None:
+            orders = self._interesting[tables] = (
+                interesting_orders_for_tables(
+                    self.query, tables, rank_aware=self.rank_aware,
+                ))
+        return orders
+
+
 class OptimizerConfig:
     """Feature switches for the enumerator (used by the ablations).
 
@@ -222,17 +261,18 @@ class Optimizer:
     def build_memo(self, query, telemetry=None):
         """Run the DP enumeration and return the populated MEMO."""
         k_min = query.k if query.is_ranking else 1
-        memo = Memo(k_min=k_min, telemetry=telemetry)
+        build = _MemoBuild(query, Memo(k_min=k_min, telemetry=telemetry),
+                           self.config.rank_aware)
         tables = sorted(query.tables)
         for table in tables:
-            self._add_base_plans(memo, query, table)
+            self._add_base_plans(build, table)
         for size in range(2, len(tables) + 1):
             for subset in combinations(tables, size):
                 subset = frozenset(subset)
                 if not query.is_connected(subset):
                     continue
-                self._enumerate_subset(memo, query, subset)
-        return memo
+                self._enumerate_subset(build, subset)
+        return build.memo
 
     # ------------------------------------------------------------------
     # Required final order
@@ -247,31 +287,20 @@ class Optimizer:
     # ------------------------------------------------------------------
     # Base tables
     # ------------------------------------------------------------------
-    def _interesting_at(self, query, tables):
-        return interesting_orders_for_tables(
-            query, tables, rank_aware=self.config.rank_aware,
-        )
+    def _add(self, build, plan):
+        """Offer ``plan`` to the MEMO after projecting its properties.
 
-    def _effective_order(self, query, tables, order):
-        """Project a plan's order onto the retained interesting set.
-
-        A produced order that is not interesting for this MEMO entry
-        carries no benefit and is compared as DC (System R semantics).
+        The projection is the only write into a plan after construction
+        besides recovery's copies (see :mod:`repro.optimizer.plans`);
+        nothing has costed the plan yet.
         """
-        if order.is_none:
-            return order
-        for interesting in self._interesting_at(query, tables):
-            if interesting.order_property.covers(order):
-                return order
-        return OrderProperty.none()
-
-    def _add(self, memo, query, plan):
-        effective = self._effective_order(query, plan.tables, plan.order)
+        effective = _effective_order(build.interesting_at(plan.tables),
+                                     plan.order)
         if effective.key() != plan.order.key():
             plan.order = effective
         if not self.config.respect_pipelining:
             plan.pipelined = False
-        return memo.add(plan)
+        return build.memo.add(plan)
 
     def _filter_selectivity(self, query, table_name):
         """Combined selectivity of the table's selection predicates."""
@@ -293,22 +322,23 @@ class Optimizer:
             return plan
         return FilterPlan(self.model, plan, filters, selectivity)
 
-    def _add_base_plans(self, memo, query, table_name):
+    def _add_base_plans(self, build, table_name):
+        query = build.query
         table = self.catalog.table(table_name)
         cardinality = self.catalog.stats(table_name).cardinality
         scan = self._with_filters(
             query, table_name,
             AccessPlan(self.model, table_name, cardinality),
         )
-        self._add(memo, query, scan)
-        for interesting in self._interesting_at(query, {table_name}):
+        self._add(build, scan)
+        for interesting in build.interesting_at({table_name}):
             expression = interesting.expression
             if not expression.tables() <= {table_name}:
                 continue
             order = OrderProperty(expression)
             index = self._find_index(table, expression)
             if index is not None:
-                self._add(memo, query, self._with_filters(
+                self._add(build, self._with_filters(
                     query, table_name,
                     AccessPlan(
                         self.model, table_name, cardinality, order=order,
@@ -320,7 +350,7 @@ class Optimizer:
                     query, table_name,
                     AccessPlan(self.model, table_name, cardinality),
                 )
-                self._add(memo, query, SortPlan(self.model, base, order))
+                self._add(build, SortPlan(self.model, base, order))
 
     def _find_index(self, table, expression):
         """Find an index delivering descending order on ``expression``."""
@@ -338,7 +368,8 @@ class Optimizer:
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def _enumerate_subset(self, memo, query, subset):
+    def _enumerate_subset(self, build, subset):
+        query, memo = build.query, build.memo
         for left_tables, right_tables in self._splits(query, subset):
             predicates = query.predicates_between(left_tables, right_tables)
             if not predicates:
@@ -349,13 +380,13 @@ class Optimizer:
             for left in left_plans:
                 for right in right_plans:
                     self._join_choices(
-                        memo, query, left, right, predicates, selectivity,
+                        build, left, right, predicates, selectivity,
                     )
         if (self.config.rank_aware and self.config.enable_anyk
                 and query.is_ranking):
-            self._anyk_choice(memo, query, subset)
+            self._anyk_choice(build, subset)
         if self.config.eager_enforcement:
-            self._enforce_orders(memo, query, subset)
+            self._enforce_orders(build, subset)
 
     def _splits(self, query, subset):
         """Yield connected (L, R) splits; L gets the lexicographically
@@ -387,8 +418,7 @@ class Optimizer:
             )
         return selectivity
 
-    def _join_choices(self, memo, query, left, right, predicates,
-                      selectivity):
+    def _join_choices(self, build, left, right, predicates, selectivity):
         for method in self.config.join_methods:
             order = OrderProperty.none()
             if method in ("nl", "inl"):
@@ -397,13 +427,13 @@ class Optimizer:
                 order = OrderProperty.none()
             if method == "inl" and not self._inl_eligible(right):
                 continue
-            self._add(memo, query, JoinPlan(
+            self._add(build, JoinPlan(
                 self.model, method, left, right, predicates, selectivity,
                 order=order,
             ))
-        if self.config.rank_aware and query.is_ranking:
+        if self.config.rank_aware and build.query.is_ranking:
             self._rank_join_choices(
-                memo, query, left, right, predicates, selectivity,
+                build, left, right, predicates, selectivity,
             )
 
     def _inl_eligible(self, right):
@@ -453,9 +483,9 @@ class Optimizer:
         self._profile_cache[cache_key] = profile
         return profile
 
-    def _rank_join_choices(self, memo, query, left, right, predicates,
+    def _rank_join_choices(self, build, left, right, predicates,
                            selectivity):
-        ranking = query.ranking
+        ranking = build.query.ranking
         left_expr = ranking.restrict(left.tables)
         right_expr = ranking.restrict(right.tables)
         if left_expr is None or right_expr is None:
@@ -476,7 +506,7 @@ class Optimizer:
                 estimation_mode=self.config.estimation_mode,
                 profiles=profiles,
             )
-            self._add(memo, query, hrjn)
+            self._add(build, hrjn)
             if self.config.parallel != "off":
                 from repro.optimizer.parallel import parallel_alternative
 
@@ -484,9 +514,9 @@ class Optimizer:
                     self.catalog, self.model, hrjn, mode="auto",
                 )
                 if sharded is not None:
-                    self._add(memo, query, sharded)
+                    self._add(build, sharded)
         if self.config.enable_jstar and left_sorted and right_sorted:
-            self._add(memo, query, RankJoinPlan(
+            self._add(build, RankJoinPlan(
                 self.model, "jstar", left, right, predicates, selectivity,
                 left_expr, right_expr, combined,
                 estimation_mode=self.config.estimation_mode,
@@ -494,14 +524,14 @@ class Optimizer:
             ))
         if self.config.enable_nrjn and left_sorted:
             # Left (sorted) as outer, right as the rescanned inner.
-            self._add(memo, query, RankJoinPlan(
+            self._add(build, RankJoinPlan(
                 self.model, "nrjn", left, right, predicates, selectivity,
                 left_expr, right_expr, combined,
                 estimation_mode=self.config.estimation_mode,
                 profiles=profiles,
             ))
 
-    def _anyk_choice(self, memo, query, subset):
+    def _anyk_choice(self, build, subset):
         """Add the any-k DP alternative for an acyclic join subset.
 
         Eligibility: the ranking restricts onto the subset and the
@@ -513,6 +543,7 @@ class Optimizer:
         cheapest full-consumption single-table plan -- the DP reads
         everything, so sorted access buys nothing.
         """
+        query, memo = build.query, build.memo
         ranking = query.ranking
         combined = ranking.restrict(subset)
         if combined is None:
@@ -560,14 +591,15 @@ class Optimizer:
                 for predicate in pairs[frozenset((table, parent))]
             )
             edges.append((position_of[parent], column_pairs))
-        self._add(memo, query, AnyKPlan(
+        self._add(build, AnyKPlan(
             self.model, children, predicates, edges,
             self._join_selectivity(predicates), combined,
             [ranking.restrict((table,)) for table in order],
         ))
 
-    def _enforce_orders(self, memo, query, subset):
-        for interesting in self._interesting_at(query, subset):
+    def _enforce_orders(self, build, subset):
+        memo = build.memo
+        for interesting in build.interesting_at(subset):
             order = interesting.order_property
             existing = [p for p in memo.entry(subset)
                         if p.order.covers(order)]
@@ -576,4 +608,4 @@ class Optimizer:
             cheapest = memo.best(subset)
             if cheapest is None:
                 continue
-            self._add(memo, query, SortPlan(self.model, cheapest, order))
+            self._add(build, SortPlan(self.model, cheapest, order))

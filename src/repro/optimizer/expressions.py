@@ -37,6 +37,10 @@ class ScoreExpression:
         positive (zero-weight terms should simply be omitted).
     """
 
+    #: :meth:`order_key`, once computed (a class default, so expressions
+    #: unpickled from snapshots that predate it work too).
+    _order_key = None
+
     def __init__(self, weights):
         weights = dict(weights)
         if not weights:
@@ -103,13 +107,17 @@ class ScoreExpression:
 
         Orders are invariant under positive scaling, so weights are
         normalised by the largest weight.  Keys are hashable tuples of
-        ``(column, rounded_weight)`` pairs.
+        ``(column, rounded_weight)`` pairs, computed once per (immutable)
+        expression.
         """
-        top = max(self._weights.values())
-        return tuple(
-            (col, round(w / top, 12))
-            for col, w in sorted(self._weights.items())
-        )
+        key = self._order_key
+        if key is None:
+            top = max(self._weights.values())
+            key = self._order_key = tuple(
+                (col, round(w / top, 12))
+                for col, w in sorted(self._weights.items())
+            )
+        return key
 
     def same_order(self, other):
         """True when ``other`` induces the same descending order."""

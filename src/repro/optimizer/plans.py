@@ -13,6 +13,15 @@ the plan will be asked for.
 * rank-join plans estimate their input depths ``dL(k), dR(k)`` via the
   Section 4 model and recursively charge their children for exactly
   those depths -- this recursion *is* Algorithm ``Propagate``.
+
+Plans are immutable once built, so every node memoises ``cost(k)`` per
+distinct ``k`` (subclasses implement ``_cost``).  Children are shared
+across the parents the enumerator builds over them, which memoises the
+``Propagate`` recursion bottom-up.  The only writes after construction
+are the enumerator's order/pipelining projection before a plan enters
+the MEMO (nothing has costed it yet) and a guarded run's selectivity
+correction, which goes into a copy: ``copy.copy`` of a plan starts with
+an empty memo.
 """
 
 import math
@@ -38,10 +47,32 @@ class Plan:
         self.pipelined = pipelined
         self.cardinality = float(cardinality)
         self.leaf_count = leaf_count
+        #: ``log(max(1, cardinality))`` of every leaf below, left to
+        #: right (a rank join's mean leaf cardinality is built from it).
+        if self.children:
+            self.leaf_logs = tuple(log for child in self.children
+                                   for log in child.leaf_logs)
+        else:
+            self.leaf_logs = (math.log(max(1.0, self.cardinality)),)
+        self._costs = {}
+
+    def __copy__(self):
+        """A shallow copy with an empty cost memo (see the module doc)."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone._costs = {}
+        return clone
 
     # ------------------------------------------------------------------
     def cost(self, k):
         """Estimated cost of pulling ``min(k, cardinality)`` rows."""
+        costs = self._costs
+        value = costs.get(k)
+        if value is None:
+            value = costs[k] = self._cost(k)
+        return value
+
+    def _cost(self, k):
         raise NotImplementedError
 
     def total_cost(self):
@@ -113,7 +144,7 @@ class AccessPlan(Plan):
         # Access cost scales with how deep the consumer reads.
         return True
 
-    def cost(self, k):
+    def _cost(self, k):
         depth = min(max(0.0, k), self.cardinality)
         if self.index_name is None:
             return self.model.table_scan_cost(depth)
@@ -158,7 +189,7 @@ class FilterPlan(Plan):
     def k_dependent(self):
         return self.children[0].k_dependent
 
-    def cost(self, k):
+    def _cost(self, k):
         child = self.children[0]
         needed = min(child.cardinality,
                      max(1.0, k) / self.selectivity)
@@ -188,6 +219,10 @@ class SortPlan(Plan):
         return False
 
     def cost(self, k):
+        # The same total for every k: one memo entry.
+        return super().cost(None)
+
+    def _cost(self, k):
         child = self.children[0]
         return (child.cost(child.cardinality)
                 + self.model.external_sort_cost(child.cardinality))
@@ -237,6 +272,10 @@ class JoinPlan(Plan):
         return False
 
     def cost(self, k):
+        # Charged at full consumption for every k: one memo entry.
+        return super().cost(None)
+
+    def _cost(self, k):
         left, right = self.children
         left_cost = left.cost(left.cardinality)
         right_cost = right.cost(right.cardinality)
@@ -318,23 +357,13 @@ class RankJoinPlan(Plan):
         #: used when ``estimation_mode == "empirical"`` and both are
         #: available (leaf-level rank-joins over indexed streams).
         self.profiles = tuple(profiles)
+        #: Geometric mean of the leaf cardinalities: the model's ``n``.
+        self.mean_leaf_cardinality = math.exp(
+            sum(self.leaf_logs) / len(self.leaf_logs))
 
     @property
     def k_dependent(self):
         return True
-
-    def _mean_leaf_cardinality(self):
-        logs = []
-
-        def visit(plan):
-            if not plan.children:
-                logs.append(math.log(max(1.0, plan.cardinality)))
-                return
-            for child in plan.children:
-                visit(child)
-
-        visit(self)
-        return math.exp(sum(logs) / len(logs))
 
     def depth_estimate(self, k):
         """Estimated :class:`~repro.estimation.depths.DepthEstimate`."""
@@ -345,7 +374,7 @@ class RankJoinPlan(Plan):
 
         left, right = self.children
         k = min(max(1.0, k), max(1.0, self.cardinality))
-        n = self._mean_leaf_cardinality()
+        n = self.mean_leaf_cardinality
         l = left.leaf_count
         r = right.leaf_count
         m_left = max(1.0, left.cardinality)
@@ -375,7 +404,7 @@ class RankJoinPlan(Plan):
             max_left=left.cardinality, max_right=right.cardinality,
         )
 
-    def cost(self, k):
+    def _cost(self, k):
         left, right = self.children
         estimate = self.depth_estimate(k)
         d_left, d_right = estimate.d_left, estimate.d_right
@@ -492,7 +521,7 @@ class AnyKPlan(Plan):
     def k_dependent(self):
         return True
 
-    def cost(self, k):
+    def _cost(self, k):
         input_cost = sum(child.cost(child.cardinality)
                          for child in self.children)
         tuples = sum(child.cardinality for child in self.children)
@@ -651,7 +680,7 @@ class ScoreMergePlan(Plan):
         return ("pool" if self.pool_cost(k) < self.inline_cost(k)
                 else "inline")
 
-    def cost(self, k):
+    def _cost(self, k):
         if self.mode == "inline":
             return self.inline_cost(k)
         if self.mode == "pool" and self.pool_supported:

@@ -25,9 +25,10 @@ run (an :class:`~repro.executor.executor.Executor` run with a
      :meth:`Optimizer.fallback_plan`, which the executor drains from
      scratch under the same resource budget.
 
-Corrections are per run: the first one copies the plan nodes above the
+Corrections are per run: each one copies the plan nodes above the
 leaves, so a plan shared with the plan cache (and every later query of
-its shape) never sees one run's evidence.
+its shape) never sees one run's evidence, and no memoised cost of the
+old selectivity is read back.
 
 Every decision is recorded in a :class:`RecoveryLog` attached to the
 :class:`~repro.executor.executor.ExecutionReport` as
@@ -413,26 +414,27 @@ def _update_depth_limits(run):
 
 
 def _correct(run, operator, observed):
-    """Write the ``observed`` selectivity into the run's own plan.
+    """Write the ``observed`` selectivity into a copy of the run's plan.
 
     The result a run starts from may be shared -- the plan cache serves
-    it to every later query of the shape, and admission costs it -- so
-    the first correction copies the plan's interior nodes, re-points
-    the live operators at the copies and swaps the run's result for one
-    over them.  The report, a suspension and later corrections see the
+    it to every later query of the shape, and admission costs it -- and
+    every plan node memoises its ``cost(k)``.  So each correction copies
+    the plan's interior nodes (a copy starts with an empty cost memo),
+    re-points the live operators at the copies, swaps the run's result
+    for one over them, and only then writes the selectivity: no cost
+    computed under the old selectivity survives above the corrected
+    node.  The report, a suspension and later corrections see the
     corrected plan; the cache never does.
     """
-    if not run.owns_plan:
-        copies = {}
-        result = run.result
-        run.result = OptimizationResult(
-            result.query, result.memo,
-            _copy_interior(result.best_plan, copies),
-            result.required_order, stats_epoch=result.stats_epoch,
-        )
-        for node in run.root.walk():
-            node.plan = copies.get(id(node.plan), node.plan)
-        run.owns_plan = True
+    copies = {}
+    result = run.result
+    run.result = OptimizationResult(
+        result.query, result.memo,
+        _copy_interior(result.best_plan, copies),
+        result.required_order, stats_epoch=result.stats_epoch,
+    )
+    for node in run.root.walk():
+        node.plan = copies.get(id(node.plan), node.plan)
     operator.plan.selectivity = min(1.0, observed)
 
 

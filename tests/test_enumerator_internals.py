@@ -7,8 +7,13 @@ from repro.common.errors import OptimizerError
 from repro.cost.model import CostModel
 from repro.data.catalogs import make_abc_catalog
 from repro.optimizer.builder import PlanBuilder
-from repro.optimizer.enumerator import Optimizer, OptimizerConfig
+from repro.optimizer.enumerator import (
+    Optimizer,
+    OptimizerConfig,
+    _effective_order,
+)
 from repro.optimizer.expressions import ScoreExpression
+from repro.optimizer.interesting import interesting_orders_for_tables
 from repro.optimizer.plans import AccessPlan, FilterPlan
 from repro.optimizer.properties import OrderProperty
 from repro.optimizer.query import FilterPredicate, JoinPredicate, RankQuery
@@ -55,22 +60,25 @@ class TestSplits:
 
 
 class TestOrderDemotion:
-    def test_uninteresting_order_becomes_dc(self, optimizer):
+    def test_uninteresting_order_becomes_dc(self):
         """A produced order with no future benefit compares as DC."""
         query = chain_query()
         order = OrderProperty.on("A.c1")
         # A.c1 is interesting at {A} (rank column) but retired at ABC.
-        at_leaf = optimizer._effective_order(query, frozenset("A"), order)
+        at_leaf = _effective_order(
+            interesting_orders_for_tables(query, frozenset("A")), order,
+        )
         assert not at_leaf.is_none
-        at_root = optimizer._effective_order(
-            query, frozenset("ABC"), order,
+        at_root = _effective_order(
+            interesting_orders_for_tables(query, frozenset("ABC")), order,
         )
         assert at_root.is_none
 
-    def test_dc_stays_dc(self, optimizer):
+    def test_dc_stays_dc(self):
         query = chain_query()
-        assert optimizer._effective_order(
-            query, frozenset("A"), OrderProperty.none(),
+        assert _effective_order(
+            interesting_orders_for_tables(query, frozenset("A")),
+            OrderProperty.none(),
         ).is_none
 
 

@@ -5,7 +5,8 @@ the database that built it), the plan builder keeps no per-plan state,
 ``resume`` without a budget reuses the suspended one, a format-v2
 durable snapshot written before the executors were merged still
 resumes, and guarded runs -- direct or served -- plan through the plan
-cache without writing their mid-query corrections into it.
+cache without writing their mid-query corrections into it, nor reading
+back a cost memoised before a correction.
 """
 
 import asyncio
@@ -204,6 +205,41 @@ def cache_signature(result):
             plan.cost(float(result.query.k)))
 
 
+def rebuilt(plan):
+    """``plan`` constructed afresh, every rank join with the selectivity
+    it carries now (the leaves are shared and never corrected)."""
+    if not isinstance(plan, RankJoinPlan):
+        return plan
+    left, right = (rebuilt(child) for child in plan.children)
+    return RankJoinPlan(
+        plan.model, plan.operator, left, right, plan.predicates,
+        plan.selectivity, plan.left_expression, plan.right_expression,
+        plan.combined_expression, estimation_mode=plan.estimation_mode,
+        profiles=plan.profiles,
+    )
+
+
+def depths(records):
+    return [(node.describe(), required,
+             None if estimate is None else (estimate.d_left,
+                                            estimate.d_right))
+            for node, required, estimate in records]
+
+
+def assert_costs_its_selectivities(report):
+    """The run's (possibly corrected) plan costs what a fresh plan with
+    the same selectivities costs: no cost memoised under an assumed
+    selectivity survived the correction.  (A correction writes the
+    selectivity only, so the two differ in cardinality; at these k,
+    below every cardinality, that does not enter the cost.)"""
+    plan = report.best_plan
+    fresh = rebuilt(plan)
+    k = float(report.query.k)
+    assert plan.cost(k) == fresh.cost(k)
+    assert depths(plan.propagate_depths(k)) == \
+        depths(fresh.propagate_depths(k))
+
+
 def pairs(rows):
     return [(row["A.c1"], row["B.c2"]) for row in rows]
 
@@ -234,6 +270,7 @@ class TestGuardedRunsAndThePlanCache:
         assert report.recovery.path == path
         assert cache_signature(entry) == before
         assert pairs(report.rows) == pairs(reference.rows)
+        assert_costs_its_selectivities(report)
         if path == "reestimated":
             # The next run is a cache hit on the very same entry and
             # recovers exactly as the first one did.
@@ -243,6 +280,7 @@ class TestGuardedRunsAndThePlanCache:
             assert second.recovery.path == path
             assert second.rows == report.rows
             assert cache_signature(entry) == before
+            assert_costs_its_selectivities(second)
 
     def test_served_recovery_leaves_cached_plan_intact(self):
         from repro.server import Server
@@ -273,5 +311,6 @@ class TestGuardedRunsAndThePlanCache:
         report = asyncio.run(serve())
         assert report.recovery.path != "direct"
         assert report.rows == reference
+        assert_costs_its_selectivities(report)
         assert cache_signature(entry) == before
         assert cache_signature(cached(db, sql)) == before
