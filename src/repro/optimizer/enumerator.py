@@ -11,15 +11,19 @@ Rank-aware extensions:
 * rank-join choices (HRJN / NRJN) are added whenever the Section 3.2
   eligibility rules hold;
 * pruning is delegated to :class:`~repro.optimizer.memo.Memo`, which
-  implements the rank-aware dominance test.
+  implements the rank-aware dominance test; the enumerator only skips
+  building the joins that test would reject on arrival, judged by what
+  each join method's cost and properties read of its inputs
+  (:meth:`Optimizer._join_choices`, ``docs/estimation_model.md`` §8).
 """
 
 from itertools import combinations
 
 from repro.common.errors import OptimizerError
 from repro.optimizer.interesting import interesting_orders_for_tables
-from repro.optimizer.memo import Memo
+from repro.optimizer.memo import _COST_EPSILON, Memo
 from repro.optimizer.plans import (
+    RANK_JOIN_OPERATORS,
     AccessPlan,
     AnyKPlan,
     FilterPlan,
@@ -36,6 +40,39 @@ def _walk_plan(plan):
     for child in plan.children:
         for descendant in _walk_plan(child):
             yield descendant
+
+
+def _undercutting(candidates, cost, group=None):
+    """The ``candidates`` cheaper than every earlier one of their group.
+
+    ``cost`` is what a join's cost reads of the candidate inputs, and
+    ``group`` what else it reads or derives its properties from.  The
+    MEMO's tie rule applies: a later candidate counts only when cheaper
+    by more than its tolerance.  Among same-group joins offered in
+    ``candidates`` order, only these can be accepted on arrival.
+    """
+    best = {}
+    kept = []
+    for candidate in candidates:
+        key = None if group is None else group(candidate)
+        value = cost(candidate)
+        if key not in best or value < best[key] - _COST_EPSILON:
+            best[key] = value
+            kept.append(candidate)
+    return kept
+
+
+def _holds_flat_plan_within(memo, tables, bound):
+    """True when the MEMO entry of ``tables`` holds a k-independent plan
+    costing at most ``bound``, within the MEMO's tolerance.
+
+    Every plan's properties cover a DC blocking plan's, and a join costs
+    at least its inputs, so :meth:`Memo.add` would then reject on
+    arrival a ``hash`` / ``sort_merge`` join whose inputs cost ``bound``.
+    """
+    return any(not plan.k_dependent
+               and plan.cost(memo.k_min) <= bound + _COST_EPSILON
+               for plan in memo.entry(tables))
 
 
 def _effective_order(interesting, order):
@@ -374,14 +411,10 @@ class Optimizer:
             predicates = query.predicates_between(left_tables, right_tables)
             if not predicates:
                 continue
-            selectivity = self._join_selectivity(predicates)
-            left_plans = memo.entry(left_tables)
-            right_plans = memo.entry(right_tables)
-            for left in left_plans:
-                for right in right_plans:
-                    self._join_choices(
-                        build, left, right, predicates, selectivity,
-                    )
+            self._join_choices(
+                build, memo.entry(left_tables), memo.entry(right_tables),
+                predicates, self._join_selectivity(predicates),
+            )
         if (self.config.rank_aware and self.config.enable_anyk
                 and query.is_ranking):
             self._anyk_choice(build, subset)
@@ -418,23 +451,97 @@ class Optimizer:
             )
         return selectivity
 
-    def _join_choices(self, build, left, right, predicates, selectivity):
-        for method in self.config.join_methods:
-            order = OrderProperty.none()
-            if method in ("nl", "inl"):
-                order = left.order
-            elif method == "sort_merge":
-                order = OrderProperty.none()
-            if method == "inl" and not self._inl_eligible(right):
-                continue
-            self._add(build, JoinPlan(
-                self.model, method, left, right, predicates, selectivity,
-                order=order,
-            ))
+    def _join_choices(self, build, lefts, rights, predicates, selectivity):
+        """Offer every join method over one split the inputs that can win.
+
+        ``lefts`` / ``rights`` are the retained plans of the split's two
+        sides.  Plans are offered in the order an exhaustive enumeration
+        offers them -- pairs in MEMO order, methods in offer order -- but
+        a method's plan is built only over the ``(left, right)`` pairs
+        of :meth:`_join_inputs` / :meth:`_rank_join_inputs`: those that
+        undercut every earlier pair of the method with the same output
+        properties, judged by what its cost reads of the inputs -- less
+        any ``hash`` / ``sort_merge`` pair a retained k-independent plan
+        already undercuts (:func:`_holds_flat_plan_within`).  Any other
+        pair would reach :meth:`Memo.add` after a plan covering its
+        property vector at no higher cost at either abscissa, and be
+        rejected on arrival: the MEMO, and the sequence of plans it
+        accepts, are the exhaustive ones.
+        """
+        if not lefts or not rights:
+            return
+        full_costs = ([plan.cost(plan.cardinality) for plan in lefts],
+                      [plan.cost(plan.cardinality) for plan in rights])
+        inputs = self._join_inputs(lefts, rights, full_costs)
+        ranked = None
         if self.config.rank_aware and build.query.is_ranking:
-            self._rank_join_choices(
-                build, left, right, predicates, selectivity,
-            )
+            ranked = self._rank_join_inputs(build, lefts, rights,
+                                            full_costs[1], inputs)
+        methods = list(inputs)
+        memo = build.memo
+        subset = lefts[0].tables | rights[0].tables
+        for i, j, position in sorted(
+                (i, j, position)
+                for position, pairs in enumerate(inputs.values())
+                for i, j in pairs):
+            method, left, right = methods[position], lefts[i], rights[j]
+            if method in ("hash", "sort_merge") and _holds_flat_plan_within(
+                    memo, subset, full_costs[0][i] + full_costs[1][j]):
+                continue
+            if method in RANK_JOIN_OPERATORS:
+                self._offer_rank_join(build, method, left, right,
+                                      predicates, selectivity, ranked)
+            else:
+                self._add(build, JoinPlan(
+                    self.model, method, left, right, predicates,
+                    selectivity, order=(
+                        left.order if method in ("nl", "inl")
+                        else OrderProperty.none()),
+                ))
+
+    def _join_inputs(self, lefts, rights, full_costs):
+        """``{method: [(left index, right index), ...]}``, traditional joins.
+
+        A join's output is DC and blocking except for ``nl`` / ``inl``,
+        which keep the left's order and pipelining.  Its cost reads the
+        inputs' full-consumption costs (``full_costs``) and
+        cardinalities, ``sort_merge`` also whether each is ordered, and
+        ``inl`` only the inner's cardinality.  So ``hash`` pairs go by
+        their summed cost, ``sort_merge`` ones too within each
+        (ordered, ordered) class, ``nl`` pairs every left with the
+        rights that undercut all earlier rights, and ``inl`` every left
+        with the first access path on the right.
+        """
+        left_costs, right_costs = full_costs
+        every_left = range(len(lefts))
+        every_pair = [(i, j) for i in every_left
+                      for j in range(len(rights))]
+
+        def pair_cost(pair):
+            return left_costs[pair[0]] + right_costs[pair[1]]
+
+        inputs = {}
+        for method in self.config.join_methods:
+            if method == "hash":
+                inputs[method] = _undercutting(every_pair, pair_cost)
+            elif method == "sort_merge":
+                inputs[method] = _undercutting(
+                    every_pair, pair_cost,
+                    group=lambda pair: (lefts[pair[0]].order.is_none,
+                                        rights[pair[1]].order.is_none))
+            elif method == "nl":
+                cheaper = _undercutting(range(len(rights)),
+                                        right_costs.__getitem__)
+                inputs[method] = [(i, j) for i in every_left
+                                  for j in cheaper]
+            elif method == "inl":
+                probed = [j for j, right in enumerate(rights)
+                          if self._inl_eligible(right)][:1]
+                inputs[method] = [(i, j) for i in every_left
+                                  for j in probed]
+            else:
+                raise OptimizerError("unknown join method %r" % (method,))
+        return inputs
 
     def _inl_eligible(self, right):
         """INL needs a single base table inner (probe-able)."""
@@ -483,53 +590,69 @@ class Optimizer:
         self._profile_cache[cache_key] = profile
         return profile
 
-    def _rank_join_choices(self, build, left, right, predicates,
-                           selectivity):
+    def _rank_join_inputs(self, build, lefts, rights, right_costs, inputs):
+        """Add the rank joins over one split to ``inputs``.
+
+        Returns what every rank join over the split shares -- the
+        ranking restricted to each side and their combination -- or
+        ``None`` when no rank join applies.  HRJN and J* read
+        ``cost(d)`` of both inputs and pipeline from both, so they pair
+        every sorted left with every sorted right.  NRJN reads the
+        outer's ``cost(d)`` but only the inner's full-consumption cost
+        (``right_costs``) and cardinality, its leaf cardinalities (the
+        model's ``n``) and its empirical profile: every sorted left meets
+        the rights that undercut all earlier rights with the same leaves
+        and profile.
+        """
         ranking = build.query.ranking
-        left_expr = ranking.restrict(left.tables)
-        right_expr = ranking.restrict(right.tables)
+        left_expr = ranking.restrict(lefts[0].tables)
+        right_expr = ranking.restrict(rights[0].tables)
         if left_expr is None or right_expr is None:
             # Rank-join needs score contributions on both sides
             # (f = f(f1(SL), f2(SR), f3(SO)) with non-empty SL, SR).
-            return
-        combined = left_expr.combine(right_expr)
-        left_sorted = left.order.covers(OrderProperty(left_expr))
-        right_sorted = right.order.covers(OrderProperty(right_expr))
-        profiles = (
-            self._profile_for(left, left_expr),
-            self._profile_for(right, right_expr),
-        )
-        if self.config.enable_hrjn and left_sorted and right_sorted:
-            hrjn = RankJoinPlan(
-                self.model, "hrjn", left, right, predicates, selectivity,
-                left_expr, right_expr, combined,
-                estimation_mode=self.config.estimation_mode,
-                profiles=profiles,
-            )
-            self._add(build, hrjn)
-            if self.config.parallel != "off":
-                from repro.optimizer.parallel import parallel_alternative
-
-                sharded = parallel_alternative(
-                    self.catalog, self.model, hrjn, mode="auto",
-                )
-                if sharded is not None:
-                    self._add(build, sharded)
-        if self.config.enable_jstar and left_sorted and right_sorted:
-            self._add(build, RankJoinPlan(
-                self.model, "jstar", left, right, predicates, selectivity,
-                left_expr, right_expr, combined,
-                estimation_mode=self.config.estimation_mode,
-                profiles=profiles,
-            ))
-        if self.config.enable_nrjn and left_sorted:
+            return None
+        left_order = OrderProperty(left_expr)
+        sorted_lefts = [i for i, plan in enumerate(lefts)
+                        if plan.order.covers(left_order)]
+        if not sorted_lefts:
+            return None
+        right_order = OrderProperty(right_expr)
+        sorted_rights = [j for j, plan in enumerate(rights)
+                         if plan.order.covers(right_order)]
+        both_sorted = [(i, j) for i in sorted_lefts for j in sorted_rights]
+        if self.config.enable_hrjn:
+            inputs["hrjn"] = both_sorted
+        if self.config.enable_jstar:
+            inputs["jstar"] = both_sorted
+        if self.config.enable_nrjn:
             # Left (sorted) as outer, right as the rescanned inner.
-            self._add(build, RankJoinPlan(
-                self.model, "nrjn", left, right, predicates, selectivity,
-                left_expr, right_expr, combined,
-                estimation_mode=self.config.estimation_mode,
-                profiles=profiles,
-            ))
+            inners = _undercutting(
+                range(len(rights)), right_costs.__getitem__,
+                group=lambda j: (rights[j].leaf_logs,
+                                 self._profile_for(rights[j], right_expr)))
+            inputs["nrjn"] = [(i, j) for i in sorted_lefts for j in inners]
+        return left_expr, right_expr, left_expr.combine(right_expr)
+
+    def _offer_rank_join(self, build, operator, left, right, predicates,
+                         selectivity, ranked):
+        """Offer one rank join (and an HRJN's sharded alternative)."""
+        left_expr, right_expr, combined = ranked
+        plan = RankJoinPlan(
+            self.model, operator, left, right, predicates, selectivity,
+            left_expr, right_expr, combined,
+            estimation_mode=self.config.estimation_mode,
+            profiles=(self._profile_for(left, left_expr),
+                      self._profile_for(right, right_expr)),
+        )
+        self._add(build, plan)
+        if operator == "hrjn" and self.config.parallel != "off":
+            from repro.optimizer.parallel import parallel_alternative
+
+            sharded = parallel_alternative(
+                self.catalog, self.model, plan, mode="auto",
+            )
+            if sharded is not None:
+                self._add(build, sharded)
 
     def _anyk_choice(self, build, subset):
         """Add the any-k DP alternative for an acyclic join subset.

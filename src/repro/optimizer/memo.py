@@ -31,7 +31,11 @@ class Memo:
     ``plan_pruned`` / ``pipelining_exemption`` events, and the
     ``optimizer_plans_generated`` / ``optimizer_plans_retained`` /
     ``optimizer_plans_pruned`` counters labelled by the plan's
-    interesting order.
+    interesting order.  The enumerator does not build the joins this
+    MEMO would reject on arrival (see :meth:`~repro.optimizer.enumerator
+    .Optimizer._join_choices`), so ``optimizer_plans_generated`` counts
+    only the plans that survive that input selection, and a skipped
+    candidate emits no ``plan_pruned`` / ``pipelining_exemption`` event.
     """
 
     def __init__(self, k_min=1, telemetry=None):

@@ -238,7 +238,10 @@ class JoinPlan(Plan):
 
     * ``hash``  -- DC, blocking-ish (build side blocks first output);
     * ``nl`` / ``inl`` -- preserve the outer (left) order, pipelined;
-    * ``sort_merge`` -- orders on the left join column, blocking.
+    * ``sort_merge`` -- blocking, and the enumerator gives it DC: its
+      output is sorted on the join column, but order inference through
+      joins is out of scope, as in the paper (the enumerator's input
+      pruning relies on sort-merge joins claiming no order).
 
     Cost is charged at full consumption: traditional joins gain little
     from early termination compared to rank-joins, and the paper costs

@@ -37,3 +37,19 @@ def abc_catalog():
 @pytest.fixture
 def cost_model():
     return CostModel()
+
+
+@pytest.fixture(scope="session")
+def plan_cold_optimizer():
+    """The benchmark's ``plan_cold`` catalog: 70 000-row tables, join
+    keys drawn from 40 values, a descending index on each score.  (It
+    has four such tables; a 3-table query reads three.)"""
+    from repro.executor.database import Database
+
+    n = 70000
+    db = Database()
+    for name in "ABC":
+        db.create_table(name, [("c1", "float"), ("c2", "int")],
+                        rows=[[i / n, i % 40] for i in range(n)])
+    db.analyze()
+    return db.executor().optimizer

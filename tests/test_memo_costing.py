@@ -150,20 +150,6 @@ class TestMemoMatchesReference:
         assert memoised == reference
 
 
-@pytest.fixture(scope="module")
-def plan_cold_optimizer():
-    """The benchmark's ``plan_cold`` catalog: 70 000-row tables, join
-    keys drawn from 40 values, a descending index on each score.  (It
-    has four such tables; a 3-table query reads three.)"""
-    n = 70000
-    db = Database()
-    for name in "ABC":
-        db.create_table(name, [("c1", "float"), ("c2", "int")],
-                        rows=[[i / n, i % 40] for i in range(n)])
-    db.analyze()
-    return db.executor().optimizer
-
-
 class TestCostMemo:
     def test_cold_three_table_optimize_costs_each_node_once(
             self, plan_cold_optimizer, monkeypatch):
