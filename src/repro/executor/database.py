@@ -512,7 +512,8 @@ class Database:
                                     metrics=self.metrics)
             payload = store.read_snapshot(source)
         suspended = rehydrate(payload, self._executor_for(payload["query"]))
-        store.instruments.recovery("resumed")
+        store.metrics.counter("durability_recoveries_total").inc(
+            outcome="resumed")
         return suspended
 
     def resume(self, suspended, budget=None, policy=None, trace=False,
@@ -603,7 +604,8 @@ class Database:
                 raise
         if store is not None:
             store.discard(query_id or default_query_id(query))
-            store.instruments.recovery("restarted")
+            store.metrics.counter("durability_recoveries_total").inc(
+                outcome="restarted")
         return restart(query), True
 
     def explain(self, query):

@@ -11,6 +11,7 @@ from repro.common.errors import (
     DepthOverrunError,
     TransientFaultError,
 )
+from repro.observability.metrics import NULL_METRICS
 from repro.observability.tracer import NULL_TRACER
 from repro.operators.topk import Limit
 from repro.optimizer.builder import PlanBuilder
@@ -340,7 +341,7 @@ class Executor:
         self.catalog = catalog
         self.optimizer = Optimizer(catalog, cost_model, config)
         self.builder = PlanBuilder(catalog, shard_pool=shard_pool)
-        self.metrics = metrics
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self.feedback = feedback
 
     def run(self, query, budget=None, policy=None, telemetry=None,
@@ -592,9 +593,8 @@ class Executor:
         if telemetry is not None:
             telemetry.record_operators(operators)
             self._record_parallel(telemetry, root)
-        metrics = self.metrics if telemetry is None else telemetry.metrics
-        if metrics is not None:
-            self._record_columnar(metrics, root)
+        self._record_columnar(
+            self.metrics if telemetry is None else telemetry.metrics, root)
         report = ExecutionReport(run.query, run.result, run.rows, operators,
                                  recovery=recovery, telemetry=telemetry,
                                  suspension=suspension)
@@ -618,14 +618,10 @@ class Executor:
 
         for op in root.walk():
             if isinstance(op, (Filter, Project)) and op.fused_batches:
-                metrics.counter(
-                    "columnar_fused_batches_total",
-                    "Batches served by the fused columnar fast path",
-                ).inc(op.fused_batches, operator=op.name)
-                metrics.counter(
-                    "columnar_fused_rows_total",
-                    "Rows produced by the fused columnar fast path",
-                ).inc(op.fused_rows, operator=op.name)
+                metrics.counter("columnar_fused_batches_total").inc(
+                    op.fused_batches, operator=op.name)
+                metrics.counter("columnar_fused_rows_total").inc(
+                    op.fused_rows, operator=op.name)
 
     @staticmethod
     def _record_parallel(telemetry, root):
@@ -636,33 +632,20 @@ class Executor:
         metrics = telemetry.metrics
         for op in root.walk():
             if isinstance(op, ScoreMerge):
-                metrics.counter(
-                    "merge_rows_total",
-                    "Rows emitted by rank-aware ScoreMerge operators",
-                ).inc(op.stats.rows_out, merge=op.name)
-                metrics.gauge(
-                    "merge_fanin",
-                    "Ranked shard streams under each ScoreMerge",
-                ).set(len(op.children), merge=op.name)
+                metrics.counter("merge_rows_total").inc(
+                    op.stats.rows_out, merge=op.name)
+                metrics.gauge("merge_fanin").set(len(op.children),
+                                                 merge=op.name)
                 for index, pulled in enumerate(op.stats.pulled):
-                    metrics.counter(
-                        "shard_rows_merged_total",
-                        "Rows each shard contributed to its merge",
-                    ).inc(pulled, merge=op.name, shard=index)
+                    metrics.counter("shard_rows_merged_total").inc(
+                        pulled, merge=op.name, shard=index)
             elif isinstance(op, ShardStream):
-                metrics.counter(
-                    "shard_tasks_total",
-                    "Worker-pool task windows dispatched per shard",
-                ).inc(op.tasks, shard=op.name)
+                metrics.counter("shard_tasks_total").inc(op.tasks,
+                                                         shard=op.name)
                 if op.retries:
-                    metrics.counter(
-                        "shard_retries_total",
-                        "Transient shard faults absorbed by retry",
-                    ).inc(op.retries, shard=op.name)
-                depth_gauge = metrics.gauge(
-                    "shard_depth",
-                    "Worker-kernel depth per shard input",
-                )
+                    metrics.counter("shard_retries_total").inc(
+                        op.retries, shard=op.name)
+                depth_gauge = metrics.gauge("shard_depth")
                 for index, pulled in enumerate(op.stats.pulled):
                     depth_gauge.set(pulled, shard=op.name, input=index)
 
@@ -673,10 +656,7 @@ class Executor:
         if not isinstance(plan, (RankJoinPlan, ScoreMergePlan)):
             return
         k = query.k if query.is_ranking else plan.cardinality
-        depth_gauge = telemetry.metrics.gauge(
-            "propagate_estimated_depth",
-            "Propagate depth estimate per rank-join input",
-        )
+        depth_gauge = telemetry.metrics.gauge("propagate_estimated_depth")
         for node, required, estimate in plan.propagate_depths(k):
             if estimate is None:
                 telemetry.events.emit(

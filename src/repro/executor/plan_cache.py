@@ -29,6 +29,8 @@ a whole-catalog version bump is never needed.
 import threading
 from collections import OrderedDict
 
+from repro.observability.metrics import NULL_METRICS
+
 #: Default number of cached plans per database.
 DEFAULT_CAPACITY = 128
 
@@ -94,16 +96,11 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._metrics = metrics
-        if metrics is not None:
-            self._hits = metrics.counter(
-                "plan_cache_hits_total", "plan cache lookups served")
-            self._misses = metrics.counter(
-                "plan_cache_misses_total", "plan cache lookups missed")
-            self._evictions = metrics.counter(
-                "plan_cache_evictions_total", "plans evicted (LRU)")
-            self._size = metrics.gauge(
-                "plan_cache_size", "currently cached plans")
+        metrics = NULL_METRICS if metrics is None else metrics
+        self._hits = metrics.counter("plan_cache_hits_total")
+        self._misses = metrics.counter("plan_cache_misses_total")
+        self._evictions = metrics.counter("plan_cache_evictions_total")
+        self._size = metrics.gauge("plan_cache_size")
 
     def __len__(self):
         return len(self._entries)
@@ -124,13 +121,11 @@ class PlanCache:
             result = self._entries.get(key)
             if result is None:
                 self.misses += 1
-                if self._metrics is not None:
-                    self._misses.inc()
+                self._misses.inc()
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        if self._metrics is not None:
-            self._hits.inc()
+        self._hits.inc()
         return result
 
     def put(self, fingerprint, k, version, result, epoch=0):
@@ -144,18 +139,15 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                if self._metrics is not None:
-                    self._evictions.inc()
-            if self._metrics is not None:
-                self._size.set(len(self._entries))
+                self._evictions.inc()
+            self._size.set(len(self._entries))
         return result
 
     def invalidate(self):
         """Drop every cached plan (explicit flush)."""
         with self._lock:
             self._entries.clear()
-            if self._metrics is not None:
-                self._size.set(0)
+            self._size.set(0)
 
     def stats(self):
         """Return ``{hits, misses, evictions, size, capacity}``."""

@@ -41,6 +41,7 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.common.errors import ExecutionError, TransientFaultError
 from repro.common.scoring import SumScore
 from repro.common.types import Row
+from repro.observability.metrics import NULL_METRICS
 from repro.operators.base import Operator, OperatorStats, ScoreSpec
 from repro.operators.rank_kernel import PositionalInput, RankJoinKernel
 from repro.operators.scan import ColumnarView
@@ -163,7 +164,7 @@ class ShardPool:
     def __init__(self, catalog, max_workers=None, metrics=None):
         self.catalog = catalog
         self.max_workers = max_workers
-        self.metrics = metrics
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self._executor = None
         self._version = None
         self._segment = None
@@ -190,15 +191,8 @@ class ShardPool:
         name = "repro_%d_g%d" % (os.getpid(), next(_GENERATION))
         self._segment = shm.encode_tables(self.catalog.tables(), name)
         self._segment_name = name
-        if self.metrics is not None:
-            self.metrics.counter(
-                "shm_segments_created_total",
-                "Shared-memory shard segments created (pool generations)",
-            ).inc()
-            self.metrics.gauge(
-                "shm_segment_bytes",
-                "Size of the live shard transport segment",
-            ).set(self._segment.size)
+        self.metrics.counter("shm_segments_created_total").inc()
+        self.metrics.gauge("shm_segment_bytes").set(self._segment.size)
 
     def _free_segment(self):
         name = self._segment_name
@@ -213,15 +207,8 @@ class ShardPool:
             segment.unlink()
         except Exception:  # pragma: no cover - already-freed race
             pass
-        if self.metrics is not None:
-            self.metrics.counter(
-                "shm_segments_freed_total",
-                "Shared-memory shard segments freed (rebuild/shutdown)",
-            ).inc()
-            self.metrics.gauge(
-                "shm_segment_bytes",
-                "Size of the live shard transport segment",
-            ).set(0)
+        self.metrics.counter("shm_segments_freed_total").inc()
+        self.metrics.gauge("shm_segment_bytes").set(0)
 
     def _ensure(self):
         version = self.catalog.version

@@ -27,7 +27,6 @@ See ``docs/adaptivity.md`` for the store schema, the EWMA policy, and
 the re-plan decision matrix.
 """
 
-from repro.feedback.instruments import FeedbackInstruments
 from repro.feedback.store import (
     FeedbackPolicy,
     FeedbackStore,
@@ -35,7 +34,6 @@ from repro.feedback.store import (
 )
 
 __all__ = [
-    "FeedbackInstruments",
     "FeedbackPolicy",
     "FeedbackStore",
     "fingerprint_key",

@@ -35,6 +35,7 @@ import os
 import threading
 
 from repro.common.errors import CatalogError
+from repro.observability.metrics import NULL_METRICS
 
 #: Floor for learned selectivities (zero would blow up the model).
 _MIN_SELECTIVITY = 1e-9
@@ -165,16 +166,14 @@ class FeedbackStore:
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`
         receiving the ``feedback_*`` metric family (see
-        :class:`~repro.feedback.instruments.FeedbackInstruments`).
+        ``docs/observability.md``).
     """
 
     def __init__(self, policy=None, path=None, metrics=None, fsync=False):
-        from repro.feedback.instruments import FeedbackInstruments
-
         self.policy = policy or FeedbackPolicy()
         self.path = os.fspath(path) if path is not None else None
         self.fsync = fsync
-        self.instruments = FeedbackInstruments(metrics)
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self._lock = threading.RLock()
         self._joins = {}       # join key -> _JoinStat
         self._queries = {}     # fingerprint hex key -> _QueryStat
@@ -247,8 +246,10 @@ class FeedbackStore:
                 "joins": joins,
                 "applied": applied,
             }
-        self.instruments.observation("report")
-        self.instruments.depth_error(key, stat.depth_error)
+        self.metrics.counter("feedback_observations_total").inc(kind="report")
+        if stat.depth_error is not None:
+            self.metrics.gauge("feedback_depth_error_ewma").set(
+                stat.depth_error, fingerprint=key)
         self._persist({
             "kind": "report",
             "fingerprint": key,
@@ -282,7 +283,7 @@ class FeedbackStore:
         with self._lock:
             applied = self._observe_join(join_key(predicates[0]), observed,
                                          force=force)
-        self.instruments.observation(source)
+        self.metrics.counter("feedback_observations_total").inc(kind=source)
         self._persist({
             "kind": "join",
             "columns": sorted(join_key(predicates[0])),
@@ -321,15 +322,16 @@ class FeedbackStore:
             return 0
         stat.applied = value
         stat.epoch += 1
-        self.instruments.override("=".join(sorted(columns)))
+        self.metrics.counter("feedback_overrides_total").inc(
+            join="=".join(sorted(columns)))
         return 1
 
     def note_replan(self, outcome):
-        """Record one mid-flight re-plan attempt (see instruments)."""
+        """Record one mid-flight re-plan attempt by ``outcome``."""
         if outcome == "migrated":
             with self._lock:
                 self.replans += 1
-        self.instruments.replan(outcome)
+        self.metrics.counter("feedback_replans_total").inc(outcome=outcome)
 
     # ------------------------------------------------------------------
     # Catalog overlay protocol
@@ -507,7 +509,7 @@ class FeedbackStore:
                     self._replay_record(record)
                 except (ValueError, KeyError, TypeError) as exc:
                     self.skipped_lines += 1
-                    self.instruments.replay_skipped()
+                    self.metrics.counter("feedback_replay_skipped_total").inc()
                     import warnings
 
                     warnings.warn(
@@ -516,7 +518,8 @@ class FeedbackStore:
                         RuntimeWarning, stacklevel=2,
                     )
                     continue
-                self.instruments.observation("replay")
+                self.metrics.counter("feedback_observations_total").inc(
+                    kind="replay")
 
     def _replay_record(self, record):
         """Apply one persisted record; raises on malformed content."""

@@ -2,7 +2,7 @@
 
 The paper's evaluation is all about *measured vs estimated* quantities
 -- rank-join depths, buffer bounds, plan-cost crossovers.  This package
-gives the engine the instruments to measure them on every query:
+gives the engine the means to measure them on every query:
 
 * :mod:`~repro.observability.tracer` -- hierarchical wall-clock spans
   (optimize -> open -> next -> close) with a zero-cost no-op mode;
@@ -23,13 +23,15 @@ instrumentation is opt-in: pass ``trace=True`` (or a ``Telemetry``) to
 attached every hook is a single ``is None`` check.
 """
 
-from repro.observability.events import EventLog
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.events import NULL_EVENTS, EventLog
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "EventLog",
     "MetricsRegistry",
+    "NULL_EVENTS",
+    "NULL_METRICS",
     "NULL_TRACER",
     "NullTracer",
     "Span",
@@ -89,16 +91,11 @@ class Telemetry:
         ``operator_time_ns`` (gauges; the timing gauges only when the
         operator tree was traced).
         """
-        rows_out = self.metrics.counter(
-            "operator_rows_out", "tuples produced per operator")
-        pulls = self.metrics.counter(
-            "operator_pulls", "tuples pulled per operator input")
-        next_calls = self.metrics.counter(
-            "operator_next_calls", "next() invocations per operator")
-        max_buffer = self.metrics.gauge(
-            "operator_max_buffer", "buffer high-water mark per operator")
-        time_ns = self.metrics.gauge(
-            "operator_time_ns", "inclusive wall-clock per operator phase")
+        rows_out = self.metrics.counter("operator_rows_out")
+        pulls = self.metrics.counter("operator_pulls")
+        next_calls = self.metrics.counter("operator_next_calls")
+        max_buffer = self.metrics.gauge("operator_max_buffer")
+        time_ns = self.metrics.gauge("operator_time_ns")
         for snap in snapshots:
             label = snap.description
             rows_out.inc(snap.rows_out, operator=label)

@@ -7,7 +7,7 @@ a plan node, the robustness layer re-estimating or falling back.  Each
 event has a ``kind``, a monotonically increasing ``sequence`` number
 (total order within one log), and free-form attributes.
 
-Well-known kinds emitted by the engine (see ``docs/observability.md``):
+Kinds emitted by the engine (see ``docs/observability.md``):
 
 ========================  ====================================================
 kind                      emitted when
@@ -16,15 +16,29 @@ kind                      emitted when
 ``plan_pruned``           a plan is rejected or evicted by the dominance test
 ``pipelining_exemption``  a pipelined plan survives a cheaper blocking plan
 ``propagate_depth``       Algorithm Propagate assigns a depth to a plan node
-``recovery``              a guarded run re-estimates or falls back
+``recovery``              a guarded run records a recovery decision
+``checkpoint``            a checkpoint is taken
+``checkpoint_restore``    a checkpoint is restored into a tree
+``durable_checkpoint``    a snapshot is written to a state directory
+``durable_corruption``    a snapshot fails validation and is deleted
+``admit`` / ``reject``    admission accepts or refuses a served query
+``shed``                  admission degrades a query under load
+``instalment``            the scheduler grants a budget instalment
+``preempt``               an instalment ends with the query suspended
+``retry``                 the scheduler retries a transient failure
+``complete``              a served query finishes
+``deadline_cancel``       a served query is cancelled at its deadline
+``drain``                 shutdown leaves a queued query unfinished
+``recover``               a server re-admits a journalled query
+``recover_failed``        a journalled query cannot be re-admitted
 ========================  ====================================================
+
+A log is thread-safe: the server emits from its event loop and from
+the instalment worker thread into one log.  Components that may run
+unwired hold :data:`NULL_EVENTS` instead of ``None``.
 """
 
-MEMO_INSERT = "memo_insert"
-PLAN_PRUNED = "plan_pruned"
-PIPELINING_EXEMPTION = "pipelining_exemption"
-PROPAGATE_DEPTH = "propagate_depth"
-RECOVERY = "recovery"
+import threading
 
 
 class Event:
@@ -55,11 +69,17 @@ class EventLog:
 
     def __init__(self):
         self._events = []
+        self._lock = threading.Lock()
 
-    def emit(self, kind, **attributes):
-        """Append one event; returns it."""
-        event = Event(kind, len(self._events), attributes)
-        self._events.append(event)
+    def emit(self, kind, /, **attributes):
+        """Append one event; returns it.
+
+        ``kind`` is positional-only, so an attribute may be named
+        ``kind`` too (``durable_corruption`` carries one).
+        """
+        with self._lock:
+            event = Event(kind, len(self._events), attributes)
+            self._events.append(event)
         return event
 
     def events(self, kind=None):
@@ -94,3 +114,17 @@ class EventLog:
 
     def __repr__(self):
         return "EventLog(%d events)" % (len(self._events),)
+
+
+class NullEventLog(EventLog):
+    """An always-empty log: :meth:`emit` records nothing."""
+
+    def emit(self, kind, /, **attributes):
+        return None
+
+    def __repr__(self):
+        return "NullEventLog()"
+
+
+#: Shared no-op log for unwired components (safe: it never holds events).
+NULL_EVENTS = NullEventLog()

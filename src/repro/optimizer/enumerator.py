@@ -238,13 +238,9 @@ class Optimizer:
         """
         memo = self.build_memo(query, telemetry=telemetry)
         if telemetry is not None:
-            telemetry.metrics.gauge(
-                "memo_entries", "enumerated table subsets",
-            ).set(len(memo.entries()))
-            telemetry.metrics.gauge(
-                "memo_order_classes",
-                "retained order-property classes across the MEMO",
-            ).set(memo.class_count())
+            telemetry.metrics.gauge("memo_entries").set(len(memo.entries()))
+            telemetry.metrics.gauge("memo_order_classes").set(
+                memo.class_count())
         required_order = self._required_order(query)
         k = float(query.k) if query.is_ranking else None
         best = memo.best(query.tables, order=required_order, k=k)

@@ -97,10 +97,8 @@ class Memo:
             "plan_pruned", plan=plan.describe(), by=by.describe(),
             tables=",".join(sorted(plan.tables)),
         )
-        telemetry.metrics.counter(
-            "optimizer_plans_pruned",
-            "plans rejected or evicted by the dominance test",
-        ).inc(order=plan.order.describe())
+        telemetry.metrics.counter("optimizer_plans_pruned").inc(
+            order=plan.order.describe())
 
     def add(self, plan):
         """Insert ``plan``, pruning dominated plans; returns True if kept."""
@@ -108,10 +106,8 @@ class Memo:
         plans = self._entries.setdefault(key, [])
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.metrics.counter(
-                "optimizer_plans_generated",
-                "plans offered to the MEMO",
-            ).inc(order=plan.order.describe())
+            telemetry.metrics.counter("optimizer_plans_generated").inc(
+                order=plan.order.describe())
         for existing in plans:
             if self._dominates(existing, plan, note_exemption=True):
                 self._note_pruned(plan, by=existing)
@@ -130,10 +126,8 @@ class Memo:
                 order=plan.order.describe(), pipelined=plan.pipelined,
                 tables=",".join(sorted(plan.tables)),
             )
-            telemetry.metrics.counter(
-                "optimizer_plans_retained",
-                "plans inserted into a MEMO entry",
-            ).inc(order=plan.order.describe())
+            telemetry.metrics.counter("optimizer_plans_retained").inc(
+                order=plan.order.describe())
         return True
 
     # ------------------------------------------------------------------

@@ -38,10 +38,8 @@ from repro.robustness.checkpoint import (
     CheckpointPolicy,
     SuspendedQuery,
 )
-from repro.robustness.counters import RobustnessCounters
 from repro.robustness.durability import (
     CheckpointStore,
-    DurabilityInstruments,
     default_query_id,
     rehydrate,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "CheckpointManager",
     "CheckpointPolicy",
     "CheckpointStore",
-    "DurabilityInstruments",
     "ExecutionGuard",
     "FaultPlan",
     "FaultSpec",
@@ -73,7 +70,6 @@ __all__ = [
     "RecoveryPolicy",
     "ResourceBudget",
     "RetryingOperator",
-    "RobustnessCounters",
     "SuspendedQuery",
     "default_query_id",
     "inject_faults",

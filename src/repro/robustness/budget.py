@@ -26,6 +26,7 @@ from repro.common.errors import (
     DepthOverrunError,
     ExecutionError,
 )
+from repro.observability.metrics import NULL_METRICS
 
 
 class ResourceBudget:
@@ -165,11 +166,9 @@ class ExecutionGuard:
     """
 
     def __init__(self, budget=None, clock=time.monotonic, metrics=None):
-        from repro.robustness.counters import RobustnessCounters
-
         self.budget = budget or ResourceBudget()
         self.clock = clock
-        self.counters = RobustnessCounters(metrics)
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self.total_pulled = 0
         self.started_at = None
         #: ``id(operator) -> [per-child depth limit or None]``.
@@ -255,7 +254,8 @@ class ExecutionGuard:
         return max(fractions)
 
     def _exceeded(self, reason, kind):
-        self.counters.budget_breach(kind)
+        self.metrics.counter("robustness_budget_breaches_total").inc(
+            kind=kind or "unknown")
         return BudgetExceededError(
             reason, budget=self.budget, snapshots=self.snapshots(),
             kind=kind,

@@ -24,7 +24,8 @@ output stream is identical to an uninterrupted run's.
 """
 
 from repro.common.errors import CheckpointError, ExecutionError
-from repro.robustness.counters import RobustnessCounters
+from repro.observability.events import NULL_EVENTS
+from repro.observability.metrics import NULL_METRICS
 
 
 class CheckpointPolicy:
@@ -91,7 +92,7 @@ class Checkpoint:
         1-based index of this checkpoint within its manager.
     reason:
         What triggered it: ``cadence`` / ``pressure`` / ``suspend`` /
-        ``explicit``.
+        ``explicit`` / ``replan``.
     total_pulled:
         The guard's cumulative pull count at snapshot time (``0``
         without a guard) -- the work the checkpoint preserves.
@@ -149,8 +150,8 @@ class CheckpointManager:
         self.root = root
         self.policy = policy or CheckpointPolicy()
         self.guard = guard
-        self.events = events
-        self.counters = RobustnessCounters(metrics)
+        self.events = NULL_EVENTS if events is None else events
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self.persist = persist
         self.latest = None
         self.checkpoints_taken = 0
@@ -190,14 +191,14 @@ class CheckpointManager:
             self.root.state_dict(), rows, self.checkpoints_taken, reason,
             total_pulled=pulled,
         )
-        self.counters.checkpoint_taken(reason)
+        self.metrics.counter("robustness_checkpoints_total").inc(
+            reason=reason)
         if self.persist is not None:
             self.persist(self.latest)
-        if self.events is not None:
-            self.events.emit(
-                "checkpoint", sequence=self.latest.sequence, reason=reason,
-                rows_delivered=len(rows), total_pulled=pulled,
-            )
+        self.events.emit(
+            "checkpoint", sequence=self.latest.sequence, reason=reason,
+            rows_delivered=len(rows), total_pulled=pulled,
+        )
         return self.latest
 
     # ------------------------------------------------------------------
@@ -229,13 +230,11 @@ class CheckpointManager:
         if root is not None:
             self.root = root
         self.resumes += 1
-        self.counters.resume(kind)
-        if self.events is not None:
-            self.events.emit(
-                "checkpoint_restore", sequence=self.latest.sequence,
-                resume_kind=kind,
-                rows_delivered=self.latest.rows_delivered,
-            )
+        self.metrics.counter("robustness_resumes_total").inc(kind=kind)
+        self.events.emit(
+            "checkpoint_restore", sequence=self.latest.sequence,
+            resume_kind=kind, rows_delivered=self.latest.rows_delivered,
+        )
         return list(self.latest.rows)
 
     def adopt(self, checkpoint):

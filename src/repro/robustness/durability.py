@@ -48,6 +48,8 @@ import zlib
 from time import perf_counter
 
 from repro.common.errors import CheckpointCorruptionError, ExecutionError
+from repro.observability.events import NULL_EVENTS
+from repro.observability.metrics import NULL_METRICS
 from repro.robustness.checkpoint import Checkpoint, SuspendedQuery
 
 #: Snapshot file magic ("Rank-Aware Query Checkpoint").
@@ -140,75 +142,6 @@ def decode_snapshot(blob, source="<bytes>"):
     return payload
 
 
-class DurabilityInstruments:
-    """Facade over the durability metric family; no-op when unwired.
-
-    Metric names (documented in ``docs/observability.md``):
-
-    ``durability_writes_total{reason}`` / ``durability_bytes_total`` /
-    ``durability_fsyncs_total`` count snapshot writes, bytes, and
-    fsync calls; ``durability_write_seconds`` is the checkpoint-write
-    latency histogram; ``durability_recoveries_total{outcome}`` counts
-    rehydrations (``resumed`` / ``restarted`` / ``readmitted``) and
-    ``durability_corruptions_total{kind}`` counts rejected snapshots
-    by failed check.
-    """
-
-    __slots__ = ("registry",)
-
-    def __init__(self, registry=None):
-        self.registry = registry
-
-    def write(self, reason, size, seconds, fsyncs=0):
-        """Record one durable snapshot write."""
-        if self.registry is None:
-            return
-        from repro.observability.serving import SECONDS_BUCKETS
-
-        self.registry.counter(
-            "durability_writes_total",
-            "Durable checkpoint snapshots written",
-        ).inc(reason=reason)
-        self.registry.counter(
-            "durability_bytes_total",
-            "Bytes written to durable checkpoint snapshots",
-        ).inc(size)
-        if fsyncs:
-            self.fsyncs(fsyncs)
-        self.registry.histogram(
-            "durability_write_seconds",
-            "Durable checkpoint write latency",
-            buckets=SECONDS_BUCKETS,
-        ).observe(seconds)
-
-    def fsyncs(self, count=1):
-        """Count fsync calls issued for durability."""
-        if self.registry is None:
-            return
-        self.registry.counter(
-            "durability_fsyncs_total",
-            "fsync calls issued by the durability layer",
-        ).inc(count)
-
-    def recovery(self, outcome):
-        """Count one recovery by outcome (resumed/restarted/...)."""
-        if self.registry is None:
-            return
-        self.registry.counter(
-            "durability_recoveries_total",
-            "Queries recovered from durable state, by outcome",
-        ).inc(outcome=outcome)
-
-    def corruption(self, kind):
-        """Count one snapshot rejected by validation."""
-        if self.registry is None:
-            return
-        self.registry.counter(
-            "durability_corruptions_total",
-            "Durable snapshots rejected by validation, by failed check",
-        ).inc(kind=kind)
-
-
 class CheckpointStore:
     """Durable, checksummed, atomically written checkpoint snapshots.
 
@@ -225,7 +158,8 @@ class CheckpointStore:
         measure the pure serialization cost.
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`
-        receiving the ``durability_*`` metric family.
+        receiving the ``durability_*`` metric family (recoveries are
+        counted by the callers that rehydrate).
     events:
         Optional :class:`~repro.observability.events.EventLog`;
         ``durable_checkpoint`` / ``durable_corruption`` events are
@@ -239,8 +173,8 @@ class CheckpointStore:
         self.root = os.fspath(root)
         self.keep = keep
         self.fsync = fsync
-        self.instruments = DurabilityInstruments(metrics)
-        self.events = events
+        self.metrics = NULL_METRICS if metrics is None else metrics
+        self.events = NULL_EVENTS if events is None else events
         os.makedirs(self.root, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -268,20 +202,6 @@ class CheckpointStore:
         }
         return self._write(query_id, payload)
 
-    def save_suspension(self, query_id, suspended, sql=None):
-        """Persist a :class:`SuspendedQuery`; returns the path.
-
-        Pre-open suspensions carry no checkpoint -- the snapshot then
-        records only the query and policy, and recovery restarts it
-        from scratch under the recorded policy (exactly the in-memory
-        pre-open resume semantics).
-        """
-        return self.save_checkpoint(
-            query_id, suspended.query, suspended.checkpoint,
-            policy=suspended.policy, sql=sql, reason=suspended.reason,
-            pre_open=suspended.pre_open,
-        )
-
     def _write(self, query_id, payload):
         self._check_query_id(query_id)
         started = perf_counter()
@@ -301,14 +221,18 @@ class CheckpointStore:
         if self.fsync:
             fsyncs += self._fsync_dir()
         self._gc(query_id)
-        self.instruments.write(payload["reason"], len(blob),
-                               perf_counter() - started, fsyncs=fsyncs)
-        if self.events is not None:
-            self.events.emit(
-                "durable_checkpoint", query_id=query_id,
-                sequence=sequence, bytes=len(blob),
-                reason=payload["reason"],
-            )
+        metrics = self.metrics
+        metrics.counter("durability_writes_total").inc(
+            reason=payload["reason"])
+        metrics.counter("durability_bytes_total").inc(len(blob))
+        if fsyncs:
+            metrics.counter("durability_fsyncs_total").inc(fsyncs)
+        metrics.histogram("durability_write_seconds").observe(
+            perf_counter() - started)
+        self.events.emit(
+            "durable_checkpoint", query_id=query_id, sequence=sequence,
+            bytes=len(blob), reason=payload["reason"],
+        )
         return final
 
     def _fsync_dir(self):
@@ -349,10 +273,10 @@ class CheckpointStore:
         try:
             return decode_snapshot(blob, source=path)
         except CheckpointCorruptionError as error:
-            self.instruments.corruption(error.kind)
-            if self.events is not None:
-                self.events.emit("durable_corruption", path=str(path),
-                                 kind=error.kind)
+            self.metrics.counter("durability_corruptions_total").inc(
+                kind=error.kind)
+            self.events.emit("durable_corruption", path=str(path),
+                             kind=error.kind)
             try:
                 os.unlink(path)
             except OSError:

@@ -26,6 +26,7 @@ unfaulted run would.
 import time
 
 from repro.common.errors import ExecutionError, TransientFaultError
+from repro.observability.metrics import NULL_METRICS
 from repro.operators.base import Operator
 
 #: Operator lifecycle methods that can be faulted.
@@ -144,13 +145,11 @@ class FaultyOperator(Operator):
     checkpoint_transparent = True
 
     def __init__(self, child, specs, name=None, metrics=None):
-        from repro.robustness.counters import RobustnessCounters
-
         super().__init__(children=(child,),
                          name=name or "Faulty(%s)" % (child.name,))
         self.specs = list(specs)
         self.calls = {event: 0 for event in FAULT_EVENTS}
-        self.counters = RobustnessCounters(metrics)
+        self.metrics = NULL_METRICS if metrics is None else metrics
 
     @property
     def schema(self):
@@ -162,10 +161,10 @@ class FaultyOperator(Operator):
         for spec in self.specs:
             if spec.on == event:
                 if spec.fires_at(count):
-                    self.counters.fault_injected(
-                        "transient" if spec.transient else "permanent",
-                        self.children[0].name,
-                    )
+                    self.metrics.counter(
+                        "robustness_faults_injected_total").inc(
+                        kind="transient" if spec.transient else "permanent",
+                        operator=self.children[0].name)
                 spec.maybe_raise(count, self.name)
 
     def _open(self):
@@ -204,8 +203,6 @@ class RetryingOperator(Operator):
 
     def __init__(self, child, max_retries=3, backoff=0.0, sleep=time.sleep,
                  name=None, metrics=None):
-        from repro.robustness.counters import RobustnessCounters
-
         if max_retries < 0:
             raise ExecutionError("max_retries must be >= 0")
         if backoff < 0:
@@ -216,7 +213,7 @@ class RetryingOperator(Operator):
         self.backoff = backoff
         self._sleep = sleep
         self.retries = 0
-        self.counters = RobustnessCounters(metrics)
+        self.metrics = NULL_METRICS if metrics is None else metrics
 
     @property
     def schema(self):
@@ -234,10 +231,12 @@ class RetryingOperator(Operator):
                     self._sleep(self.backoff * (2 ** attempt))
                 attempt += 1
                 self.retries += 1
-                self.counters.retry_attempted(self.children[0].name)
+                self.metrics.counter("robustness_retries_total").inc(
+                    outcome="attempted", operator=self.children[0].name)
                 continue
             if attempt:
-                self.counters.retry_absorbed(self.children[0].name)
+                self.metrics.counter("robustness_retries_total").inc(
+                    outcome="absorbed", operator=self.children[0].name)
             return result
 
     def open(self):

@@ -39,6 +39,8 @@ import copy
 import math
 
 from repro.common.errors import CheckpointError, OptimizerError
+from repro.observability.events import NULL_EVENTS
+from repro.observability.metrics import NULL_METRICS
 from repro.optimizer.enumerator import OptimizationResult
 from repro.optimizer.plans import RankJoinPlan, ScoreMergePlan
 from repro.robustness.checkpoint import SuspendedQuery
@@ -181,12 +183,10 @@ class RecoveryLog:
                 "shed": "shed", "deadline_cancel": "deadline"}
 
     def __init__(self, event_log=None, metrics=None):
-        from repro.robustness.counters import RobustnessCounters
-
         self.path = "direct"
         self.events = []
-        self.event_log = event_log
-        self.counters = RobustnessCounters(metrics)
+        self.event_log = NULL_EVENTS if event_log is None else event_log
+        self.metrics = NULL_METRICS if metrics is None else metrics
         self.stats = {}
 
     def record(self, event):
@@ -195,14 +195,14 @@ class RecoveryLog:
         if (self._PRECEDENCE.index(candidate)
                 > self._PRECEDENCE.index(self.path)):
             self.path = candidate
-        self.counters.recovery_action(event.kind)
-        if self.event_log is not None:
-            self.event_log.emit(
-                "recovery", action=event.kind, operator=event.operator,
-                observed_selectivity=event.observed_selectivity,
-                assumed_selectivity=event.assumed_selectivity,
-                rows_emitted=event.rows_emitted, detail=event.detail,
-            )
+        self.metrics.counter("robustness_recovery_actions_total").inc(
+            action=event.kind)
+        self.event_log.emit(
+            "recovery", action=event.kind, operator=event.operator,
+            observed_selectivity=event.observed_selectivity,
+            assumed_selectivity=event.assumed_selectivity,
+            rows_emitted=event.rows_emitted, detail=event.detail,
+        )
 
     def record_shard_recoveries(self, root):
         """Record which shard streams of ``root`` absorbed worker faults.
@@ -276,7 +276,8 @@ def resume_from(run, suspended):
             "restarting pre-open suspension (was: %s)"
             % (suspended.reason,),
         ))
-        manager.counters.resume("pre_open_restart")
+        manager.metrics.counter("robustness_resumes_total").inc(
+            kind="pre_open_restart")
         return
     manager.adopt(suspended.checkpoint)
     run.rows = manager.restore(root=run.root, kind="suspended")

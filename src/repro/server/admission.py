@@ -29,6 +29,7 @@ toward observed reality instead of repeating the initial guess.
 """
 
 from repro.common.errors import OptimizerError, OverloadError
+from repro.observability.events import NULL_EVENTS
 from repro.optimizer.enumerator import OptimizationResult
 from repro.optimizer.query import RankQuery
 
@@ -131,18 +132,17 @@ class AdmissionController:
         cache and optimizer serve admission-time planning.
     policy:
         An :class:`AdmissionPolicy` (defaults apply when ``None``).
-    instruments:
-        Optional
-        :class:`~repro.observability.serving.ServingInstruments`
-        receiving shed/reject counters and events.
+    events:
+        Optional :class:`~repro.observability.events.EventLog`
+        receiving ``admit`` / ``shed`` / ``reject`` events.  Shed and
+        reject counters land in ``database.metrics``.
     """
 
-    def __init__(self, database, policy=None, instruments=None):
-        from repro.observability.serving import ServingInstruments
-
+    def __init__(self, database, policy=None, events=None):
         self.database = database
         self.policy = policy or AdmissionPolicy()
-        self.instruments = instruments or ServingInstruments()
+        self.metrics = database.metrics
+        self.events = NULL_EVENTS if events is None else events
 
     # ------------------------------------------------------------------
     def admit(self, query, tenant, queue_depth):
@@ -156,8 +156,9 @@ class AdmissionController:
         """
         policy = self.policy
         if queue_depth >= policy.high_water:
-            self.instruments.outcome(tenant, "none", "rejected")
-            self.instruments.emit(
+            self.metrics.counter("server_queries_total").inc(
+                tenant=tenant, queue_class="none", outcome="rejected")
+            self.events.emit(
                 "reject", tenant=tenant, queue_depth=queue_depth,
                 high_water=policy.high_water,
             )
@@ -170,14 +171,15 @@ class AdmissionController:
         shed = (policy.shed_water is not None
                 and queue_depth >= policy.shed_water)
         decision = self._plan(query, shed)
-        self.instruments.emit(
+        self.events.emit(
             "admit", tenant=tenant, queue_class=decision.queue_class,
             estimated_cost=decision.estimated_cost,
             queue_depth=queue_depth, shed=decision.shed_action,
         )
         if decision.shed:
-            self.instruments.shed(decision.shed_action)
-            self.instruments.emit(
+            self.metrics.counter("server_sheds_total").inc(
+                action=decision.shed_action)
+            self.events.emit(
                 "shed", tenant=tenant, action=decision.shed_action,
                 queue_depth=queue_depth,
             )

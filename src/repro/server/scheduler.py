@@ -27,6 +27,7 @@ import asyncio
 import time
 
 from repro.common.errors import ExecutionError, TransientFaultError
+from repro.observability.events import NULL_EVENTS
 from repro.robustness.budget import ResourceBudget, TenantBudget
 from repro.robustness.checkpoint import CheckpointPolicy
 from repro.robustness.recovery import (
@@ -139,29 +140,31 @@ class InstalmentScheduler:
         :class:`~repro.robustness.recovery.RecoveryPolicy`.
     config:
         A :class:`SchedulerConfig` (defaults apply when ``None``).
-    instruments:
-        Optional
-        :class:`~repro.observability.serving.ServingInstruments`.
+    events:
+        Optional :class:`~repro.observability.events.EventLog`
+        receiving lifecycle events (``instalment`` / ``preempt`` /
+        ``complete`` / ...).  Serving metrics land in
+        ``database.metrics``.
     clock:
         Monotonic-time source, overridable for deterministic tests.
     store:
         Optional :class:`~repro.robustness.durability.CheckpointStore`.
         When wired, every checkpoint taken inside an instalment is
-        persisted, and each suspension at an instalment boundary is
-        written durably -- the server-level crash-recovery substrate.
+        persisted -- including the ``suspend`` checkpoint that ends
+        an instalment, so a crash between instalments recovers from
+        exactly there: the server-level crash-recovery substrate.
     journal:
         Optional :class:`~repro.server.journal.AdmissionJournal`
         receiving suspension and terminal transitions (the server
         records submissions itself, where the SQL text is known).
     """
 
-    def __init__(self, database, config=None, instruments=None,
+    def __init__(self, database, config=None, events=None,
                  clock=time.monotonic, store=None, journal=None):
-        from repro.observability.serving import ServingInstruments
-
         self.database = database
         self.config = config or SchedulerConfig()
-        self.instruments = instruments or ServingInstruments()
+        self.metrics = database.metrics
+        self.events = NULL_EVENTS if events is None else events
         self.clock = clock
         self.store = store
         self.journal = journal
@@ -205,7 +208,7 @@ class InstalmentScheduler:
         for job in leftovers:
             self._finish(job, DRAINED, report=job.last_report,
                          suspension=job.suspension, outcome="drained")
-            self.instruments.emit(
+            self.events.emit(
                 "drain", tenant=job.tenant,
                 resumable=job.suspension is not None,
                 rows_streamed=job.rows_streamed,
@@ -320,14 +323,16 @@ class InstalmentScheduler:
             job.first_run_at = now
             wait = now - job.submitted_at
             session.stats["wait_seconds"] = wait
-            self.instruments.wait_time(job.queue_class, wait)
+            self.metrics.histogram("server_wait_seconds").observe(
+                wait, queue_class=job.queue_class)
         session.state = RUNNING
         self._current = job
         budget = self._instalment_budget(job, remaining)
         job.attempts += 1
         session.stats["instalments"] += 1
-        self.instruments.instalment(job.tenant)
-        self.instruments.emit(
+        self.metrics.counter("server_instalments_total").inc(
+            tenant=job.tenant)
+        self.events.emit(
             "instalment", tenant=job.tenant, max_pulls=budget.max_pulls,
             resumed=job.suspension is not None,
         )
@@ -404,20 +409,19 @@ class InstalmentScheduler:
         job.suspension = suspension
         if suspension.pre_open:
             job.pre_open_restarts += 1
-        if self.store is not None and job.query_id is not None:
-            # Suspensions become durable at the instalment boundary:
-            # a crash between instalments recovers from exactly here.
-            self.store.save_suspension(job.query_id, suspension)
-            if self.journal is not None:
-                self.journal.record_suspended(
-                    job.query_id, rows_streamed=job.rows_streamed)
+        if self.journal is not None and job.query_id is not None:
+            # The instalment's persist hook already made the suspension
+            # durable; the journal records where the stream stopped.
+            self.journal.record_suspended(
+                job.query_id, rows_streamed=job.rows_streamed)
         session = job.session
         session.state = SUSPENDED
         preempted = bool(self._ready)
         if preempted:
             session.stats["preemptions"] += 1
-            self.instruments.preemption(job.tenant)
-        self.instruments.emit(
+            self.metrics.counter("server_preemptions_total").inc(
+                tenant=job.tenant)
+        self.events.emit(
             "preempt", tenant=job.tenant, preempted=preempted,
             pre_open=suspension.pre_open,
             rows_streamed=job.rows_streamed,
@@ -431,8 +435,8 @@ class InstalmentScheduler:
         if job.retries > self.config.max_retries:
             self._fail(job, fault)
             return
-        self.instruments.retry(job.tenant)
-        self.instruments.emit(
+        self.metrics.counter("server_retries_total").inc(tenant=job.tenant)
+        self.events.emit(
             "retry", tenant=job.tenant, attempt=job.retries,
             error=str(fault),
         )
@@ -454,7 +458,7 @@ class InstalmentScheduler:
                 else "forced sort-fallback plan under load",
             ))
         self._finish(job, COMPLETED, report=report, outcome="completed")
-        self.instruments.emit(
+        self.events.emit(
             "complete", tenant=job.tenant, rows=len(report.rows),
             instalments=job.session.stats["instalments"],
         )
@@ -467,7 +471,7 @@ class InstalmentScheduler:
                 job.rows_streamed, detail,
             ))
         self._finish(job, CANCELLED, report=report, outcome="cancelled")
-        self.instruments.emit(
+        self.events.emit(
             "deadline_cancel", tenant=job.tenant, detail=detail,
             rows_streamed=job.rows_streamed,
         )
@@ -490,9 +494,11 @@ class InstalmentScheduler:
         latency = self.clock() - job.submitted_at
         session.stats["latency_seconds"] = latency
         if state in (COMPLETED, CANCELLED):
-            self.instruments.latency(job.queue_class, latency)
-        self.instruments.outcome(job.tenant, job.queue_class,
-                                 outcome or state)
+            self.metrics.histogram("server_latency_seconds").observe(
+                latency, queue_class=job.queue_class)
+        self.metrics.counter("server_queries_total").inc(
+            tenant=job.tenant, queue_class=job.queue_class,
+            outcome=outcome or state)
         session._finish(state, report=report, error=error,
                         suspension=suspension)
         self._publish_depth()
@@ -505,9 +511,9 @@ class InstalmentScheduler:
         for job in jobs:
             by_class[job.queue_class] = by_class.get(job.queue_class,
                                                      0) + 1
+        depth = self.metrics.gauge("server_queue_depth")
         for queue_class in (INTERACTIVE, "batch"):
-            self.instruments.queue_depth(
-                queue_class, by_class.get(queue_class, 0))
+            depth.set(by_class.get(queue_class, 0), queue_class=queue_class)
 
     def __repr__(self):
         return "InstalmentScheduler(%d ready, %d tenants)" % (

@@ -22,6 +22,7 @@ import os
 import time
 
 from repro.common.errors import ExecutionError, ReproError
+from repro.observability.events import NULL_EVENTS
 from repro.optimizer.query import RankQuery
 from repro.server.admission import (
     AdmissionController,
@@ -72,8 +73,6 @@ class Server:
 
     def __init__(self, database, admission=None, scheduler=None,
                  events=None, clock=time.monotonic, state_dir=None):
-        from repro.observability.serving import ServingInstruments
-
         if admission is not None and not isinstance(admission,
                                                     AdmissionPolicy):
             raise TypeError("admission must be an AdmissionPolicy")
@@ -81,9 +80,9 @@ class Server:
                                                     SchedulerConfig):
             raise TypeError("scheduler must be a SchedulerConfig")
         self.database = database
-        self.instruments = ServingInstruments(database.metrics, events)
-        self.admission = AdmissionController(
-            database, admission, instruments=self.instruments)
+        self.events = NULL_EVENTS if events is None else events
+        self.admission = AdmissionController(database, admission,
+                                             events=self.events)
         self.state_dir = (os.fspath(state_dir)
                           if state_dir is not None else None)
         self.store = None
@@ -92,12 +91,12 @@ class Server:
             from repro.robustness.durability import CheckpointStore
 
             self.store = CheckpointStore(
-                self.state_dir, metrics=database.metrics, events=events)
+                self.state_dir, metrics=database.metrics, events=self.events)
             self.journal = AdmissionJournal(
                 os.path.join(self.state_dir, "journal.jsonl"))
         self.scheduler = InstalmentScheduler(
-            database, scheduler, instruments=self.instruments,
-            clock=clock, store=self.store, journal=self.journal)
+            database, scheduler, events=self.events, clock=clock,
+            store=self.store, journal=self.journal)
         self._started = False
         self._query_seq = itertools.count(1)
         self._instance = os.urandom(4).hex()
@@ -163,7 +162,8 @@ class Server:
         if tenant_budget.over_cap():
             from repro.common.errors import OverloadError
 
-            self.instruments.outcome(tenant, "none", "rejected")
+            self.database.metrics.counter("server_queries_total").inc(
+                tenant=tenant, queue_class="none", outcome="rejected")
             raise OverloadError(
                 "tenant %r exhausted its aggregate resource cap"
                 % (tenant,),
@@ -256,7 +256,7 @@ class Server:
                 executor = db._executor_for(query)
                 result = db._cached_optimization(executor, query)
         except ReproError as error:
-            self.instruments.emit(
+            self.events.emit(
                 "recover_failed", query_id=query_id, error=str(error))
             if self.store is not None:
                 self.store.discard(query_id)
@@ -280,8 +280,9 @@ class Server:
             job.restarted = True
             if self.store is not None:
                 self.store.discard(query_id)
-        self.store.instruments.recovery(outcome)
-        self.instruments.emit(
+        self.store.metrics.counter("durability_recoveries_total").inc(
+            outcome=outcome)
+        self.events.emit(
             "recover", query_id=query_id, tenant=tenant,
             outcome=outcome,
             rows_streamed=record.get("rows_streamed", 0),

@@ -3,10 +3,12 @@
 Covers cost-based queue classing, the shed ladder (reduced ``k`` ->
 forced sort fallback -> :class:`OverloadError`), tenant aggregate
 caps, and the concurrency contracts the server relies on: a
-thread-safe :class:`PlanCache` and :class:`MetricsRegistry`.
+thread-safe :class:`PlanCache`, :class:`MetricsRegistry` and
+:class:`EventLog`.
 """
 
 import asyncio
+import sys
 import threading
 
 import pytest
@@ -15,6 +17,7 @@ from repro.common.errors import OverloadError
 from repro.common.rng import make_rng
 from repro.executor.database import Database
 from repro.executor.plan_cache import PlanCache
+from repro.observability.events import EventLog
 from repro.observability.metrics import MetricsRegistry
 from repro.optimizer.enumerator import OptimizerConfig
 from repro.robustness.budget import ResourceBudget, TenantBudget
@@ -297,3 +300,31 @@ class TestMetricsRegistryThreadSafety:
         count, observed_sum = histogram.value()
         assert count == total
         assert observed_sum == pytest.approx(0.5 * total)
+
+
+class TestEventLogThreadSafety:
+    def test_concurrent_emits_get_distinct_sequences(self):
+        # A server shares one log between its event loop and the
+        # instalment worker thread.
+        log = EventLog()
+        workers, per_worker = 8, 2000
+
+        def hammer(index):
+            for i in range(per_worker):
+                log.emit("tick", worker=index, i=i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # Sequences are exactly 0..N-1, in log order: none lost or shared.
+        total = workers * per_worker
+        assert [event.sequence for event in log] == list(range(total))

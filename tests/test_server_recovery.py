@@ -18,6 +18,7 @@ import pytest
 
 from repro.common.rng import make_rng
 from repro.executor.database import Database
+from repro.observability.events import EventLog
 from repro.optimizer.enumerator import OptimizerConfig
 from repro.robustness.durability import _HEADER, CheckpointStore
 from repro.server import AdmissionJournal, SchedulerConfig, Server
@@ -233,6 +234,30 @@ class TestServerCrashRecovery:
         assert recoveries.value(outcome="restarted") == 1
         corruptions = db.metrics.counter("durability_corruptions_total")
         assert corruptions.value(kind="checksum") >= 1
+
+    def test_each_suspension_is_written_once(self, tmp_path):
+        log = EventLog()
+
+        async def main():
+            db = hrjn_db()
+            config = SchedulerConfig(instalment_pulls=50)
+            async with Server(db, scheduler=config, events=log,
+                              state_dir=str(tmp_path / "state")) as server:
+                session = await server.submit(BIG_SQL)
+                await session.result()
+            return db
+
+        db = asyncio.run(main())
+        suspensions = log.count("preempt")
+        assert suspensions >= 2
+        writes = db.metrics.counter("durability_writes_total")
+        assert writes.value(reason="suspend") == suspensions
+        assert ({labels["reason"] for labels in writes.labelsets()}
+                <= {"cadence", "pressure", "suspend", "explicit", "replan"})
+        durable = log.events("durable_checkpoint")
+        assert len(durable) == writes.total()
+        assert sum(event.attributes["reason"] == "suspend"
+                   for event in durable) == suspensions
 
     def test_recover_without_state_dir_is_a_noop(self):
         async def main():
