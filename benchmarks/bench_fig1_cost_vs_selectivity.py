@@ -1,11 +1,11 @@
 """Figure 1: estimated I/O cost of the two ranking plans vs selectivity.
 
 Paper's claim: for low join selectivity the traditional join-then-sort
-plan is cheaper; for higher selectivity the rank-join plan wins.
+plan is cheaper; for higher selectivity the rank-join plan wins.  Both
+plans are the optimizer's own plan nodes, costed by ``plan.cost(k)``.
 """
 
-from repro.cost.model import CostModel
-from repro.cost.plans import rank_join_plan_cost, sort_plan_cost
+from repro.experiments.figures import two_way_plans
 from repro.experiments.report import format_table
 
 from benchmarks.conftest import emit
@@ -16,13 +16,10 @@ SELECTIVITIES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 
 
 def run_figure1():
-    model = CostModel()
     rows = []
     for selectivity in SELECTIVITIES:
-        sort_cost = sort_plan_cost(model, CARDINALITY, CARDINALITY,
-                                   selectivity)
-        rank_cost = rank_join_plan_cost(model, K, selectivity,
-                                        CARDINALITY, CARDINALITY)
+        sort_plan, rank_plan = two_way_plans(CARDINALITY, selectivity)
+        sort_cost, rank_cost = sort_plan.cost(K), rank_plan.cost(K)
         winner = "rank-join" if rank_cost < sort_cost else "sort"
         rows.append((selectivity, sort_cost, rank_cost, winner))
     return rows

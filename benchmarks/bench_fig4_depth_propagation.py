@@ -20,7 +20,7 @@ K = 100
 
 def run_figure4():
     return measure_pipeline_depths(
-        CARDINALITY, SELECTIVITY, K, inputs=3, seed=42, mode="worst",
+        CARDINALITY, SELECTIVITY, K, inputs=3, seed=42,
     )
 
 
@@ -31,7 +31,7 @@ def test_fig4_depth_propagation(run_once):
         rows.append([
             name, round(required),
             actual[0], actual[1],
-            estimate[0], estimate[1],
+            estimate.d_left, estimate.d_right,
         ])
     emit(format_table(
         ["operator", "required k", "actual dL", "actual dR",
@@ -53,5 +53,5 @@ def test_fig4_depth_propagation(run_once):
     # The worst-case estimates upper-bound the measured depths within
     # a modest factor and never undershoot by more than ~35%.
     for _name, actual, estimate, _required in records:
-        for side in (0, 1):
-            assert estimate[side] >= actual[side] * 0.65
+        for side, depth in enumerate(estimate.as_tuple()):
+            assert depth >= actual[side] * 0.65

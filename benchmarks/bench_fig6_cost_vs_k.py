@@ -3,12 +3,12 @@
 Paper's claim: the sort plan's cost is (almost) independent of k; the
 rank-join plan's cost increases with k; the curves cross at k* (the
 paper's example crosses at k* = 176 for its parameters -- ours lands in
-the same order of magnitude by construction of the cost model).
+the same order of magnitude by construction of the cost model).  Both
+plans are the optimizer's own plan nodes, costed by ``plan.cost(k)``.
 """
 
 from repro.cost.crossover import find_k_star
-from repro.cost.model import CostModel
-from repro.cost.plans import rank_join_plan_cost, sort_plan_cost
+from repro.experiments.figures import two_way_plans
 from repro.experiments.report import format_table
 
 from benchmarks.conftest import emit
@@ -20,17 +20,9 @@ KS = (1, 25, 50, 100, 150, 200, 400, 800)
 
 
 def run_figure6():
-    model = CostModel()
-    sort_cost = sort_plan_cost(model, CARDINALITY, CARDINALITY,
-                               SELECTIVITY)
-    series = [
-        (k, sort_cost,
-         rank_join_plan_cost(model, k, SELECTIVITY, CARDINALITY,
-                             CARDINALITY))
-        for k in KS
-    ]
-    k_star = find_k_star(model, CARDINALITY, CARDINALITY, SELECTIVITY)
-    return series, k_star
+    sort_plan, rank_plan = two_way_plans(CARDINALITY, SELECTIVITY)
+    series = [(k, sort_plan.cost(k), rank_plan.cost(k)) for k in KS]
+    return series, find_k_star(rank_plan, sort_plan)
 
 
 def test_fig6_cost_vs_k(run_once, benchmark):
@@ -42,8 +34,8 @@ def test_fig6_cost_vs_k(run_once, benchmark):
     for k, sort_cost, rank_cost in series:
         recorder.record(
             "k=%d" % (k,), median_seconds=median_seconds(benchmark),
-            repeats=rounds_of(benchmark), sort_plan_cost=sort_cost,
-            rank_join_plan_cost=rank_cost,
+            repeats=rounds_of(benchmark), sort_cost=sort_cost,
+            rank_join_cost=rank_cost,
         )
     recorder.write()
     emit(format_table(

@@ -5,20 +5,23 @@ Walks through the paper's Section 3 machinery on query Q2:
 1. interesting order expressions (Table 1),
 2. the MEMO with and without the rank-aware extension (Figures 2/3),
 3. the k* crossover between the sort plan and the rank-join plan
-   (Figure 6) and the pruning decision table.
+   (Figure 6) and the MEMO's pruning decision table.
 
 Run with::
 
     python examples/optimizer_tour.py
 """
 
-from repro.cost.crossover import decide_pruning, find_k_star
+import copy
+
+from repro.cost.crossover import find_k_star
 from repro.cost.model import CostModel
-from repro.cost.plans import rank_join_plan_cost, sort_plan_cost
+from repro.experiments.figures import two_way_plans
 from repro.experiments.report import format_table
 from repro.optimizer.enumerator import Optimizer, OptimizerConfig
 from repro.optimizer.expressions import ScoreExpression
 from repro.optimizer.interesting import collect_interesting_orders
+from repro.optimizer.memo import Memo
 from repro.optimizer.query import JoinPredicate, RankQuery
 from repro.storage.catalog import Catalog
 from repro.storage.index import SortedIndex
@@ -88,19 +91,26 @@ def main():
     # ------------------------------------------------------------------
     print("\n=== 4. The k* crossover (Figure 6) ===")
     n, s = 10000, 1e-3
-    k_star = find_k_star(model, n, n, s)
+    sort_plan, rank_plan = two_way_plans(n, s)
+    k_star = find_k_star(rank_plan, sort_plan)
     print("for n=%d, s=%g: sort-plan cost = %.0f, k* = %s"
-          % (n, s, sort_plan_cost(model, n, n, s), k_star))
+          % (n, s, sort_plan.cost(1), k_star))
     for k in (10, k_star, 10 * k_star):
         print("  rank-join plan cost(k=%-6d) = %10.1f"
-              % (k, rank_join_plan_cost(model, k, s, n, n)))
+              % (k, rank_plan.cost(k)))
+    # The MEMO's dominance test is the pruning decision table: a plan
+    # is pruned only by one that covers its properties and costs no
+    # more at both k_min and n_a.
     for k_min, pipelined in ((10, True), (2 * k_star, False),
                              (2 * k_star, True)):
-        decision = decide_pruning(
-            model, n, n, s, k_min=k_min, rank_plan_pipelined=pipelined,
-        )
-        print("  k_min=%-6d pipelined=%-5s -> %s"
-              % (k_min, pipelined, decision.action))
+        rank = copy.copy(rank_plan)
+        rank.pipelined = pipelined
+        memo = Memo(k_min=k_min)
+        memo.add(sort_plan)
+        memo.add(rank)
+        kept = [type(plan).__name__ for plan in memo.entry(rank.tables)]
+        print("  k_min=%-6d pipelined=%-5s -> keeps %s"
+              % (k_min, pipelined, " and ".join(kept)))
 
 
 if __name__ == "__main__":

@@ -18,8 +18,11 @@ Run with::
 """
 
 from repro.data.video import make_video_workload
-from repro.estimation.propagate import EstimationLeaf, EstimationNode, propagate
-from repro.experiments.harness import build_hrjn_pipeline
+from repro.experiments.harness import (
+    build_hrjn_pipeline,
+    pipeline_estimates,
+    pipeline_plan,
+)
 from repro.experiments.report import format_table
 from repro.operators.joins import HashJoin
 from repro.operators.scan import TableScan
@@ -68,25 +71,11 @@ def main():
     # ------------------------------------------------------------------
     # Depth accounting: measured vs Algorithm Propagate.
     # ------------------------------------------------------------------
-    node = EstimationLeaf(CARDINALITY, FEATURES[0])
-    for feature in FEATURES[1:]:
-        node = EstimationNode(
-            node, EstimationLeaf(CARDINALITY, feature),
-            selectivity=workload.selectivity, name="HRJN+%s" % feature,
-        )
-    propagate(node, K, mode="worst")
-    estimates = {}
-
-    def collect(tree):
-        if isinstance(tree, EstimationNode):
-            estimates[tree.name] = tree.estimate
-            collect(tree.left)
-            collect(tree.right)
-
-    collect(node)
+    plan = pipeline_plan(
+        CARDINALITY, [workload.selectivity] * (len(FEATURES) - 1))
     table_rows = []
-    for join, feature in zip(joins, FEATURES[1:]):
-        estimate = estimates["HRJN+%s" % feature]
+    for join, (_required, estimate) in zip(joins,
+                                           pipeline_estimates(plan, K)):
         table_rows.append([
             join.name, join.depths[0], join.depths[1],
             estimate.d_left, estimate.d_right,

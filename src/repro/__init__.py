@@ -46,10 +46,9 @@ from repro.common.scoring import (
     WeightedSum,
 )
 from repro.common.types import Column, Row, Schema
-from repro.cost.buffer import buffer_upper_bound, estimated_buffer_upper_bound
-from repro.cost.crossover import PruneDecision, decide_pruning, find_k_star
+from repro.cost.buffer import buffer_upper_bound
+from repro.cost.crossover import find_k_star
 from repro.cost.model import CostModel
-from repro.cost.plans import rank_join_plan_cost, sort_plan_cost
 from repro.estimation.depths import (
     any_k_depths,
     any_k_depths_uniform,
@@ -63,13 +62,7 @@ from repro.estimation.empirical import (
     ScoreProfile,
     empirical_top_k_depths,
 )
-from repro.estimation.fit import estimate_depths_from_catalog, fitted_slab
 from repro.estimation.simulate import simulated_depths
-from repro.estimation.propagate import (
-    EstimationLeaf,
-    EstimationNode,
-    propagate,
-)
 from repro.executor.database import Database
 from repro.executor.executor import ExecutionReport, Executor
 from repro.operators import (
@@ -163,8 +156,6 @@ __all__ = [
     "Database",
     "DepthOverrunError",
     "EquiWidthHistogram",
-    "EstimationLeaf",
-    "EstimationNode",
     "EventLog",
     "ExecutionError",
     "ExecutionGuard",
@@ -196,7 +187,6 @@ __all__ = [
     "OptimizerConfig",
     "OverloadError",
     "Project",
-    "PruneDecision",
     "QuerySession",
     "RankQuery",
     "RecoveryLog",
@@ -227,21 +217,14 @@ __all__ = [
     "any_k_depths_uniform",
     "buffer_upper_bound",
     "collect_interesting_orders",
-    "decide_pruning",
     "empirical_top_k_depths",
     "estimate_accuracy",
-    "estimate_depths_from_catalog",
-    "estimated_buffer_upper_bound",
     "format_accuracy",
     "filter_restart_topk",
     "find_k_star",
-    "fitted_slab",
     "inject_faults",
     "parse_query",
-    "propagate",
-    "rank_join_plan_cost",
     "simulated_depths",
-    "sort_plan_cost",
     "to_jsonl",
     "to_prometheus",
     "to_sql",

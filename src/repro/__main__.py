@@ -11,8 +11,8 @@ Subcommands
     generated tables ``A``, ``B``, ``C`` (columns ``c1`` float score,
     ``c2`` int join key).
 ``figures``
-    Print the two analytic figures (1 and 6) straight from the cost
-    model -- no data generation needed.
+    Print the two analytic figures (1 and 6) straight from the
+    optimizer's plan-node costs -- no data generation needed.
 ``serve``
     Demo the concurrent query server: submit a mixed workload of
     interactive and batch queries from several tenants, then print
@@ -58,11 +58,7 @@ import argparse
 import sys
 
 from repro.common.rng import make_rng
-from repro.cost.crossover import find_k_star
-from repro.cost.model import CostModel
-from repro.cost.plans import rank_join_plan_cost, sort_plan_cost
 from repro.executor.database import Database
-from repro.experiments.report import format_table
 from repro.optimizer.enumerator import OptimizerConfig
 
 _DEMO_SQL = """
@@ -241,27 +237,10 @@ def cmd_sql(args):
 
 
 def cmd_figures(args):
-    model = CostModel()
-    n, k = 10000, 100
-    rows = []
-    for s in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
-        sort_cost = sort_plan_cost(model, n, n, s)
-        rank_cost = rank_join_plan_cost(model, k, s, n, n)
-        rows.append(["%.0e" % s, sort_cost, rank_cost,
-                     "rank-join" if rank_cost < sort_cost else "sort"])
-    print(format_table(
-        ["selectivity", "sort plan", "rank-join plan", "winner"], rows,
-        title="Figure 1: plan cost vs selectivity (n=%d, k=%d)" % (n, k),
-    ))
-    s = 1e-3
-    sort_cost = sort_plan_cost(model, n, n, s)
-    rows = [[k, sort_cost, rank_join_plan_cost(model, k, s, n, n)]
-            for k in (1, 50, 100, 200, 400, 800)]
-    print("\n" + format_table(
-        ["k", "sort plan", "rank-join plan"], rows,
-        title="Figure 6: plan cost vs k (n=%d, s=%g); k* = %s"
-              % (n, s, find_k_star(model, n, n, s)),
-    ))
+    from repro.experiments.figures import figure1, figure6
+
+    print(figure1())
+    print("\n" + figure6())
     return 0
 
 

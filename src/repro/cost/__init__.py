@@ -4,32 +4,21 @@ Implements the costing side of Section 3.3:
 
 * :mod:`repro.cost.model` -- page-based I/O + CPU cost formulas for
   scans, external sort, and the traditional join methods (the
-  "traditional cost formulas" the paper plugs in).
-* :mod:`repro.cost.plans` -- end-to-end plan costing: the blocking
-  *sort plan* (cost independent of ``k``) and the *rank-join plan*
-  (cost parameterised by ``k`` through the estimated depths).
+  "traditional cost formulas" the paper plugs in).  Plans are costed
+  by the optimizer's own plan nodes (:mod:`repro.optimizer.plans`),
+  whose ``cost(k)`` charges these formulas.
 * :mod:`repro.cost.crossover` -- the ``k*`` analysis: the value of
-  ``k`` at which the two plans cost the same, and the pruning decision
-  table built on it.
+  ``k`` at which a rank-join plan and a sort plan cost the same.
 * :mod:`repro.cost.buffer` -- the ``dL * dR * s`` buffer-size upper
   bound (Section 5.3).
 """
 
-from repro.cost.buffer import buffer_upper_bound, estimated_buffer_upper_bound
-from repro.cost.crossover import PruneDecision, decide_pruning, find_k_star
+from repro.cost.buffer import buffer_upper_bound
+from repro.cost.crossover import find_k_star
 from repro.cost.model import CostModel
-from repro.cost.plans import (
-    rank_join_plan_cost,
-    sort_plan_cost,
-)
 
 __all__ = [
     "CostModel",
-    "PruneDecision",
     "buffer_upper_bound",
-    "decide_pruning",
-    "estimated_buffer_upper_bound",
     "find_k_star",
-    "rank_join_plan_cost",
-    "sort_plan_cost",
 ]

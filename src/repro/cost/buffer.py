@@ -11,7 +11,6 @@ estimated depths gives its "estimated upper-bound".
 """
 
 from repro.common.errors import EstimationError
-from repro.cost.plans import estimate_depths
 
 
 def buffer_upper_bound(depth_left, depth_right, selectivity):
@@ -23,20 +22,3 @@ def buffer_upper_bound(depth_left, depth_right, selectivity):
             "selectivity must be in [0, 1], got %r" % (selectivity,)
         )
     return depth_left * depth_right * selectivity
-
-
-def estimated_buffer_upper_bound(k, selectivity, left_tuples, right_tuples,
-                                 l=1, r=1, mode="worst", slabs=None):
-    """Upper bound computed from *estimated* top-k depths.
-
-    The paper's Figure 15 uses the top-k depth estimates; ``mode``
-    defaults to the worst-case formulas because the quantity is an
-    upper bound.
-    """
-    estimate = estimate_depths(
-        k, selectivity, left_tuples, right_tuples, l=l, r=r, mode=mode,
-        slabs=slabs,
-    )
-    return buffer_upper_bound(
-        estimate.d_left, estimate.d_right, selectivity,
-    )

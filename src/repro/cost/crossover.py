@@ -1,117 +1,38 @@
-"""The ``k*`` crossover analysis and pruning decisions (Section 3.3).
+"""The ``k*`` crossover between two ranking plans (Section 3.3).
 
 The sort plan's cost is flat in ``k``; the rank-join plan's cost grows
 with ``k``.  ``k*`` is the value where they meet (Figure 6 shows
-``k* = 176`` for the paper's example parameters).  The pruning rules:
-
-* ``k* > n_a`` (output cardinality): the rank-join plan is cheaper for
-  every feasible ``k`` -- prune the sort plan.
-* ``k* < n_a`` and ``k* < k_min``: the sort plan is cheaper for every
-  ``k`` the query can ask of this subplan.  Prune the rank-join plan
-  *unless* it is pipelined (the pipelining property forbids pruning a
-  pipelined plan in favour of a blocking one).
-* otherwise: keep both.
+``k* = 176`` for the paper's example parameters).  Both plans are the
+optimizer's own plan nodes, so ``k*`` is read off the very
+``cost(k)`` the MEMO's dominance test compares; that test
+(:class:`~repro.optimizer.memo.Memo`) is where the paper's pruning
+decision table lives.
 """
 
-from repro.common.errors import EstimationError
-from repro.cost.plans import rank_join_plan_cost, sort_plan_cost
 
+def find_k_star(rank_plan, sort_plan):
+    """Return ``k*``: the smallest integer ``k`` in ``1..n_a`` where
+    ``rank_plan.cost(k) >= sort_plan.cost(k)``.
 
-class PruneDecision:
-    """Outcome of comparing a sort plan against a rank-join plan."""
-
-    KEEP_BOTH = "keep-both"
-    PRUNE_SORT = "prune-sort-plan"
-    PRUNE_RANK_JOIN = "prune-rank-join-plan"
-
-    def __init__(self, action, k_star, output_cardinality, sort_cost,
-                 reason):
-        self.action = action
-        self.k_star = k_star
-        self.output_cardinality = output_cardinality
-        self.sort_cost = sort_cost
-        self.reason = reason
-
-    def __repr__(self):
-        return "PruneDecision(%s, k*=%s)" % (self.action, self.k_star)
-
-
-def find_k_star(model, left_tuples, right_tuples, selectivity,
-                join_method="best", l=1, r=1, mode="average",
-                operator="hrjn", slabs=None):
-    """Return ``k*``: the smallest integer k where the rank-join plan
-    costs at least as much as the sort plan.
-
-    Returns ``None`` when the rank-join plan stays cheaper over the full
-    feasible range ``1..n_a`` (i.e. ``k* > n_a``), and ``0`` when the
-    rank-join plan is already more expensive at ``k = 1``.
+    ``n_a`` is the rank-join plan's output cardinality.  Returns ``0``
+    when the rank-join plan already costs at least as much at ``k = 1``,
+    and ``None`` when it stays cheaper over the whole feasible range
+    (``k* > n_a``).  Costs are assumed monotone in ``k``.
     """
-    output = selectivity * left_tuples * right_tuples
-    n_a = max(1, int(output))
-    sort_cost = sort_plan_cost(
-        model, left_tuples, right_tuples, selectivity,
-        join_method=join_method,
-    )
+    n_a = max(1, int(rank_plan.cardinality))
 
-    def rank_cost(k):
-        return rank_join_plan_cost(
-            model, k, selectivity, left_tuples, right_tuples,
-            l=l, r=r, mode=mode, operator=operator, slabs=slabs,
-        )
+    def rank_cheaper(k):
+        return rank_plan.cost(k) < sort_plan.cost(k)
 
-    if rank_cost(1) >= sort_cost:
+    if not rank_cheaper(1):
         return 0
-    if rank_cost(n_a) < sort_cost:
+    if rank_cheaper(n_a):
         return None
-    low, high = 1, n_a  # rank_cost(low) < sort_cost <= rank_cost(high)
+    low, high = 1, n_a  # rank_cheaper(low) and not rank_cheaper(high)
     while high - low > 1:
         mid = (low + high) // 2
-        if rank_cost(mid) < sort_cost:
+        if rank_cheaper(mid):
             low = mid
         else:
             high = mid
     return high
-
-
-def decide_pruning(model, left_tuples, right_tuples, selectivity,
-                   k_min, rank_plan_pipelined=True, join_method="best",
-                   l=1, r=1, mode="average", operator="hrjn", slabs=None):
-    """Apply the Section 3.3 decision table; returns a PruneDecision.
-
-    ``k_min`` is the minimum number of ranked results any enclosing
-    plan could request from this subplan -- "a reasonable value would be
-    the value specified in the query".
-    """
-    if k_min < 1:
-        raise EstimationError("k_min must be >= 1, got %r" % (k_min,))
-    output = max(1, int(selectivity * left_tuples * right_tuples))
-    sort_cost = sort_plan_cost(
-        model, left_tuples, right_tuples, selectivity,
-        join_method=join_method,
-    )
-    k_star = find_k_star(
-        model, left_tuples, right_tuples, selectivity,
-        join_method=join_method, l=l, r=r, mode=mode, operator=operator,
-        slabs=slabs,
-    )
-    if k_star is None:
-        return PruneDecision(
-            PruneDecision.PRUNE_SORT, None, output, sort_cost,
-            "rank-join plan cheaper for every feasible k (k* > n_a)",
-        )
-    if k_star < k_min:
-        if rank_plan_pipelined:
-            return PruneDecision(
-                PruneDecision.KEEP_BOTH, k_star, output, sort_cost,
-                "sort plan cheaper for all k >= k_min but the rank-join "
-                "plan is pipelined (stronger property)",
-            )
-        return PruneDecision(
-            PruneDecision.PRUNE_RANK_JOIN, k_star, output, sort_cost,
-            "sort plan cheaper for all k >= k_min and the rank-join "
-            "plan is not pipelined",
-        )
-    return PruneDecision(
-        PruneDecision.KEEP_BOTH, k_star, output, sort_cost,
-        "winner depends on the k this subplan is eventually asked for",
-    )

@@ -9,9 +9,12 @@ Implements Section 4 of the paper:
   depths (Theorem 2), and the minimised closed forms: the uniform
   two-relation case, the general worst-case Equations 2-5, and the
   average-case formulas.
-* :mod:`repro.estimation.propagate` -- Algorithm ``Propagate``
-  (Figure 8): pushing the user's ``k`` down a rank-join plan tree,
-  annotating every operator with its estimated input depths.
+
+Algorithm ``Propagate`` (Figure 8) -- pushing the user's ``k`` down a
+rank-join plan -- runs on the optimizer's plan nodes
+(:meth:`repro.optimizer.plans.Plan.propagate_depths`), whose
+``cost(k)`` charges each input for exactly the depth these formulas
+estimate.
 """
 
 from repro.estimation.depths import (
@@ -28,21 +31,13 @@ from repro.estimation.distributions import (
     sum_uniform_cdf,
     sum_uniform_mean,
 )
-from repro.estimation.propagate import (
-    EstimationLeaf,
-    EstimationNode,
-    propagate,
-)
 
 __all__ = [
     "DepthEstimate",
-    "EstimationLeaf",
-    "EstimationNode",
     "any_k_depths",
     "any_k_depths_uniform",
     "expected_delta_at_depth",
     "expected_score_at_rank",
-    "propagate",
     "sum_uniform_cdf",
     "sum_uniform_mean",
     "top_k_depths",

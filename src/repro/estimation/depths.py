@@ -22,7 +22,8 @@ The estimators below pick the ``cL, cR`` minimising ``dL, dR``:
 All inputs assume score components normalised so each leaf relation has
 ``n`` tuples with uniform scores over ``[0, n]`` (unit decrement slab);
 this is the normalisation the paper's analysis uses, and
-:func:`repro.estimation.propagate.propagate` performs it for real data.
+:meth:`repro.optimizer.plans.RankJoinPlan.depth_estimate` performs it
+for real plans.
 """
 
 import math

@@ -16,7 +16,6 @@ from repro.observability.tracer import NULL_TRACER
 from repro.operators.topk import Limit
 from repro.optimizer.builder import PlanBuilder
 from repro.optimizer.enumerator import OptimizationResult, Optimizer
-from repro.optimizer.plans import RankJoinPlan, ScoreMergePlan
 from repro.robustness.budget import ExecutionGuard
 from repro.robustness.checkpoint import CheckpointManager, CheckpointPolicy
 from repro.robustness.durability import default_query_id
@@ -180,14 +179,11 @@ class ExecutionReport:
         is a rank-join plan ends with the estimate-accuracy summary
         (see :func:`repro.observability.export.estimate_accuracy`).
         """
-        estimates = {}
-        root_plan = self.optimization.best_plan
-        if isinstance(root_plan, (RankJoinPlan, ScoreMergePlan)):
-            k = self.query.k if self.query.is_ranking else (
-                root_plan.cardinality
-            )
-            for plan, required, estimate in root_plan.propagate_depths(k):
-                estimates[id(plan)] = (required, estimate)
+        estimates = {
+            id(plan): (required, estimate)
+            for plan, required, estimate
+            in self.optimization.propagate_depths()
+        }
         timed = self.timed
         lines = ["explain analyze:"]
         for snap in self.operators:
@@ -467,7 +463,7 @@ class Executor:
             if faults is not None:
                 root = inject_faults(root, faults, metrics=metrics)
             if telemetry is not None:
-                self._record_propagate(telemetry, query, result)
+                self._record_propagate(telemetry, result)
                 telemetry.instrument(root)
             run.root = root
             if budget is not None or policy is not None:
@@ -650,14 +646,13 @@ class Executor:
                     depth_gauge.set(pulled, shard=op.name, input=index)
 
     @staticmethod
-    def _record_propagate(telemetry, query, result):
+    def _record_propagate(telemetry, result):
         """Log Algorithm Propagate's depth assignments as events."""
-        plan = result.best_plan
-        if not isinstance(plan, (RankJoinPlan, ScoreMergePlan)):
+        records = result.propagate_depths()
+        if not records:
             return
-        k = query.k if query.is_ranking else plan.cardinality
         depth_gauge = telemetry.metrics.gauge("propagate_estimated_depth")
-        for node, required, estimate in plan.propagate_depths(k):
+        for node, required, estimate in records:
             if estimate is None:
                 telemetry.events.emit(
                     "propagate_depth", plan=node.describe(),

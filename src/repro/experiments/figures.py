@@ -1,29 +1,70 @@
 """One-call regeneration of every reproduced figure/table.
 
-``generate_report()`` re-runs the paper's evaluation suite (the same
-logic the benchmarks assert over) and returns a single text report --
-what ``python -m repro report`` prints.  Workload sizes are chosen so
-the full report takes a few seconds.
+``generate_report()`` re-runs the paper's evaluation suite and returns a
+single text report -- what ``python -m repro report`` prints; the
+analytic Figures 1 and 6 are also what ``python -m repro figures``
+prints.  Workload sizes are chosen so the full report takes a few
+seconds.
+
+Figures 1 and 6 cost the two competing plans of Figure 5 with the
+optimizer's own plan nodes (:func:`two_way_plans`), so the reproduced
+curves and ``k*`` are the costs the MEMO compares.
 """
 
 from repro.cost.crossover import find_k_star
 from repro.cost.model import CostModel
-from repro.cost.plans import rank_join_plan_cost, sort_plan_cost
 from repro.experiments.harness import measure_depths
 from repro.experiments.report import format_table, relative_error
 from repro.optimizer.enumerator import Optimizer, OptimizerConfig
 from repro.optimizer.expressions import ScoreExpression
 from repro.optimizer.interesting import collect_interesting_orders
+from repro.optimizer.plans import AccessPlan, JoinPlan, RankJoinPlan, SortPlan
+from repro.optimizer.properties import OrderProperty
 from repro.optimizer.query import JoinPredicate, RankQuery
 
 
-def _figure1(model, cardinality=10000, k=100):
+def two_way_plans(cardinality, selectivity):
+    """The two ranking plans of Figure 5 for ``L join R``.
+
+    Both inputs hold ``cardinality`` rows, join on ``L.key = R.key``
+    with ``selectivity``, and rank on ``L.score + R.score``.  Returns
+    ``(sort_plan, rank_plan)``: the sort plan sorts the cheapest of the
+    index nested-loops, hash and sort-merge joins of two heap scans
+    (blocking, flat in ``k``); the rank-join plan is HRJN over the two
+    sorted score indexes (its cost grows with ``k``).
+    """
+    model = CostModel()
+    left_score = ScoreExpression.single("L.score")
+    right_score = ScoreExpression.single("R.score")
+    combined = left_score.combine(right_score)
+    predicates = [JoinPredicate("L.key", "R.key")]
+    sort_plan = min(
+        (SortPlan(model, JoinPlan(model, method,
+                                  AccessPlan(model, "L", cardinality),
+                                  AccessPlan(model, "R", cardinality),
+                                  predicates, selectivity),
+                  OrderProperty(combined))
+         for method in ("inl", "hash", "sort_merge")),
+        key=lambda plan: plan.cost(1),
+    )
+    ranked = [
+        AccessPlan(model, name, cardinality,
+                   order=OrderProperty.on("%s.score" % (name,)),
+                   index_name="%s_score_idx" % (name,))
+        for name in "LR"
+    ]
+    rank_plan = RankJoinPlan(model, "hrjn", ranked[0], ranked[1],
+                             predicates, selectivity, left_score,
+                             right_score, combined)
+    return sort_plan, rank_plan
+
+
+def figure1(cardinality=10000, k=100):
+    """Figure 1: both plans' cost at ``k`` across join selectivities."""
     rows = []
     for selectivity in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
-        sort_cost = sort_plan_cost(model, cardinality, cardinality,
-                                   selectivity)
-        rank_cost = rank_join_plan_cost(model, k, selectivity,
-                                        cardinality, cardinality)
+        sort_plan, rank_plan = two_way_plans(cardinality, selectivity)
+        sort_cost, rank_cost = sort_plan.cost(k), rank_plan.cost(k)
         rows.append([
             "%.0e" % selectivity, sort_cost, rank_cost,
             "rank-join" if rank_cost < sort_cost else "sort",
@@ -90,21 +131,17 @@ def _table1():
     )
 
 
-def _figure6(model, cardinality=10000, selectivity=1e-3):
-    sort_cost = sort_plan_cost(model, cardinality, cardinality,
-                               selectivity)
-    rows = [
-        [k, sort_cost,
-         rank_join_plan_cost(model, k, selectivity, cardinality,
-                             cardinality)]
-        for k in (1, 50, 100, 200, 400, 800)
-    ]
-    k_star = find_k_star(model, cardinality, cardinality, selectivity)
+def figure6(cardinality=10000, selectivity=1e-3):
+    """Figure 6: both plans' cost across ``k``, and their ``k*``."""
+    sort_plan, rank_plan = two_way_plans(cardinality, selectivity)
+    rows = [[k, sort_plan.cost(k), rank_plan.cost(k)]
+            for k in (1, 50, 100, 200, 400, 800)]
     return format_table(
         ["k", "sort plan", "rank-join plan"], rows,
         title="Figure 6: plan cost vs k (n=%d, s=%g); k* = %s "
               "(paper example: 176)"
-              % (cardinality, selectivity, k_star),
+              % (cardinality, selectivity,
+                 find_k_star(rank_plan, sort_plan)),
     )
 
 
@@ -145,15 +182,14 @@ def generate_report(catalog_factory=None):
     """
     if catalog_factory is None:
         from repro.data.catalogs import make_abc_catalog as catalog_factory
-    model = CostModel()
     sections = [
         "Rank-aware Query Optimization (SIGMOD 2004) -- "
         "reproduction report",
         "=" * 66,
-        _figure1(model),
+        figure1(),
         _memo_counts(catalog_factory()),
         _table1(),
-        _figure6(model),
+        figure6(),
     ]
     depth_table, buffer_table = _figures_13_15()
     sections.append(depth_table)

@@ -8,20 +8,20 @@ Figures 13, 14, and 15, and of the Figure 4 depth-propagation example.
 
 from repro.common.errors import EstimationError
 from repro.cost.buffer import buffer_upper_bound
+from repro.cost.model import CostModel
 from repro.data.generators import generate_ranked_table
 from repro.estimation.depths import (
     any_k_depths_uniform,
     top_k_depths,
     top_k_depths_average,
 )
-from repro.estimation.propagate import (
-    EstimationLeaf,
-    EstimationNode,
-    propagate,
-)
 from repro.operators.hrjn import HRJN
 from repro.operators.scan import IndexScan
 from repro.operators.topk import Limit
+from repro.optimizer.expressions import ScoreExpression
+from repro.optimizer.plans import AccessPlan, RankJoinPlan
+from repro.optimizer.properties import OrderProperty
+from repro.optimizer.query import JoinPredicate
 
 
 def realized_selectivity(left_table, right_table, left_column,
@@ -186,19 +186,62 @@ def _combined_score_accessor(score_column):
     return score_column
 
 
-def measure_pipeline_depths(cardinality, selectivity, k, inputs=3, seed=0,
-                            mode="worst"):
+def pipeline_plan(cardinality, selectivities):
+    """The optimizer's plan node for a left-deep HRJN pipeline.
+
+    ``T0 join T1 join ...`` over ``len(selectivities) + 1`` sorted score
+    indexes of ``cardinality`` rows each; join ``i`` (``HRJN<i>``, the
+    operator :func:`build_hrjn_pipeline` names) has selectivity
+    ``selectivities[i - 1]`` and ranks on the sum of the scores below
+    it.  The rank joins estimate worst-case depths.  Returns the top
+    :class:`~repro.optimizer.plans.RankJoinPlan`, whose
+    ``propagate_depths(k)`` is Algorithm Propagate over the pipeline.
+    """
+    model = CostModel()
+
+    def ranked(i):
+        return AccessPlan(model, "T%d" % (i,), cardinality,
+                          order=OrderProperty.on("T%d.score" % (i,)),
+                          index_name="T%d_score_idx" % (i,))
+
+    plan = ranked(0)
+    score = ScoreExpression.single("T0.score")
+    for i, selectivity in enumerate(selectivities, start=1):
+        right = ScoreExpression.single("T%d.score" % (i,))
+        combined = score.combine(right)
+        plan = RankJoinPlan(
+            model, "hrjn", plan, ranked(i),
+            [JoinPredicate("T%d.key" % (i - 1,), "T%d.key" % (i,))],
+            selectivity, score, right, combined, estimation_mode="worst",
+        )
+        score = combined
+    return plan
+
+
+def pipeline_estimates(plan, k):
+    """``[(required_k, DepthEstimate), ...]`` per rank join, bottom-up.
+
+    Algorithm Propagate over a :func:`pipeline_plan` asked for ``k``.
+    """
+    return [(required, estimate)
+            for _plan, required, estimate in reversed(plan.propagate_depths(k))
+            if estimate is not None]
+
+
+def measure_pipeline_depths(cardinality, selectivity, k, inputs=3, seed=0):
     """Figure 4-style experiment: measured vs propagated depths.
 
     Builds a left-deep pipeline of ``inputs`` ranked relations, runs it
-    for top-``k``, then runs :func:`~repro.estimation.propagate
-    .propagate` over the matching estimation tree (with realized
-    selectivities) and returns per-operator records::
+    for top-``k``, then propagates ``k`` down the matching worst-case
+    :func:`pipeline_plan` (with realized selectivities) and returns
+    per-operator records::
 
-        [(operator_name, (actual_dl, actual_dr),
-          (estimated_dl, estimated_dr), required_k), ...]
+        [(operator_name, (actual_dl, actual_dr), DepthEstimate,
+          required_k), ...]
 
-    ordered bottom-up (innermost rank-join first).
+    ordered bottom-up (innermost rank-join first).  The estimate's
+    ``d_left``/``d_right`` are the top-k depths and ``c_left``/
+    ``c_right`` the any-k depths at the operator's required ``k``.
     """
     tables = []
     keys = []
@@ -211,39 +254,13 @@ def measure_pipeline_depths(cardinality, selectivity, k, inputs=3, seed=0,
         keys.append("%s.key" % (name,))
         scores.append("%s.score" % (name,))
     _rows, joins = build_hrjn_pipeline(tables, keys, scores, k)
-
-    # Matching estimation tree with realized selectivities per join.
-    node = EstimationLeaf(cardinality, name="T0")
-    realized = []
-    for i in range(1, inputs):
-        left_table = tables[i - 1]
-        s_real = realized_selectivity(
-            left_table, tables[i], keys[i - 1], keys[i],
-        )
-        realized.append(s_real)
-        node = EstimationNode(
-            node, EstimationLeaf(cardinality, name="T%d" % (i,)),
-            selectivity=max(s_real, 1e-12), name="HRJN%d" % (i,),
-        )
-    propagate(node, k, mode=mode)
-
-    estimates = {}
-
-    def collect(tree):
-        if isinstance(tree, EstimationNode):
-            estimates[tree.name] = (
-                tree.estimate.d_left, tree.estimate.d_right,
-                tree.required_k,
-            )
-            collect(tree.left)
-            collect(tree.right)
-
-    collect(node)
-
-    records = []
-    for join in joins:
-        d_left, d_right, required = estimates[join.name]
-        records.append((
-            join.name, join.depths, (d_left, d_right), required,
-        ))
-    return records
+    plan = pipeline_plan(cardinality, [
+        max(realized_selectivity(tables[i - 1], tables[i],
+                                 keys[i - 1], keys[i]), 1e-12)
+        for i in range(1, inputs)
+    ])
+    return [
+        (join.name, join.depths, estimate, required)
+        for join, (required, estimate)
+        in zip(joins, pipeline_estimates(plan, k))
+    ]

@@ -19,7 +19,6 @@ every query.
 import json
 
 from repro.cost.buffer import buffer_upper_bound
-from repro.optimizer.plans import RankJoinPlan
 
 
 # ----------------------------------------------------------------------
@@ -127,15 +126,14 @@ def estimate_accuracy(report):
 
     Estimated depths are exactly ``propagate_depths`` output: the same
     estimates the optimizer costed the plan with and the robustness
-    layer derives its depth limits from.
+    layer derives its depth limits from.  A sharded root reports the
+    rank joins of every shard.
     """
-    root_plan = report.optimization.best_plan
-    estimates = {}
-    if isinstance(root_plan, RankJoinPlan):
-        query = report.query
-        k = query.k if query.is_ranking else root_plan.cardinality
-        for plan, required, estimate in root_plan.propagate_depths(k):
-            estimates[id(plan)] = (required, estimate)
+    estimates = {
+        id(plan): (required, estimate)
+        for plan, required, estimate
+        in report.optimization.propagate_depths()
+    }
     rows = []
     for snap in report.operators:
         plan = snap.plan

@@ -29,6 +29,7 @@ from repro.optimizer.plans import (
     FilterPlan,
     JoinPlan,
     RankJoinPlan,
+    ScoreMergePlan,
     SortPlan,
 )
 from repro.optimizer.properties import OrderProperty
@@ -192,6 +193,24 @@ class OptimizationResult:
         #: (see :attr:`repro.storage.catalog.Catalog.stats_epoch`); lets
         #: callers tell whether a result predates a learned update.
         self.stats_epoch = stats_epoch
+
+    @property
+    def k(self):
+        """Rows the query asks of the chosen plan: its ``k``, else all."""
+        if self.query.is_ranking:
+            return self.query.k
+        return max(1.0, self.best_plan.cardinality)
+
+    def propagate_depths(self):
+        """Algorithm ``Propagate`` over the chosen plan at :attr:`k`.
+
+        The records of :meth:`~repro.optimizer.plans.Plan
+        .propagate_depths` when the root is a rank join, serial or
+        sharded; ``[]`` for any other root.
+        """
+        if not isinstance(self.best_plan, (RankJoinPlan, ScoreMergePlan)):
+            return []
+        return self.best_plan.propagate_depths(self.k)
 
     def explain(self):
         """Readable summary of the chosen plan."""

@@ -12,7 +12,9 @@ the plan will be asked for.
 * access paths scale with the consumed prefix;
 * rank-join plans estimate their input depths ``dL(k), dR(k)`` via the
   Section 4 model and recursively charge their children for exactly
-  those depths -- this recursion *is* Algorithm ``Propagate``.
+  those depths -- this recursion *is* Algorithm ``Propagate``, and
+  ``plan.propagate_depths(k)`` reports it: every node with the depth
+  its parent's cost charges it (``Plan.charged_depths``).
 
 Plans are immutable once built, so every node memoises ``cost(k)`` per
 distinct ``k`` (subclasses implement ``_cost``).  Children are shared
@@ -74,6 +76,39 @@ class Plan:
 
     def _cost(self, k):
         raise NotImplementedError
+
+    def charged_depths(self, k):
+        """``(estimate, depths)`` behind ``cost(k)``.
+
+        ``depths`` holds, per child, the ``k`` this node's cost charges
+        that child for; ``estimate`` is the node's
+        :class:`~repro.estimation.depths.DepthEstimate` (``None`` for
+        all but rank joins).  By default every child is consumed in
+        full.
+        """
+        return None, tuple(child.cardinality for child in self.children)
+
+    def propagate_depths(self, k):
+        """Algorithm ``Propagate`` (Figure 8): the depth each node is
+        asked for when this plan must deliver ``k`` rows.
+
+        Returns ``[(plan, required_k, DepthEstimate-or-None), ...]`` in
+        pre-order.  The root is asked for ``k`` clamped to
+        ``[1, cardinality]``; every child for exactly the depth its
+        parent's ``cost`` charges it (:meth:`charged_depths`), so a rank
+        join's child is asked for the parent's estimated input depth
+        (the Figure 4 example: ``k=100 -> dL=580 -> d=783``).
+        """
+        results = []
+
+        def visit(plan, required):
+            estimate, depths = plan.charged_depths(required)
+            results.append((plan, required, estimate))
+            for child, depth in zip(plan.children, depths):
+                visit(child, depth)
+
+        visit(self, min(max(1.0, k), max(1.0, self.cardinality)))
+        return results
 
     def total_cost(self):
         """Cost of consuming the plan completely."""
@@ -189,11 +224,14 @@ class FilterPlan(Plan):
     def k_dependent(self):
         return self.children[0].k_dependent
 
-    def _cost(self, k):
+    def charged_depths(self, k):
         child = self.children[0]
-        needed = min(child.cardinality,
-                     max(1.0, k) / self.selectivity)
-        return child.cost(needed) + self.model.cpu(needed)
+        return None, (min(child.cardinality,
+                          max(1.0, k) / self.selectivity),)
+
+    def _cost(self, k):
+        (needed,) = self.charged_depths(k)[1]
+        return self.children[0].cost(needed) + self.model.cpu(needed)
 
     def describe(self):
         return "Filter(%s)" % (
@@ -407,10 +445,16 @@ class RankJoinPlan(Plan):
             max_left=left.cardinality, max_right=right.cardinality,
         )
 
+    def charged_depths(self, k):
+        estimate = self.depth_estimate(k)
+        if self.operator == "nrjn":
+            # NRJN consumes the inner fully regardless of k.
+            return estimate, (estimate.d_left, self.children[1].cardinality)
+        return estimate, (estimate.d_left, estimate.d_right)
+
     def _cost(self, k):
         left, right = self.children
-        estimate = self.depth_estimate(k)
-        d_left, d_right = estimate.d_left, estimate.d_right
+        d_left, d_right = self.charged_depths(k)[1]
         if self.operator == "hrjn":
             return (left.cost(d_left) + right.cost(d_right)
                     + self.model.hrjn_cost(d_left, d_right,
@@ -423,33 +467,9 @@ class RankJoinPlan(Plan):
             return (left.cost(d_left) + right.cost(d_right)
                     + self.model.cpu(explored
                                      * math.log2(max(2.0, explored))))
-        # NRJN consumes the inner fully regardless of k.
-        return (left.cost(d_left) + right.cost(right.cardinality)
-                + self.model.nrjn_cost(d_left, right.cardinality,
-                                       self.selectivity))
-
-    def propagate_depths(self, k):
-        """Annotate this subtree with required depths (Figure 8).
-
-        Returns ``[(plan, required_k, DepthEstimate-or-None), ...]`` in
-        pre-order; access paths report their required depth with a
-        ``None`` estimate.
-        """
-        results = []
-
-        def visit(plan, required):
-            if isinstance(plan, RankJoinPlan):
-                estimate = plan.depth_estimate(required)
-                results.append((plan, required, estimate))
-                visit(plan.children[0], estimate.d_left)
-                visit(plan.children[1], estimate.d_right)
-            else:
-                results.append((plan, required, None))
-                for child in plan.children:
-                    visit(child, child.cardinality)
-
-        visit(self, min(max(1.0, k), max(1.0, self.cardinality)))
-        return results
+        # NRJN: d_right is the inner's full cardinality.
+        return (left.cost(d_left) + right.cost(d_right)
+                + self.model.nrjn_cost(d_left, d_right, self.selectivity))
 
     def describe(self):
         return "%s(%s; %s + %s -> %s)" % (
@@ -692,20 +712,9 @@ class ScoreMergePlan(Plan):
             return min(self.inline_cost(k), self.pool_cost(k))
         return self.inline_cost(k)
 
-    # ------------------------------------------------------------------
-    def propagate_depths(self, k):
-        """Distribute ``k`` across shards, then Propagate within each.
-
-        Returns the same ``[(plan, required, estimate-or-None), ...]``
-        pre-order contract as :meth:`RankJoinPlan.propagate_depths`;
-        this node itself reports its required ``k`` with no depth
-        estimate (it has no inputs of its own to bound).
-        """
-        required = min(max(1.0, k), max(1.0, self.cardinality))
-        results = [(self, required, None)]
-        for child, budget in zip(self.children, self.child_budgets(k)):
-            results.extend(child.propagate_depths(budget))
-        return results
+    def charged_depths(self, k):
+        # Both vehicles charge each shard at its budget.
+        return None, self.child_budgets(k)
 
     def describe(self):
         return "ScoreMerge[%s](p=%d -> %s)" % (

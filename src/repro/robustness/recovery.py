@@ -42,7 +42,7 @@ from repro.common.errors import CheckpointError, OptimizerError
 from repro.observability.events import NULL_EVENTS
 from repro.observability.metrics import NULL_METRICS
 from repro.optimizer.enumerator import OptimizationResult
-from repro.optimizer.plans import RankJoinPlan, ScoreMergePlan
+from repro.optimizer.plans import RankJoinPlan
 from repro.robustness.checkpoint import SuspendedQuery
 
 #: Floor for re-estimated selectivities (zero would blow up the model).
@@ -338,23 +338,18 @@ def suspend(run, breach):
 # ----------------------------------------------------------------------
 # Depth limits from Algorithm Propagate
 # ----------------------------------------------------------------------
-def _query_k(result):
-    query = result.query
-    if query.is_ranking:
-        return float(query.k)
-    return max(1.0, result.best_plan.cardinality)
-
-
 def _propagated_limits(result):
-    """``{id(plan): (d_left, d_right)}`` for every rank-join node."""
-    plan = result.best_plan
-    if not isinstance(plan, (RankJoinPlan, ScoreMergePlan)):
-        return {}
+    """``{id(plan): (d_left, d_right)}`` for every rank-join node.
+
+    NRJN materialises its inner in full on open, regardless of k: only
+    its ranked outer depth is model-bounded (``d_right`` is ``None``).
+    """
     limits = {}
-    for node, _required, estimate in plan.propagate_depths(
-            _query_k(result)):
+    for node, _required, estimate in result.propagate_depths():
         if estimate is not None:
-            limits[id(node)] = (estimate.d_left, estimate.d_right)
+            limits[id(node)] = (
+                estimate.d_left,
+                None if node.operator == "nrjn" else estimate.d_right)
     return limits
 
 
@@ -368,25 +363,14 @@ def install_depth_limits(run):
         return
     for operator in run.root.walk():
         if operator.plan is not None and id(operator.plan) in estimates:
-            d_left, d_right = estimates[id(operator.plan)]
-            # NRJN rescans its inner in full regardless of k (it is
-            # materialised on open): only the ranked outer depth is
-            # model-bounded.
-            right_limit = (None if _full_inner(operator.plan)
-                           else _scaled(d_right, policy))
-            run.guard.set_depth_limit(operator, (
-                _scaled(d_left, policy), right_limit,
-            ))
+            run.guard.set_depth_limit(operator, tuple(
+                None if depth is None else _scaled(depth, policy)
+                for depth in estimates[id(operator.plan)]))
 
 
 def _scaled(depth, policy):
     return int(math.ceil(depth * policy.overrun_factor)) \
         + policy.min_headroom
-
-
-def _full_inner(plan):
-    """True when the plan's right input is consumed in full."""
-    return getattr(plan, "operator", None) == "nrjn"
 
 
 def _update_depth_limits(run):
@@ -406,7 +390,7 @@ def _update_depth_limits(run):
             continue
         limits = []
         for child_index, depth in enumerate(estimate):
-            if child_index == 1 and _full_inner(operator.plan):
+            if depth is None:
                 limits.append(None)
                 continue
             floor = operator.stats.pulled[child_index] + policy.min_headroom
@@ -527,7 +511,7 @@ def _try_replan(run, overrun):
                                source="replan", force=True):
         return False
     _correct(run, operator, observed)
-    remaining = run.result.best_plan.cost(_query_k(run.result))
+    remaining = run.result.best_plan.cost(run.result.k)
     if remaining < executor.optimizer.model.replan_overhead(
             len(run.query.tables)):
         feedback.note_replan("declined")
@@ -655,7 +639,7 @@ def _recover(run, overrun, allow_migrate):
     # Replace the wrong estimate with the observed evidence, then re-run
     # Algorithm Propagate over the whole plan.
     _correct(run, operator, observed)
-    k = _query_k(run.result)
+    k = run.result.k
     rank_cost = run.result.best_plan.cost(k)
     fallback_cost = None
     try:

@@ -3,7 +3,19 @@
 import pytest
 
 from repro.common.errors import EstimationError
-from repro.cost.buffer import buffer_upper_bound, estimated_buffer_upper_bound
+from repro.cost.buffer import buffer_upper_bound
+from repro.experiments.figures import two_way_plans
+from repro.optimizer.plans import RankJoinPlan
+
+
+def estimated_bound(k, s=0.01, n=10000):
+    """The bound over a worst-case rank-join plan's estimated depths."""
+    plan = two_way_plans(n, s)[1]
+    left, right = plan.children
+    worst = RankJoinPlan(plan.model, "hrjn", left, right, plan.predicates,
+                         s, plan.left_expression, plan.right_expression,
+                         plan.combined_expression, estimation_mode="worst")
+    return buffer_upper_bound(*worst.depth_estimate(k).as_tuple(), s)
 
 
 class TestBufferBound:
@@ -22,15 +34,11 @@ class TestBufferBound:
             buffer_upper_bound(10, 10, 1.5)
 
     def test_estimated_bound_monotone_in_k(self):
-        bounds = [
-            estimated_buffer_upper_bound(k, 0.01, 10000, 10000)
-            for k in (1, 10, 100)
-        ]
+        bounds = [estimated_bound(k) for k in (1, 10, 100)]
         assert bounds == sorted(bounds)
 
     def test_estimated_bound_at_least_k(self):
         """At least k join results must be buffered-or-reported; the
         worst-case bound therefore dominates k."""
         for k in (1, 10, 100):
-            bound = estimated_buffer_upper_bound(k, 0.01, 10000, 10000)
-            assert bound >= k
+            assert estimated_bound(k) >= k

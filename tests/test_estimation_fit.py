@@ -1,14 +1,24 @@
-"""Unit tests for catalog-driven depth estimation."""
+"""Catalog-driven depth estimation through the optimizer.
+
+The analyzed cardinalities and the join selectivity feed the optimizer,
+whose chosen rank-join plan carries the depth estimate its cost was
+built on.  ``TestFittedSlab`` checks the catalog's per-column decrement
+slab statistic, which the optimizer does not read.
+"""
 
 import pytest
 
-from repro.common.errors import EstimationError
+from repro.common.errors import OptimizerError
+from repro.cost.model import CostModel
 from repro.data.generators import generate_ranked_table
-from repro.estimation.fit import estimate_depths_from_catalog, fitted_slab
 from repro.experiments.harness import realized_selectivity
 from repro.operators.hrjn import HRJN
 from repro.operators.scan import IndexScan
 from repro.operators.topk import Limit
+from repro.optimizer.enumerator import Optimizer
+from repro.optimizer.expressions import ScoreExpression
+from repro.optimizer.plans import RankJoinPlan
+from repro.optimizer.query import JoinPredicate, RankQuery
 from repro.storage.catalog import Catalog
 
 
@@ -29,14 +39,29 @@ def make_catalog(n=4000, selectivity=0.01, seed=31):
     return catalog
 
 
+def ranked_query(k):
+    return RankQuery(
+        tables="LR", predicates=[JoinPredicate("L.key", "R.key")],
+        ranking=ScoreExpression({"L.score": 1.0, "R.score": 1.0}), k=k,
+    )
+
+
+def chosen_rank_join(catalog, k=50):
+    plan = Optimizer(catalog, CostModel()).optimize(
+        ranked_query(k)).best_plan
+    assert isinstance(plan, RankJoinPlan)
+    return plan
+
+
 class TestFittedSlab:
     def test_uniform_scores_slab(self):
         catalog = make_catalog(n=2000)
-        slab = fitted_slab(catalog, "L", "L.score")
+        slab = catalog.stats("L").column("L.score").decrement_slab
         # Uniform [0, 1] over 2000 rows: slab ~ 1/2000.
         assert slab == pytest.approx(1 / 2000, rel=0.2)
 
     def test_non_numeric_column_rejected(self):
+        """A non-numeric column carries no slab statistic."""
         from repro.storage.table import Table
 
         catalog = Catalog()
@@ -44,18 +69,15 @@ class TestFittedSlab:
         table.insert(["x"])
         table.insert(["y"])
         catalog.register(table)
-        with pytest.raises(EstimationError, match="slab"):
-            fitted_slab(catalog, "T", "T.name")
+        catalog.analyze()
+        assert catalog.stats("T").column("T.name").decrement_slab is None
 
 
 class TestCatalogEstimation:
     def test_tracks_measured_depth(self):
         catalog = make_catalog()
         k = 50
-        estimate = estimate_depths_from_catalog(
-            catalog, "L", "L.score", "R", "R.score",
-            "L.key", "R.key", k,
-        )
+        estimate = chosen_rank_join(catalog, k).depth_estimate(k)
         left = catalog.table("L")
         right = catalog.table("R")
         rank_join = HRJN(
@@ -65,22 +87,14 @@ class TestCatalogEstimation:
         )
         list(Limit(rank_join, k))
         actual = sum(rank_join.depths) / 2.0
-        # The fitted worst-case estimate bounds the measurement within
-        # the usual factor-of-two band.
+        # The plan's estimate tracks the measurement within the usual
+        # factor-of-two band.
         assert actual * 0.5 <= estimate.d_left <= actual * 2.5
 
     def test_clamped_at_cardinality(self):
-        catalog = make_catalog(n=200)
-        estimate = estimate_depths_from_catalog(
-            catalog, "L", "L.score", "R", "R.score",
-            "L.key", "R.key", 10 ** 6,
-        )
-        assert estimate.d_left <= 200
+        plan = chosen_rank_join(make_catalog(n=200), k=5)
+        assert plan.depth_estimate(10 ** 6).d_left <= 200
 
     def test_invalid_k(self):
-        catalog = make_catalog(n=100)
-        with pytest.raises(EstimationError):
-            estimate_depths_from_catalog(
-                catalog, "L", "L.score", "R", "R.score",
-                "L.key", "R.key", 0,
-            )
+        with pytest.raises(OptimizerError):
+            ranked_query(0)

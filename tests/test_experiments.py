@@ -73,7 +73,8 @@ class TestPipeline:
         records = measure_pipeline_depths(800, 0.05, 10, inputs=3, seed=2)
         assert len(records) == 2
         for _name, actual, estimate, required in records:
-            assert len(actual) == 2 and len(estimate) == 2
+            assert len(actual) == 2 and len(estimate.as_tuple()) == 2
+            assert estimate.c_left <= estimate.d_left
             assert required >= 1
 
 

@@ -150,6 +150,64 @@ class TestMemoMatchesReference:
         assert memoised == reference
 
 
+class _Spy:
+    """Stands in for a child plan, recording each ``k`` it is costed at."""
+
+    def __init__(self, plan):
+        self._plan = plan
+        self.asked = set()
+
+    def cost(self, k):
+        self.asked.add(k)
+        return self._plan.cost(k)
+
+    def __getattr__(self, name):
+        return getattr(self._plan, name)
+
+
+def charged(node, k):
+    """Per child, the ``k`` values ``node._cost(k)`` costs it at."""
+    clone = copy.copy(node)
+    clone.children = tuple(_Spy(child) for child in node.children)
+    clone._cost(k)
+    return [spy.asked for spy in clone.children]
+
+
+class TestPropagateChargesCost:
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_required_depth_is_the_charged_depth(self, shape, config,
+                                                 catalogs):
+        """Every child's propagated depth is the ``k`` its parent's
+        cost charges it: NRJN's inner in full, a filter's child at
+        ``k / selectivity``, a shard at its budget."""
+        catalog = catalogs[config == "sharded"]
+        optimizer = Optimizer(catalog, CostModel(),
+                              OptimizerConfig(**CONFIGS[config]))
+        memo = optimizer.optimize(parse_query(SHAPES[shape])).memo
+        roots = [plan for plans in memo.entries().values()
+                 for plan in plans
+                 if isinstance(plan, (RankJoinPlan, ScoreMergePlan))]
+        assert roots
+        for root in roots:
+            for k in (memo.k_min,) + KS:
+                records = root.propagate_depths(k)
+                position = 0
+
+                def visit():
+                    nonlocal position
+                    node, required, _estimate = records[position]
+                    position += 1
+                    for child, asked in zip(node.children,
+                                            charged(node, required)):
+                        assert records[position][0] is child
+                        assert asked == {records[position][1]}, node
+                        visit()
+
+                visit()
+                assert position == len(records)
+
+
 class TestCostMemo:
     def test_cold_three_table_optimize_costs_each_node_once(
             self, plan_cold_optimizer, monkeypatch):

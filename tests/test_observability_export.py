@@ -14,13 +14,20 @@ from repro.observability.export import (
     to_prometheus,
 )
 from repro.optimizer.enumerator import OptimizerConfig
-from repro.optimizer.plans import RankJoinPlan
+from repro.optimizer.plans import RankJoinPlan, ScoreMergePlan
 
 THREE_WAY_SQL = """
 WITH R AS (
   SELECT A.c1 AS x, rank() OVER (ORDER BY (A.c1 + B.c1 + C.c1)) AS rank
   FROM A, B, C WHERE A.c2 = B.c2 AND B.c2 = C.c2)
 SELECT x, rank FROM R WHERE rank <= 5
+"""
+
+TWO_WAY_SQL = """
+WITH R AS (
+  SELECT A.c1 AS x, rank() OVER (ORDER BY (A.c1 + B.c1)) AS rank
+  FROM A, B WHERE A.c2 = B.c2)
+SELECT x, rank FROM R WHERE rank <= 20
 """
 
 
@@ -142,6 +149,21 @@ class TestEstimateAccuracy:
 
     def test_format_accuracy_empty(self):
         assert "no plan-bound operators" in format_accuracy([])
+
+    def test_sharded_root_reports_shard_depths(self):
+        """A ScoreMerge root reports each shard's rank join against the
+        Propagate records ``analyze()`` and recovery read."""
+        report = make_three_way_db().execute(
+            TWO_WAY_SQL, shards=2, parallel="inline")
+        assert isinstance(report.best_plan, ScoreMergePlan)
+        expected = [estimate.as_tuple() for _plan, _required, estimate
+                    in report.best_plan.propagate_depths(20)
+                    if estimate is not None]
+        rows = [(row["est_d_left"], row["est_d_right"])
+                for row in report.estimate_accuracy()
+                if row["kind"] == "rank_join"]
+        assert rows == expected and len(rows) == 2  # One per shard.
+        assert "est depth=(" in report.accuracy_summary()
 
     def test_non_rank_join_report_has_plan_rows(self):
         db = make_three_way_db()
