@@ -237,10 +237,9 @@ def cmd_sql(args):
 
 
 def cmd_figures(args):
-    from repro.experiments.figures import figure1, figure6
+    from repro.experiments.figures import analytic_report
 
-    print(figure1())
-    print("\n" + figure6())
+    print(analytic_report())
     return 0
 
 

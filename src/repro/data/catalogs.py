@@ -2,8 +2,8 @@
 
 The Figure 2/3 experiments need a 3-table catalog (A, B, C with a
 score column c1 and a join column c2, every column indexed descending)
--- generated here so the benchmarks, the report generator, and the
-test suite share one definition.
+-- generated here so the paper figures (``repro.experiments.figures``)
+and the test suite share one definition.
 """
 
 from repro.common.rng import make_rng

@@ -1,5 +1,7 @@
-"""Shared experiment harness for the Section 5 reproduction.
+"""The Section 5 reproduction.
 
+* :mod:`repro.experiments.figures` -- one function per paper figure or
+  table, and the report formatting all of them;
 * :mod:`repro.experiments.harness` -- measured-vs-estimated depth and
   buffer experiments over generated workloads (Figures 13-15) and the
   depth-propagation pipeline (Figure 4).

@@ -83,6 +83,15 @@ def make_ranked_pair(cardinality, selectivity, seed=0,
     return left, right
 
 
+def _require_k_rows(rows, k):
+    """A run that returned fewer than ``k`` rows exhausted its inputs."""
+    if len(rows) < k:
+        raise EstimationError(
+            "join produced only %d results for k=%d; enlarge the workload"
+            % (len(rows), k)
+        )
+
+
 def measure_depths(cardinality, selectivity, k, seed=0,
                    strategy="alternate"):
     """Run a two-input HRJN for top-``k`` and compare with estimates.
@@ -106,12 +115,7 @@ def measure_depths(cardinality, selectivity, k, seed=0,
         "L.key", "R.key", "L.score", "R.score",
         strategy=strategy, name="HRJN",
     )
-    rows = list(Limit(rank_join, k))
-    if len(rows) < k:
-        raise EstimationError(
-            "join produced only %d results for k=%d; enlarge the workload"
-            % (len(rows), k)
-        )
+    _require_k_rows(list(Limit(rank_join, k)), k)
     actual = rank_join.depths
     any_k = any_k_depths_uniform(k, s_real)
     top_k = top_k_depths(k, s_real)
@@ -146,7 +150,9 @@ def build_hrjn_pipeline(tables, keys, scores, k, strategy="alternate"):
     k:
         Ranked results to pull from the top operator.
 
-    Returns ``(rows, [HRJN operators bottom-up])``.
+    Returns ``(rows, [HRJN operators bottom-up])``.  Raises
+    :class:`EstimationError` when the pipeline yields fewer than ``k``
+    rows: its inputs were exhausted, so the depths are not a top-k run's.
     """
     if len(tables) < 2:
         raise EstimationError("pipeline needs at least two tables")
@@ -159,13 +165,9 @@ def build_hrjn_pipeline(tables, keys, scores, k, strategy="alternate"):
     current_score = scores[0]
     for level, (scan, key, score) in enumerate(
             zip(scans[1:], keys[1:], scores[1:]), start=1):
-        if level == 1:
-            left_key = keys[0]
-        else:
-            left_key = keys[level - 1]
         name = "HRJN%d" % (level,)
         join = HRJN(
-            current, scan, left_key, key,
+            current, scan, keys[level - 1], key,
             _combined_score_accessor(current_score),
             score, strategy=strategy, name=name,
             output_score_column="_score_%s" % (name,),
@@ -174,6 +176,7 @@ def build_hrjn_pipeline(tables, keys, scores, k, strategy="alternate"):
         current = join
         current_score = join.output_score_column
     rows = list(Limit(current, k))
+    _require_k_rows(rows, k)
     return rows, joins
 
 

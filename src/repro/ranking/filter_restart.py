@@ -9,7 +9,7 @@ survive, *restart* with a relaxed cutoff.  The survivors are sorted at
 the end.
 
 This module implements that strategy for the top-k join so the
-benchmarks can compare it against rank-join plans: the risk of
+extension experiments can compare it against rank-join plans: the risk of
 restarts is exactly what the probabilistic optimization in [11]
 prices, and what rank-join operators avoid by construction.
 """

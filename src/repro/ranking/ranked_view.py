@@ -13,8 +13,8 @@ by reading the prefix.  Queries are then trivially fast, but
 * every base-table change invalidates the view (rebuild cost).
 
 :class:`RankedJoinView` implements exactly this trade-off so the
-benchmarks can contrast query-time-vs-maintenance against rank-join
-plans, which pay per query but need no materialized state.
+extension experiments can contrast query-time-vs-maintenance against
+rank-join plans, which pay per query but need no materialized state.
 """
 
 from repro.common.errors import ExecutionError

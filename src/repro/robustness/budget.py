@@ -1,10 +1,10 @@
 """Per-query resource budgets and the execution guard enforcing them.
 
 The depth/cost model (Section 4) is built on optimistic assumptions --
-uniform scores and a known join selectivity -- and
-``benchmarks/bench_robustness.py`` shows how quickly its estimates
-drift when either is violated.  A production engine cannot run an
-arbitrarily wrong plan to completion: this module bounds a query's
+uniform scores and a known join selectivity -- and the robustness
+experiment in ``tests/test_extensions.py`` shows how quickly its
+estimates drift when either is violated.  A production engine cannot
+run an arbitrarily wrong plan to completion: this module bounds a query's
 resource consumption with a :class:`ResourceBudget` (tuples pulled,
 buffer occupancy, wall-clock deadline) enforced by an
 :class:`ExecutionGuard` hooked into :meth:`Operator._pull` and

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.rng import make_rng
 from repro.cost.model import CostModel
+from repro.data.catalogs import make_abc_catalog
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
@@ -25,12 +26,9 @@ def small_table():
     return table
 
 
-# Shared with the report generator and benchmarks.
-from repro.data.catalogs import make_abc_catalog  # noqa: E402,F401
-
-
 @pytest.fixture
 def abc_catalog():
+    """The Figures 2-3 catalog, shared with ``repro.experiments.figures``."""
     return make_abc_catalog()
 
 

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` CLI."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -49,6 +51,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "reproduction report" in out
         assert "Figure 13" in out and "Table 1" in out
+
+    def test_traced_metrics_out_writes_json_lines(self, tmp_path, capsys):
+        path = tmp_path / "metrics.jsonl"
+        assert main(["--rows", "300", "--trace", "--metrics-out",
+                     str(path), "demo"]) == 0
+        lines = [line for line in path.read_text().splitlines()
+                 if line.strip()]
+        assert lines
+        for line in lines:
+            json.loads(line)
+
+    def test_metrics_out_prom_writes_prometheus_text(self, tmp_path,
+                                                     capsys):
+        path = tmp_path / "metrics.prom"
+        assert main(["--rows", "300", "--metrics-out", str(path),
+                     "demo"]) == 0
+        text = path.read_text()
+        assert "# TYPE " in text
+        assert not text.lstrip().startswith("{")
+
+    def test_traced_selection_records_fused_columnar_rows(self, tmp_path,
+                                                          capsys):
+        # Observed = shipped: a traced selection still runs the fused
+        # columnar Filter, so its telemetry carries the fused counters.
+        path = tmp_path / "fused.jsonl"
+        assert main(["--rows", "300", "--trace", "--metrics-out", str(path),
+                     "sql", "SELECT A.c1 FROM A WHERE A.c1 >= 0.5"]) == 0
+        assert "columnar_fused_rows_total" in path.read_text()
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

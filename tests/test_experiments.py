@@ -69,6 +69,12 @@ class TestPipeline:
         with pytest.raises(EstimationError):
             build_hrjn_pipeline([table], ["T0.key"], ["T0.score"], 1)
 
+    def test_exhausted_pipeline_detected(self):
+        # A sparse join yields fewer than k rows: the inputs are scanned
+        # to the end, and those depths are not a top-k run's.
+        with pytest.raises(EstimationError, match="only"):
+            measure_pipeline_depths(200, 0.001, 100)
+
     def test_measure_pipeline_records(self):
         records = measure_pipeline_depths(800, 0.05, 10, inputs=3, seed=2)
         assert len(records) == 2
