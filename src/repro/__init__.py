@@ -62,14 +62,11 @@ from repro.estimation.empirical import (
     ScoreProfile,
     empirical_top_k_depths,
 )
-from repro.estimation.simulate import simulated_depths
 from repro.executor.database import Database
 from repro.executor.executor import ExecutionReport, Executor
 from repro.operators import (
     AnyK,
     HRJN,
-    MHRJN,
-    NRARJ,
     NRJN,
     Filter,
     HashJoin,
@@ -121,10 +118,6 @@ from repro.server import (
     SchedulerConfig,
     Server,
 )
-from repro.ranking.filter_restart import (
-    FilterRestartResult,
-    filter_restart_topk,
-)
 from repro.optimizer.enumerator import Optimizer, OptimizerConfig
 from repro.optimizer.expressions import ScoreExpression
 from repro.optimizer.interesting import collect_interesting_orders
@@ -166,7 +159,6 @@ __all__ = [
     "FaultyOperator",
     "Filter",
     "FilterPredicate",
-    "FilterRestartResult",
     "HRJN",
     "HashJoin",
     "IndexNestedLoopsJoin",
@@ -175,8 +167,6 @@ __all__ = [
     "JStarRankJoin",
     "JoinPredicate",
     "Limit",
-    "MHRJN",
-    "NRARJ",
     "MaxScore",
     "MetricsRegistry",
     "MinScore",
@@ -220,11 +210,9 @@ __all__ = [
     "empirical_top_k_depths",
     "estimate_accuracy",
     "format_accuracy",
-    "filter_restart_topk",
     "find_k_star",
     "inject_faults",
     "parse_query",
-    "simulated_depths",
     "to_jsonl",
     "to_prometheus",
     "to_sql",

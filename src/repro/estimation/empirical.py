@@ -1,9 +1,10 @@
 """Distribution-free depth estimation from empirical score profiles.
 
 The closed forms of Section 4 assume uniform (or sum-of-uniform) score
-distributions; `bench_robustness.py` shows they break on skewed scores
-(zipf).  But Theorems 1 and 2 themselves are distribution-free -- only
-the *score gap profile* ``delta(i)`` enters.  Real systems have that
+distributions; `tests/test_extensions.py::test_model_robustness` shows
+they break on skewed scores (zipf).  But Theorems 1 and 2 themselves
+are distribution-free -- only the *score gap profile* ``delta(i)``
+enters.  Real systems have that
 profile at hand: it is exactly what a descending score index stores.
 
 This module re-runs the paper's minimisation numerically over empirical

@@ -33,8 +33,6 @@ from repro.operators.joins import (
 )
 from repro.operators.jstar import JStarRankJoin
 from repro.operators.merge import ScoreMerge
-from repro.operators.mhrjn import MHRJN
-from repro.operators.nrarj import NRARJ
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, ShardedScan, TableScan
 from repro.operators.sort import Sort
@@ -50,8 +48,6 @@ __all__ = [
     "IndexScan",
     "JStarRankJoin",
     "Limit",
-    "MHRJN",
-    "NRARJ",
     "NRJN",
     "NestedLoopsJoin",
     "Operator",

@@ -121,9 +121,8 @@ class AnyK(Operator):
         Name of the computed column carrying the combined score;
         defaults to ``"_score_<name>"``.
 
-    Unlike :class:`~repro.operators.mhrjn.MHRJN` the join tree may use
-    a *different* key per edge (chains, stars, and arbitrary acyclic
-    shapes), and inputs need not be sorted.
+    The join tree may use a *different* key per edge (chains, stars,
+    and arbitrary acyclic shapes), and inputs need not be sorted.
     """
 
     pipelined = False

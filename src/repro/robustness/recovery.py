@@ -1,8 +1,9 @@
 """Adaptive mid-query recovery from depth mis-estimation.
 
 The Propagate estimates that size a rank-join plan (Section 4) are only
-as good as the selectivity fed to them; ``bench_robustness.py`` shows
-estimated depths drift by ``sqrt`` of the selectivity error.  A guarded
+as good as the selectivity fed to them;
+``tests/test_extensions.py::test_model_robustness`` shows estimated
+depths drift by ``sqrt`` of the selectivity error.  A guarded
 run (an :class:`~repro.executor.executor.Executor` run with a
 :class:`RecoveryPolicy`) turns that weakness into a run-time contract:
 

@@ -2,13 +2,10 @@
 
 The paper's prototype used high-dimensional indexes that return video
 objects in descending order of a per-feature similarity score.  What the
-query engine consumes from such an index is exactly two capabilities
-(Section 2.1):
+query engine's rank joins consume from such an index is **sorted
+access** (Section 2.1): rows retrieved in descending score order.
 
-* **sorted access** -- retrieve rows in descending score order, and
-* **random access** -- probe the score of a given key.
-
-:class:`SortedIndex` provides both over an in-memory table, keyed by an
+:class:`SortedIndex` provides it over an in-memory table, keyed by an
 arbitrary expression over the row (usually a single score column).
 """
 
@@ -117,32 +114,6 @@ class SortedIndex:
         # Snapshot semantics: iteration sees the entries as of the first
         # next() even if the table is mutated concurrently.
         return iter(list(self.entries()))
-
-    def score_at_depth(self, depth):
-        """Return the key score of the entry at 1-based ``depth``.
-
-        Used by experiments to inspect score distributions; ``depth``
-        beyond the table size raises :class:`CatalogError`.
-        """
-        entries = self.entries()
-        if not 1 <= depth <= len(entries):
-            raise CatalogError(
-                "depth %d out of range for index %r (size %d)"
-                % (depth, self.name, len(entries))
-            )
-        return entries[depth - 1][0]
-
-    def random_access(self, predicate):
-        """Return the first ``(score, row)`` whose row satisfies ``predicate``.
-
-        This models probing; it is linear over the sorted entries, which
-        is fine for an in-memory research engine.  Returns ``None`` when
-        no row matches.
-        """
-        for score, row in self.entries():
-            if predicate(row):
-                return score, row
-        return None
 
     def top(self):
         """Return the best ``(score, row)`` or ``None`` for an empty table."""

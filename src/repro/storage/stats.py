@@ -1,9 +1,8 @@
 """Table and column statistics.
 
-The optimizer's cost model (Section 3.3) consumes input cardinalities,
-join selectivities, and -- specific to this paper -- per-score-column
-*average decrement slabs* (the average score difference between
-consecutively ranked tuples, ``x`` and ``y`` in Section 4.3).
+The optimizer's cost model (Section 3.3) consumes input cardinalities
+and join selectivities; filter selectivities read each numeric column's
+value range and equi-width histogram.
 
 Statistics are computed eagerly from the data, the way an ``ANALYZE``
 pass would, and cached in the catalog.
@@ -24,25 +23,21 @@ class ColumnStats:
     distinct:
         Number of distinct values.
     minimum / maximum:
-        Value range (``None`` for empty columns).
-    decrement_slab:
-        For numeric columns: the average difference between consecutive
-        values when sorted descending -- ``(max - min) / (count - 1)``.
-        This is the paper's ``x`` (resp. ``y``) parameter and feeds the
-        depth-estimation closed forms.
+        Value range (``None`` for empty columns).  For numeric columns
+        the range and the histogram cover the finite values only, so a
+        NaN or ±inf neither hides the range nor breaks the histogram.
     """
 
     __slots__ = ("column", "count", "distinct", "minimum", "maximum",
-                 "decrement_slab", "histogram")
+                 "histogram")
 
     def __init__(self, column, count, distinct, minimum, maximum,
-                 decrement_slab, histogram=None):
+                 histogram=None):
         self.column = column
         self.count = count
         self.distinct = distinct
         self.minimum = minimum
         self.maximum = maximum
-        self.decrement_slab = decrement_slab
         self.histogram = histogram
 
     @classmethod
@@ -59,21 +54,19 @@ class ColumnStats:
         count = len(values)
         distinct = len(set(values))
         if count == 0:
-            return cls(column, 0, 0, None, None, None)
+            return cls(column, 0, 0, None, None)
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                       for v in values)
         if not numeric:
-            return cls(column, count, distinct, min(values), max(values), None)
-        minimum = min(values)
-        maximum = max(values)
-        if count > 1:
-            slab = (maximum - minimum) / (count - 1)
-        else:
-            slab = 0.0
+            return cls(column, count, distinct, min(values), max(values))
+        finite = [v for v in values
+                  if not isinstance(v, float) or math.isfinite(v)]
+        if not finite:
+            return cls(column, count, distinct, None, None)
         histogram = None
         if histogram_buckets:
-            histogram = EquiWidthHistogram(values, histogram_buckets)
-        return cls(column, count, distinct, minimum, maximum, slab,
+            histogram = EquiWidthHistogram(finite, histogram_buckets)
+        return cls(column, count, distinct, min(finite), max(finite),
                    histogram=histogram)
 
     def selectivity_of_equality(self):
@@ -83,10 +76,9 @@ class ColumnStats:
         return 1.0 / self.distinct
 
     def __repr__(self):
-        return (
-            "ColumnStats(%s, count=%d, distinct=%d, range=[%r, %r], slab=%r)"
-            % (self.column, self.count, self.distinct, self.minimum,
-               self.maximum, self.decrement_slab)
+        return "ColumnStats(%s, count=%d, distinct=%d, range=[%r, %r])" % (
+            self.column, self.count, self.distinct, self.minimum,
+            self.maximum,
         )
 
 
@@ -141,30 +133,3 @@ def estimate_join_selectivity(left_stats, right_stats, left_column,
     if distinct == 0:
         return 0.0
     return 1.0 / distinct
-
-
-def measured_join_selectivity(result_cardinality, left_cardinality,
-                              right_cardinality):
-    """Exact selectivity ``|L ⋈ R| / (|L| * |R|)`` from a measured join.
-
-    Used by experiments that need the *true* ``s`` fed into the
-    estimation model, isolating depth-estimation error from
-    selectivity-estimation error the way the paper does.
-    """
-    denominator = left_cardinality * right_cardinality
-    if denominator == 0:
-        return 0.0
-    selectivity = result_cardinality / denominator
-    # Guard against floating error pushing us out of [0, 1].
-    return min(1.0, max(0.0, selectivity))
-
-
-def harmonic_number(n):
-    """Return H(n); used by Zipf-distribution statistics helpers."""
-    if n <= 0:
-        return 0.0
-    # Exact sum for small n, asymptotic expansion for large n.
-    if n < 1000:
-        return math.fsum(1.0 / i for i in range(1, n + 1))
-    gamma = 0.5772156649015328606
-    return math.log(n) + gamma + 1.0 / (2 * n) - 1.0 / (12 * n * n)

@@ -9,8 +9,6 @@ reports, by counts (depths, buffers, plan classes), never wall-clock.
 from repro.common.rng import make_rng
 from repro.cost.model import CostModel
 from repro.data.catalogs import make_abc_catalog
-from repro.estimation.depths import top_k_depths_average
-from repro.estimation.simulate import simulated_depths
 from repro.executor.database import Database
 from repro.experiments.harness import make_ranked_pair, measure_depths
 from repro.experiments.report import relative_error
@@ -124,18 +122,6 @@ def test_estimation_mode():
     mean_worst_error = sum(relative_error(a, m.top_k[0])
                            for a, m in zip(actuals, measurements)) / 3
     assert mean_average_error <= mean_worst_error + 0.05
-
-
-def test_simulation_vs_closed_form():
-    """Calibration-by-simulation is at least as accurate as the closed
-    form (n=4000, s=0.01); its cost is actual rank-join executions."""
-    for k in (10, 50, 150):
-        truth = measure_depths(4000, 0.01, k, seed=800 + k)
-        actual = sum(truth.actual) / 2.0
-        closed = top_k_depths_average(k, truth.selectivity)
-        simulated = simulated_depths(k, 0.01, 4000, trials=3, seed=900 + k)
-        assert relative_error(actual, simulated.d_left) \
-            <= relative_error(actual, closed.d_left) + 0.15
 
 
 def test_rank_join_menu_in_optimizer():

@@ -5,8 +5,8 @@ Pinning the optimizer to the any-k operator family must return exactly
 the rows of the binary HRJN reference plans -- same values, same order
 -- across the sixteen SQL plan shapes of the parallel-equivalence
 matrix, plus multi-way chain and star queries whose predicates each
-join a *different* key column (the shapes MHRJN's shared key cannot
-express).  A final test pins down the cost-model crossover: the
+join a *different* key column (shapes a rank join over one shared key
+cannot express).  A final test pins down the cost-model crossover: the
 unforced optimizer picks binary rank joins at shallow k and the any-k
 plan at deep k, with identical answers either side of the switch.
 """

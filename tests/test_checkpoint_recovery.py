@@ -56,7 +56,7 @@ def make_db(rows=400, seed=3, domain=15, hrjn_only=False):
 def rank_join_faults(**kwargs):
     """A fault plan targeting whichever rank join the optimizer picked."""
     return FaultPlan([FaultSpec(
-        target=lambda op: op.name.startswith(("HRJN", "NRJN", "MHRJN")),
+        target=lambda op: op.name.startswith(("HRJN", "NRJN")),
         **kwargs,
     )])
 

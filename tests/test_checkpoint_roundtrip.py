@@ -22,8 +22,6 @@ from repro.operators.joins import (
     SymmetricHashJoin,
 )
 from repro.operators.jstar import JStarRankJoin
-from repro.operators.mhrjn import MHRJN
-from repro.operators.nrarj import NRARJ
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
 from repro.operators.sort import Sort
@@ -44,23 +42,9 @@ def ranked_table(name, n, key_domain=4, seed=0):
     return table
 
 
-def unique_key_table(name, n, seed=0):
-    rng = make_rng(seed)
-    table = Table.from_columns(
-        name, [("key", "int"), ("score", "float")]
-    )
-    for i in range(n):
-        table.insert([i, float(rng.uniform(0, 1))])
-    table.create_index(SortedIndex("%s_idx" % name, "%s.score" % name))
-    return table
-
-
 L = ranked_table("L", 18, seed=11)
 R = ranked_table("R", 15, seed=22)
 M = ranked_table("M", 12, seed=33)
-# NRA-RJ requires unique join keys per input.
-UL = unique_key_table("UL", 14, seed=44)
-UR = unique_key_table("UR", 14, seed=55)
 
 
 def shard_tables(base, count, seed):
@@ -112,13 +96,6 @@ FACTORIES = {
     "nrjn": lambda: NRJN(
         index_scan(L), TableScan(R), "L.key", "R.key",
         "L.score", "R.score", name="NR"),
-    "mhrjn": lambda: MHRJN(
-        (index_scan(L), index_scan(R), index_scan(M)),
-        ("L.key", "R.key", "M.key"),
-        ("L.score", "R.score", "M.score"), name="M3"),
-    "nrarj": lambda: NRARJ(
-        index_scan(UL), index_scan(UR), "UL.key", "UR.key",
-        "UL.score", "UR.score", name="NA"),
     "jstar": lambda: JStarRankJoin(
         index_scan(L), index_scan(R), "L.key", "R.key",
         "L.score", "R.score", name="JS"),

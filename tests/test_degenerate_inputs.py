@@ -1,4 +1,5 @@
-"""Degenerate-input behaviour: ties, constants, singletons, extremes.
+"""Degenerate-input behaviour: ties, constants, singletons, extremes,
+non-finite values.
 
 Threshold-based early-out logic is most fragile exactly where scores
 stop being distinct; these tests pin the behaviour down.
@@ -219,3 +220,48 @@ class TestNonFiniteScores:
                     pass
         finally:
             rank_join.close()
+
+
+def database_with_non_finite(column):
+    """Tables A(c1, c2, c3) and B(c1, c2) where three rows of A's
+    ``column`` hold NaN, +inf and -inf."""
+    rng = make_rng(5)
+    rows = [[float(rng.uniform(0, 1)), int(rng.integers(0, 5)),
+             float(rng.uniform(0, 1))] for _ in range(200)]
+    for i, bad in enumerate((math.nan, math.inf, -math.inf)):
+        rows[10 * i + 3][column] = bad
+    db = Database()
+    db.create_table("A", [("c1", "float"), ("c2", "int"), ("c3", "float")],
+                    rows=rows)
+    db.create_table("B", [("c1", "int"), ("c2", "float")],
+                    rows=[[int(rng.integers(0, 5)), float(rng.uniform(0, 1))]
+                          for _ in range(200)])
+    return db
+
+
+RANKED_AB = """
+WITH R AS (
+  SELECT A.c1 AS x, B.c2 AS y,
+         rank() OVER (ORDER BY (A.c1 + B.c2)) AS rank
+  FROM A, B WHERE A.c2 = B.c1)
+SELECT x, y, rank FROM R WHERE rank <= 5"""
+
+
+class TestNonFiniteColumnsThroughDatabase:
+    def test_analyze_survives_non_finite_values_in_unread_column(self):
+        """ANALYZE keeps NaN/±inf out of the range and histogram, so a
+        query that never reads the column answers."""
+        db = database_with_non_finite(column=2)
+        report = db.execute(RANKED_AB)
+        assert len(report.rows) == 5
+        stats = db.catalog.stats("A").column("A.c3")
+        assert stats.count == 200
+        assert math.isfinite(stats.minimum) and math.isfinite(stats.maximum)
+        assert stats.histogram.total == 197
+
+    def test_ranked_query_over_non_finite_score_raises_data_error(self):
+        db = database_with_non_finite(column=0)
+        with pytest.raises(DataError,
+                           match=r"score must be finite \(rank-join input 0"
+                                 r", A\.c1\)"):
+            db.execute(RANKED_AB)

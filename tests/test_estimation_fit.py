@@ -2,8 +2,7 @@
 
 The analyzed cardinalities and the join selectivity feed the optimizer,
 whose chosen rank-join plan carries the depth estimate its cost was
-built on.  ``TestFittedSlab`` checks the catalog's per-column decrement
-slab statistic, which the optimizer does not read.
+built on.
 """
 
 import pytest
@@ -51,26 +50,6 @@ def chosen_rank_join(catalog, k=50):
         ranked_query(k)).best_plan
     assert isinstance(plan, RankJoinPlan)
     return plan
-
-
-class TestFittedSlab:
-    def test_uniform_scores_slab(self):
-        catalog = make_catalog(n=2000)
-        slab = catalog.stats("L").column("L.score").decrement_slab
-        # Uniform [0, 1] over 2000 rows: slab ~ 1/2000.
-        assert slab == pytest.approx(1 / 2000, rel=0.2)
-
-    def test_non_numeric_column_rejected(self):
-        """A non-numeric column carries no slab statistic."""
-        from repro.storage.table import Table
-
-        catalog = Catalog()
-        table = Table.from_columns("T", [("name", "str")])
-        table.insert(["x"])
-        table.insert(["y"])
-        catalog.register(table)
-        catalog.analyze()
-        assert catalog.stats("T").column("T.name").decrement_slab is None
 
 
 class TestCatalogEstimation:

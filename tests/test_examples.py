@@ -23,9 +23,11 @@ def load_module(filename):
 
 
 class TestExamples:
-    def test_six_examples_shipped(self):
-        assert len(EXAMPLES) >= 6
-        assert "quickstart.py" in EXAMPLES
+    def test_shipped_examples(self):
+        assert EXAMPLES == [
+            "optimizer_tour.py", "quickstart.py", "selection_topk.py",
+            "similar_pairs.py", "video_similarity.py",
+        ]
 
     @pytest.mark.parametrize("filename", EXAMPLES)
     def test_example_runs(self, filename, capsys):

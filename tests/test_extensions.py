@@ -3,8 +3,8 @@
 Each test runs one seeded experiment EXPERIMENTS.md reports -- the
 top-k join strategies side by side, selections under rank joins, model
 robustness, score correlation, the video query for growing m, the
-m-way operator, the empirical estimator, ranked views, and sharded
-execution -- and pins its counts (depths, buffers, tuples touched).
+empirical estimator, and sharded execution -- and pins its counts
+(depths, buffers, tuples touched).
 """
 
 import math
@@ -26,14 +26,10 @@ from repro.experiments.report import relative_error
 from repro.operators.hrjn import HRJN
 from repro.operators.joins import HashJoin
 from repro.operators.jstar import JStarRankJoin
-from repro.operators.mhrjn import MHRJN
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
 from repro.operators.topk import Limit, TopK
 from repro.optimizer.enumerator import OptimizerConfig
-from repro.optimizer.expressions import ScoreExpression
-from repro.ranking.filter_restart import filter_restart_topk
-from repro.ranking.ranked_view import RankedJoinView
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
@@ -50,8 +46,9 @@ def two_way_hrjn(left, right, index_suffix="score_idx"):
 
 
 def test_top_k_join_strategies():
-    """HRJN, NRJN, J* and the filter/restart baseline on one workload
-    (n=4000, s=0.01, k=50): threshold rank joins touch far less input."""
+    """HRJN, NRJN, J* and the paper's join-then-sort baseline on one
+    workload (n=4000, s=0.01, k=50): threshold rank joins touch far
+    less input."""
     left, right = make_ranked_pair(4000, 0.01, seed=77)
     k = 50
     hrjn = HRJN(scan(left, "L_score_idx"), scan(right, "R_score_idx"),
@@ -65,20 +62,19 @@ def test_top_k_join_strategies():
         [round(r["_score_%s" % (op.name,)], 9) for r in Limit(op, k)]
         for op in (hrjn, nrjn, jstar)
     ]
-    restart = filter_restart_topk(
-        left.scan(), right.scan(),
-        lambda r: r["L.key"], lambda r: r["R.key"],
-        lambda r: r["L.score"], lambda r: r["R.score"],
-        k, realized_selectivity(left, right, "L.key", "R.key"),
-    )
-    answers.append([round(score, 9) for score, _l, _r in restart.rows])
+    join = HashJoin(TableScan(left), TableScan(right), "L.key", "R.key")
+
+    def score_of(row):
+        return row["L.score"] + row["R.score"]
+
+    answers.append([round(score_of(r), 9)
+                    for r in TopK(join, k, score_of, description="sum")])
     # Every strategy returns the identical ranked answer.
     assert len({tuple(a) for a in answers}) == 1
     # Input tuples touched: J*'s grid search is depth-optimal, NRJN
-    # exhausts its inner, filter/restart scans both inputs in full.
+    # exhausts its inner, join-then-sort reads both inputs in full.
     assert (sum(hrjn.depths), sum(jstar.depths), sum(nrjn.depths),
-            restart.tuples_consumed, restart.restarts) \
-        == (202, 190, 4089, 8000, 0)
+            sum(join.stats.pulled)) == (202, 190, 4089, 8000)
     assert nrjn.stats.max_buffer > hrjn.stats.max_buffer
 
 
@@ -209,48 +205,6 @@ def test_video_query_for_growing_m():
     assert (consumed[2], consumed[4]) == (379, 4411)
 
 
-def shared_key_tables(m, seed=123):
-    rng = make_rng(seed)
-    tables = []
-    for i in range(m):
-        table = Table.from_columns("T%d" % (i,),
-                                   [("key", "int"), ("score", "float")])
-        for _ in range(1500):
-            table.insert([int(rng.integers(0, 10)), float(rng.uniform(0, 1))])
-        table.create_index(SortedIndex("T%d_score_idx" % (i,),
-                                       "T%d.score" % (i,)))
-        tables.append(table)
-    return tables
-
-
-def test_mway_rank_join_vs_pipeline():
-    """One m-ary MHRJN sees every input's top/last scores, so it reads
-    less than a binary HRJN pipeline, at the price of a larger buffer
-    (n=1500 per input, key domain 10, k=10)."""
-    results = {}
-    for m in (2, 3, 4):
-        tables = shared_key_tables(m)
-        keys = ["T%d.key" % (i,) for i in range(m)]
-        scores = ["T%d.score" % (i,) for i in range(m)]
-        mway = MHRJN([scan(t) for t in tables], keys, scores, name="M")
-        m_rows = list(Limit(mway, 10))
-        p_rows, joins = build_hrjn_pipeline(tables, keys, scores, 10)
-        assert [round(r["_score_M"], 9) for r in m_rows] \
-            == [round(r[joins[-1].output_score_column], 9) for r in p_rows]
-        results[m] = (sum(mway.depths), mway.stats.max_buffer,
-                      sum(sum(j.depths) for j in joins),
-                      max(j.stats.max_buffer for j in joins))
-    # (m-way depth, m-way buffer, pipeline depth, pipeline buffer).
-    assert results[3][0::2] == (55, 75)
-    assert results[4] == (95, 175, 137, 52)
-    for m_depth, _mb, p_depth, _pb in results.values():
-        assert m_depth <= p_depth * 1.2
-    # The advantage grows with m: deeper pipelines amplify depth.
-    ratios = [p_depth / m_depth
-              for m_depth, _mb, p_depth, _pb in results.values()]
-    assert ratios[-1] >= ratios[0] * 0.9
-
-
 def test_empirical_estimator():
     """The Theorem 1/2 minimisation over the measured score-gap profile
     vs the uniform closed form, scored by |log(estimate / actual)|
@@ -282,43 +236,6 @@ def test_empirical_estimator():
     assert errors["zipf"][1] < errors["zipf"][0]
     assert errors["gaussian"][1] <= errors["gaussian"][0] + 0.3
     assert max(errors["uniform"]) < 0.6
-
-
-def test_ranked_view_vs_rank_join_under_updates():
-    """PREFER-style materialized ranked views vs per-query rank joins
-    over 5 top-20 queries with one base insert between each (n=3000,
-    s=0.01): the view rebuilds every time."""
-    scoring = ScoreExpression({"L.score": 1.0, "R.score": 1.0})
-
-    def tables():
-        return (generate_ranked_table("L", 3000, selectivity=0.01, seed=66),
-                generate_ranked_table("R", 3000, selectivity=0.01, seed=67))
-
-    left, right = tables()
-    view = RankedJoinView(left, right, "L.key", "R.key", scoring,
-                          capacity=100)
-    view_work, view_answers = 0, []
-    for query in range(5):
-        if view.refresh_if_stale():
-            view_work += 2 * 3000  # A rebuild reads both join inputs.
-        view_answers.append(tuple(round(score, 9)
-                                  for score, _row in view.top_k(20)))
-        view_work += 20  # Prefix read.
-        left.insert([10 ** 6 + query, 0, 0.0])  # Bottom insert.
-
-    left, right = tables()
-    rank_work, rank_answers = 0, []
-    for query in range(5):
-        rank_join = two_way_hrjn(left, right)
-        rank_answers.append(tuple(round(r["_score_RJ"], 9)
-                                  for r in Limit(rank_join, 20)))
-        rank_work += sum(rank_join.depths)
-        left.insert([10 ** 6 + query, 0, 0.0])
-
-    # Bottom inserts never enter the top-k: identical answers.
-    assert view_answers == rank_answers
-    assert view.builds == 5
-    assert (view_work, rank_work) == (30100, 740)
 
 
 def sharded_depth(report, sharded):

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.common.errors import ExecutionError
+from repro.common.rng import make_rng
 from repro.data.generators import generate_ranked_table
+from repro.executor.database import Database
 from repro.operators.hrjn import HRJN
 from repro.operators.joins import HashJoin
 from repro.operators.jstar import JStarRankJoin
 from repro.operators.scan import IndexScan, TableScan
 from repro.operators.topk import Limit, TopK
+from repro.optimizer.enumerator import OptimizerConfig
 from repro.storage.table import Table
 
 
@@ -120,3 +123,55 @@ class TestBehaviour:
         rank_join = jstar_over(left, right)
         list(Limit(rank_join, 10))
         assert rank_join.stats.max_buffer > 0
+
+
+class TestOptimizerJStar:
+    def test_jstar_plan_generated_and_executes(self):
+        rng = make_rng(99)
+        db = Database(config=OptimizerConfig(
+            enable_hrjn=False, enable_nrjn=False, enable_jstar=True,
+        ))
+        for name in ("A", "B"):
+            db.create_table(
+                name, [("c1", "float"), ("c2", "int")],
+                rows=[[float(rng.uniform(0, 1)),
+                       int(rng.integers(0, 10))] for _ in range(150)],
+            )
+        db.analyze()
+        report = db.execute("""
+            WITH R AS (
+              SELECT A.c1 AS x, rank() OVER
+                     (ORDER BY (A.c1 + B.c1)) AS rank
+              FROM A, B WHERE A.c2 = B.c2)
+            SELECT x, rank FROM R WHERE rank <= 5""")
+        assert len(report.rows) == 5
+        assert any(snap.name.startswith("JSTAR")
+                   for snap in report.operators)
+
+    def test_jstar_results_match_hrjn_plan(self):
+        sql = """
+            WITH R AS (
+              SELECT A.c1 AS x, rank() OVER
+                     (ORDER BY (A.c1 + B.c1)) AS rank
+              FROM A, B WHERE A.c2 = B.c2)
+            SELECT x, rank FROM R WHERE rank <= 8"""
+
+        def build(config):
+            rng = make_rng(7)
+            db = Database(config=config)
+            for name in ("A", "B"):
+                db.create_table(
+                    name, [("c1", "float"), ("c2", "int")],
+                    rows=[[float(rng.uniform(0, 1)),
+                           int(rng.integers(0, 10))]
+                          for _ in range(150)],
+                )
+            db.analyze()
+            return db.execute(sql)
+
+        jstar_rows = build(OptimizerConfig(
+            enable_hrjn=False, enable_nrjn=False, enable_jstar=True,
+        )).rows
+        hrjn_rows = build(OptimizerConfig(enable_nrjn=False)).rows
+        assert ([r["A.c1"] for r in jstar_rows]
+                == [r["A.c1"] for r in hrjn_rows])

@@ -18,7 +18,6 @@ from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
 from repro.operators.topk import Limit, TopK
 from repro.operators.joins import HashJoin
-from repro.ranking import RankedList, nra, threshold_algorithm
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
@@ -171,25 +170,9 @@ class TestEstimationInvariants:
 
 
 # ----------------------------------------------------------------------
-# Rank aggregation and TopK invariants
+# TopK and scoring invariants
 # ----------------------------------------------------------------------
 class TestAggregationInvariants:
-    @given(data=st.lists(
-        st.tuples(scores, scores, scores), min_size=1, max_size=50,
-    ), k=st.integers(min_value=1, max_value=10))
-    @settings(max_examples=50, deadline=None)
-    def test_ta_equals_nra(self, data, k):
-        k = min(k, len(data))
-        lists = [
-            RankedList("L%d" % j, [(i, row[j]) for i, row in enumerate(data)])
-            for j in range(3)
-        ]
-        ta_ids = [oid for oid, _ in threshold_algorithm(lists, k)]
-        for ranked in lists:
-            ranked.reset_stats()
-        nra_ids = [oid for oid, _ in nra(lists, k)]
-        assert ta_ids == nra_ids
-
     @given(values=st.lists(scores, min_size=0, max_size=60),
            k=st.integers(min_value=0, max_value=20))
     @settings(max_examples=50, deadline=None)
@@ -237,43 +220,3 @@ class TestMoreRankJoinVariants:
         )
         got = [round(r["_score_JS"], 7) for r in Limit(rank_join, k)]
         assert got == brute_topk(left, right, k)
-
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=4),
-                scores, scores, scores,
-            ),
-            min_size=0, max_size=25,
-        ),
-        k=st.integers(min_value=1, max_value=10),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_mhrjn_three_way_matches_brute_force(self, data, k):
-        from repro.operators.mhrjn import MHRJN
-
-        tables = []
-        for j, name in enumerate(("X", "Y", "Z")):
-            tables.append(make_ranked_table(
-                name, [(d[0], d[1 + j]) for d in data],
-            ))
-        operator = MHRJN(
-            [IndexScan(t, t.get_index("%s_idx" % t.name))
-             for t in tables],
-            ["X.key", "Y.key", "Z.key"],
-            ["X.score", "Y.score", "Z.score"],
-            name="M",
-        )
-        got = [round(r["_score_M"], 7) for r in Limit(operator, k)]
-        truth = sorted(
-            (
-                ra["X.score"] + rb["Y.score"] + rc["Z.score"]
-                for ra in tables[0].scan()
-                for rb in tables[1].scan()
-                if ra["X.key"] == rb["Y.key"]
-                for rc in tables[2].scan()
-                if rb["Y.key"] == rc["Z.key"]
-            ),
-            reverse=True,
-        )
-        assert got == [round(v, 7) for v in truth[:k]]

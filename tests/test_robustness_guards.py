@@ -2,10 +2,10 @@
 
 Covers the robustness layer's contract: budget breaches raise
 ``BudgetExceededError`` carrying partial operator snapshots, and a
-query whose selectivity estimate is wrong by 4x (the
-``bench_robustness.py`` setup) either completes under re-estimated
-budgets or falls back to the blocking sort plan -- with the path
-recorded in the report.
+query whose selectivity estimate is wrong by 4x (the largest factor
+``test_extensions.py::test_model_robustness`` sweeps) either completes
+under re-estimated budgets or falls back to the blocking sort plan --
+with the path recorded in the report.
 """
 
 import pytest
@@ -204,7 +204,8 @@ def _drain(join, k):
 
 class TestAdaptiveRecovery:
     def _wrong_selectivity_db(self, factor=4.0):
-        """The bench_robustness setup: assumed selectivity off by 4x."""
+        """Assumed selectivity off by 4x, the largest factor
+        ``test_extensions.py::test_model_robustness`` sweeps."""
         db = make_db()
         real = db.catalog.join_selectivity("A", "A.c2", "B", "B.c1")
         db.set_join_selectivity("A.c2", "B.c1", min(1.0, real * factor))

@@ -43,25 +43,6 @@ class TestSortedAccess:
 
 
 class TestProbes:
-    def test_score_at_depth(self):
-        _table, index = make_indexed_table([0.1, 0.9, 0.5])
-        assert index.score_at_depth(1) == 0.9
-        assert index.score_at_depth(3) == 0.1
-
-    def test_score_at_depth_out_of_range(self):
-        _table, index = make_indexed_table([0.1])
-        with pytest.raises(CatalogError, match="out of range"):
-            index.score_at_depth(2)
-
-    def test_random_access(self):
-        _table, index = make_indexed_table([0.1, 0.9])
-        score, row = index.random_access(lambda r: r["T.id"] == 0)
-        assert score == 0.1
-
-    def test_random_access_miss(self):
-        _table, index = make_indexed_table([0.1])
-        assert index.random_access(lambda r: False) is None
-
     def test_top_empty(self):
         _table, index = make_indexed_table([])
         assert index.top() is None

@@ -7,8 +7,6 @@ from repro.storage.stats import (
     ColumnStats,
     TableStats,
     estimate_join_selectivity,
-    harmonic_number,
-    measured_join_selectivity,
 )
 from repro.storage.table import Table
 
@@ -20,25 +18,35 @@ class TestColumnStats:
         assert stats.distinct == 3
         assert stats.minimum == 0.0
         assert stats.maximum == 1.0
-        assert stats.decrement_slab == pytest.approx(0.5)
 
     def test_empty_column(self):
         stats = ColumnStats.from_values("T.x", [])
         assert stats.count == 0
-        assert stats.decrement_slab is None
+        assert stats.minimum is None and stats.histogram is None
 
     def test_nulls_skipped(self):
         stats = ColumnStats.from_values("T.x", [1.0, None, 2.0])
         assert stats.count == 2
 
-    def test_single_value_slab_zero(self):
-        stats = ColumnStats.from_values("T.x", [3.0])
-        assert stats.decrement_slab == 0.0
-
-    def test_string_column_has_no_slab(self):
+    def test_string_column_has_no_histogram(self):
         stats = ColumnStats.from_values("T.x", ["a", "b"])
-        assert stats.decrement_slab is None
+        assert stats.histogram is None
         assert stats.minimum == "a"
+
+    def test_non_finite_values_leave_range_and_histogram(self):
+        """NaN and ±inf count as values but not toward the range, so
+        the range no longer depends on where a NaN sits."""
+        nan, inf = float("nan"), float("inf")
+        for values in ([nan, 0.1, 0.9, inf], [0.1, nan, -inf, 0.9]):
+            stats = ColumnStats.from_values("T.x", values)
+            assert stats.count == 4
+            assert (stats.minimum, stats.maximum) == (0.1, 0.9)
+            assert stats.histogram.total == 2
+
+    def test_all_non_finite_column_has_no_range(self):
+        stats = ColumnStats.from_values("T.x", [float("nan")])
+        assert stats.count == 1
+        assert stats.minimum is None and stats.histogram is None
 
     def test_equality_selectivity(self):
         stats = ColumnStats.from_values("T.x", [1, 1, 2, 3])
@@ -79,25 +87,3 @@ class TestJoinSelectivity:
             "L.k", "R.k",
         )
         assert s == pytest.approx(1 / 5)
-
-    def test_measured_selectivity(self):
-        assert measured_join_selectivity(50, 10, 10) == 0.5
-
-    def test_measured_selectivity_empty(self):
-        assert measured_join_selectivity(0, 0, 10) == 0.0
-
-    def test_measured_selectivity_clamped(self):
-        assert measured_join_selectivity(200, 10, 10) == 1.0
-
-
-class TestHarmonic:
-    def test_small(self):
-        assert harmonic_number(1) == 1.0
-        assert harmonic_number(2) == pytest.approx(1.5)
-
-    def test_zero(self):
-        assert harmonic_number(0) == 0.0
-
-    def test_large_asymptotic(self):
-        exact = sum(1.0 / i for i in range(1, 2001))
-        assert harmonic_number(2000) == pytest.approx(exact, rel=1e-6)
