@@ -139,7 +139,8 @@ class HRJN(Operator):
 
         ``None`` means "unbounded" (an input has not delivered its first
         tuple yet so no finite bound exists); ``-inf`` means both inputs
-        are exhausted and nothing unseen remains.
+        are exhausted, or one is exhausted without ever delivering a
+        tuple, and nothing unseen remains.
         """
         return self._kernel.threshold
 

@@ -13,7 +13,13 @@ this is exactly the weaker join-eligibility rule of Section 3.2.
 
 In kernel terms (:mod:`repro.operators.rank_kernel`) that is an HRJN
 whose right input is consumed in full on open: an exhausted right
-input leaves exactly the threshold above and polls only the left.
+input leaves exactly the threshold above and polls only the left (an
+empty inner bounds it at ``-inf``: nothing is pulled from the outer).
+Every inner tuple is read and its score checked on open, but the
+inner's hash table is a :class:`~repro.operators.rank_kernel.ProbeTable`
+over a grouping of the inner by join key -- the table's cached
+:meth:`~repro.storage.table.Table.key_positions` for a heap scan --
+and builds ``(score, row)`` entries only for the keys the outer probes.
 """
 
 from repro.operators.hrjn import HRJN
@@ -27,9 +33,9 @@ class NRJN(HRJN):
     outer:
         Ranked child (descending on ``outer_score``); left input.
     inner:
-        Unrestricted child; fully materialised on open (as a hash
-        lookup -- same results as a rescan per outer tuple, just
-        faster).
+        Unrestricted child; read in full on open into a hash lookup
+        probed per outer tuple (same results as a rescan per outer
+        tuple, just faster).
     outer_key / inner_key:
         Equi-join keys (see :class:`~repro.operators.hrjn.HRJN`).
     outer_score / inner_score:

@@ -12,6 +12,13 @@ references and the caller builds an output row only for the entries
 :meth:`RankJoinKernel.advance` reports.  Ties break by push sequence,
 so payloads are never compared.
 
+NRJN's inner is consumed by :meth:`RankJoinKernel.preload`: read and
+score-checked in full, its hash table is a :class:`ProbeTable` that
+builds ``(score, payload)`` entries only for the keys the outer probes,
+over a grouping of the inner by join key (the table's cached
+:meth:`~repro.storage.table.Table.key_positions` for a heap scan, else
+grouped per query).
+
 Inputs reach the kernel through two adapters with one protocol
 (``pull() -> (key, score, payload) | None`` and ``drain()``):
 :class:`PositionalInput` reads a fusable scan's raw columns by position
@@ -32,6 +39,7 @@ from repro.common.scoring import SumScore
 from repro.operators.base import ScoreSpec, check_score
 from repro.operators.joins import _drain_build
 from repro.storage.columns import compile_score_closure, score_values
+from repro.storage.table import group_positions
 
 #: Tolerance for floating-point threshold and sortedness comparisons.
 EPSILON = 1e-9
@@ -119,12 +127,17 @@ class RowInput(RankedInput):
         return self.key(row), self.observe(row), row
 
     def drain(self):
-        """Pull the rest of the stream: ``(keys, scores, rows)``."""
+        """Pull the rest of the stream: ``(scores, groups, payload_at)``.
+
+        ``groups`` maps each key to the stream indices holding it
+        (:func:`~repro.storage.table.group_positions`); ``scores`` and
+        ``payload_at`` are indexed by stream index.
+        """
         rows = []
         _drain_build(self.owner, self.index, rows.append)
-        key, score = self.key, self.score_spec
-        return ([key(row) for row in rows], [score(row) for row in rows],
-                rows)
+        score = self.score_spec
+        return ([score(row) for row in rows],
+                group_positions(map(self.key, rows)), rows.__getitem__)
 
 
 class PositionalInput(RankedInput):
@@ -135,8 +148,8 @@ class PositionalInput(RankedInput):
     / ``advance``): the protocol the fused Filter/Project use.
     """
 
-    __slots__ = ("owner", "scan", "order", "length", "key_at",
-                 "score_at", "row_at", "columns")
+    __slots__ = ("owner", "scan", "order", "length", "key_columns",
+                 "key_at", "score_at", "row_at", "columns")
 
     @classmethod
     def over(cls, owner, index, key_columns, score_spec):
@@ -163,6 +176,7 @@ class PositionalInput(RankedInput):
         self.scan = scan
         self.order = view.order
         self.length = view.length
+        self.key_columns = key_columns
         if len(keys) == 1:
             self.key_at = keys[0].__getitem__
         else:
@@ -210,10 +224,16 @@ class PositionalInput(RankedInput):
         return entry
 
     def drain(self):
-        """Read the rest of the stream in one pass over the columns.
+        """Read the rest of the stream in one pass over the score columns.
 
-        The rest is one leaf batch: under a guard it trips where
-        row-wise pulls would, including the pull that finds the end.
+        Returns ``(scores, groups, payload_at)`` as
+        :meth:`RowInput.drain` does.  The rest is one leaf batch: under
+        a guard it trips where row-wise pulls would, including the pull
+        that finds the end.  A heap-order scan read from position 0 over
+        a single key column takes its grouping from the table's cache
+        (:meth:`~repro.storage.table.Table.key_positions`: stream index
+        = heap position) unless the table grew since :meth:`over`;
+        every other stream groups the keys it read.
         """
         owner = self.owner
         traced = owner._tracer is not None
@@ -229,11 +249,44 @@ class PositionalInput(RankedInput):
             scores = list(map(self.score_at, positions))
         else:
             scores = score_values(spec.weights, self.columns, positions)
-        entries = (list(map(self.key_at, positions)), scores,
-                   list(map(self.row_at, positions)))
         if traced:
             owner._charge_pull(self.index, perf_counter_ns() - started)
-        return entries
+        table = self.scan.table
+        if (start == 0 and self.order is None
+                and len(self.key_columns) == 1 and len(table) == length):
+            return (scores, table.key_positions(self.key_columns[0]),
+                    self.row_at)
+        return (scores, group_positions(map(self.key_at, positions)),
+                list(map(self.row_at, positions)).__getitem__)
+
+
+class ProbeTable:
+    """A preloaded input's hash table, built per probed key.
+
+    ``get(key)`` returns the key's ``[(score, payload)]`` in stream
+    order -- what ``{key: [(score, payload)]}`` built from the whole
+    stream would hold -- building entries only for the keys the other
+    input probes.  :meth:`items` materialises every key, in first-seen
+    order, for a checkpoint.
+    """
+
+    __slots__ = ("groups", "scores", "payload_at")
+
+    def __init__(self, groups, scores, payload_at):
+        self.groups = groups
+        self.scores = scores
+        self.payload_at = payload_at
+
+    def get(self, key):
+        group = self.groups.get(key)
+        if group is None:
+            return None
+        scores, payload_at = self.scores, self.payload_at
+        return [(scores[i], payload_at(i)) for i in group]
+
+    def items(self):
+        for key in self.groups:
+            yield key, self.get(key)
 
 
 class RankJoinKernel:
@@ -256,7 +309,7 @@ class RankJoinKernel:
         self.combine = fsum if type(combiner) is SumScore else combiner
         self.strategy = strategy
         self.stats = stats
-        self.tables = ({}, {})
+        self.tables = [{}, {}]
         self.queue = []
         self.sequence = 0
         self.turn = 0
@@ -268,23 +321,28 @@ class RankJoinKernel:
 
         ``None`` while unbounded (an input that is not exhausted has
         not delivered its first tuple yet), ``-inf`` once both inputs
-        are exhausted, else the larger bound on a combination with an
-        unseen left or an unseen right tuple.
+        are exhausted or one is exhausted without ever delivering a
+        tuple (nothing can join it), else the larger bound on a
+        combination with an unseen left or an unseen right tuple.
         """
         left, right = self.inputs
         bound = _NEG_INF
         if not left.exhausted:
             if left.last_score is None or right.top_score is None:
-                self.threshold = None
-                return
-            bound = self.combine((left.last_score, right.top_score))
+                if not (right.exhausted and right.top_score is None):
+                    self.threshold = None
+                    return
+            else:
+                bound = self.combine((left.last_score, right.top_score))
         if not right.exhausted:
             if right.last_score is None or left.top_score is None:
-                self.threshold = None
-                return
-            term = self.combine((left.top_score, right.last_score))
-            if left.exhausted or term > bound:
-                bound = term
+                if not (left.exhausted and left.top_score is None):
+                    self.threshold = None
+                    return
+            else:
+                term = self.combine((left.top_score, right.last_score))
+                if left.exhausted or term > bound:
+                    bound = term
         self.threshold = bound
 
     def preload(self, side):
@@ -292,10 +350,11 @@ class RankJoinKernel:
 
         This is NRJN's inner: the stream need not be sorted, so its
         scores are only checked for finiteness and its top is its
-        maximum; the input then counts as exhausted.
+        maximum; the input then counts as exhausted.  Its hash table
+        becomes a :class:`ProbeTable` over the drained grouping.
         """
         source = self.inputs[side]
-        keys, scores, payloads = source.drain()
+        scores, groups, payload_at = source.drain()
         try:
             finite = isfinite(sum(scores))
         except TypeError:
@@ -304,9 +363,7 @@ class RankJoinKernel:
             context = source.context()
             for score in scores:
                 check_score(score, context)
-        table = self.tables[side]
-        for key, entry in zip(keys, zip(scores, payloads)):
-            table.setdefault(key, []).append(entry)
+        self.tables[side] = ProbeTable(groups, scores, payload_at)
         source.top_score = max(scores, default=None)
         source.exhausted = True
         self._refresh()
@@ -421,10 +478,10 @@ class RankJoinKernel:
         for source, bookkeeping in zip(self.inputs, state["inputs"]):
             (source.top_score, source.last_score,
              source.exhausted) = bookkeeping
-        self.tables = tuple(
+        self.tables = [
             {key: list(entries) for key, entries in table.items()}
             for table in state["hash"]
-        )
+        ]
         self.queue = list(state["queue"])
         heapq.heapify(self.queue)
         self.sequence = state["sequence"]

@@ -20,6 +20,21 @@ from repro.common.types import Row, Schema
 from repro.storage.columns import ColumnStore
 
 
+def group_positions(keys):
+    """Map each key to the positions holding it: ``{key: [i, ...]}``.
+
+    Keys keep first-seen order and positions ascend within a key.
+    """
+    groups = {}
+    for position, key in enumerate(keys):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [position]
+        else:
+            group.append(position)
+    return groups
+
+
 class Table:
     """A named heap relation.
 
@@ -51,6 +66,7 @@ class Table:
         self._row_cache = []
         self._indexes = {}
         self._version = 0
+        self._key_positions = {}  # column -> (version, groups)
         if rows is not None:
             self.extend(rows)
 
@@ -185,6 +201,24 @@ class Table:
         ``0 .. len(self)-1``.
         """
         return self._store.column(self.schema.resolve(name).qualified_name)
+
+    def key_positions(self, column):
+        """Group the heap positions by the values of ``column``.
+
+        Returns :func:`group_positions` of the column: keys in
+        first-seen heap order, positions ascending.  Built once and
+        cached until :attr:`version` changes (the staleness rule of
+        :class:`~repro.storage.index.SortedIndex`); shared, do not
+        mutate.  ``column`` may be bare or qualified.
+        """
+        name = self.schema.resolve(column).qualified_name
+        version = self._version
+        cached = self._key_positions.get(name)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        groups = group_positions(self._store.column(name))
+        self._key_positions[name] = (version, groups)
+        return groups
 
     def column_store(self):
         """Return the underlying :class:`ColumnStore` (read-only)."""

@@ -216,24 +216,29 @@ class ReferenceHRJN(Operator):
 
         ``None`` means "unbounded" (an input has not delivered its first
         tuple yet so no finite bound exists); ``-inf`` means both inputs
-        are exhausted and nothing unseen remains.
+        are exhausted, or one is exhausted without ever delivering a
+        tuple, and nothing unseen remains.
         """
         left, right = self.inputs
         terms = []
         if not left.exhausted:
             # Unseen L tuple (score <= lastL) with any R tuple
-            # (score <= topR).
+            # (score <= topR); none if R ended empty.
             if left.last_score is None or right.top_score is None:
-                return None
-            terms.append(
-                self.combiner((left.last_score, right.top_score))
-            )
+                if not (right.exhausted and right.top_score is None):
+                    return None
+            else:
+                terms.append(
+                    self.combiner((left.last_score, right.top_score))
+                )
         if not right.exhausted:
             if right.last_score is None or left.top_score is None:
-                return None
-            terms.append(
-                self.combiner((left.top_score, right.last_score))
-            )
+                if not (left.exhausted and left.top_score is None):
+                    return None
+            else:
+                terms.append(
+                    self.combiner((left.top_score, right.last_score))
+                )
         if not terms:
             return float("-inf")
         return max(terms)
@@ -489,6 +494,8 @@ class ReferenceNRJN(Operator):
         if self._outer_exhausted:
             return float("-inf")
         if self._last_outer is None or self._inner_top is None:
+            if self._inner_top is None:  # An empty inner joins nothing.
+                return float("-inf")
             return None
         return self.combiner((self._last_outer, self._inner_top))
 

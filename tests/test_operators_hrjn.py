@@ -74,9 +74,18 @@ class TestCorrectness:
         assert list(hrjn_over(left, right)) == []
 
     def test_one_empty_input(self):
-        left = generate_ranked_table("L", 10, seed=1)
-        right = generate_ranked_table("R", 0, seed=2)
-        assert list(hrjn_over(left, right)) == []
+        """An input that ends empty joins nothing: the other stops."""
+        full_left = generate_ranked_table("L", 500, seed=1)
+        empty_right = generate_ranked_table("R", 0, seed=2)
+        full_right = generate_ranked_table("R", 500, seed=1)
+        empty_left = generate_ranked_table("L", 0, seed=2)
+        for strategy in ("alternate", "threshold", "left", "right"):
+            rank_join = hrjn_over(full_left, empty_right, strategy=strategy)
+            assert list(rank_join) == []
+            assert rank_join.depths == (1, 0)
+            rank_join = hrjn_over(empty_left, full_right, strategy=strategy)
+            assert list(rank_join) == []
+            assert rank_join.depths == (0, 0)
 
     @pytest.mark.parametrize("strategy", ["alternate", "threshold",
                                           "left", "right"])

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.common.errors import ExecutionError
+from repro.common.rng import make_rng
 from repro.data.generators import generate_ranked_table
+from repro.executor.database import Database
+from repro.operators.filters import Filter
 from repro.operators.joins import HashJoin
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
@@ -64,6 +67,13 @@ class TestCorrectness:
         left = generate_ranked_table("L", 0, seed=1)
         right = generate_ranked_table("R", 10, seed=2)
         assert list(nrjn_over(left, right)) == []
+
+    def test_empty_inner_reads_no_outer(self):
+        left = generate_ranked_table("L", 500, seed=1)
+        right = generate_ranked_table("R", 0, seed=2)
+        rank_join = nrjn_over(left, right)
+        assert list(rank_join) == []
+        assert rank_join.depths == (0, 0)
 
 
 class TestBehaviour:
@@ -130,3 +140,114 @@ class TestBehaviour:
         )
         hr_scores = [round(r["_score_H"], 9) for r in Limit(hr, 15)]
         assert nr_scores == hr_scores
+
+
+def naive_inner_table(rows):
+    """``{key: [(score, row)]}`` of the inner stream, loop-built."""
+    table = {}
+    for row in rows:
+        table.setdefault(row["R.key"], []).append((row["R.score"], row))
+    return table
+
+
+class TestCheckpointContents:
+    """The inner's probe table checkpoints as the full hash table."""
+
+    def inner_state(self, left, inner):
+        rank_join = NRJN(
+            IndexScan(left, left.get_index("L_score_idx")), inner,
+            "L.key", "R.key", "L.score", "R.score", name="NR",
+        )
+        rank_join.open()
+        try:
+            return rank_join._kernel.state_dict()["hash"][1]
+        finally:
+            rank_join.close()
+
+    def test_heap_scan_inner(self):
+        left, right = ranked_pair(seed=12)
+        state = self.inner_state(left, TableScan(right))
+        naive = naive_inner_table(right.rows())
+        assert state == naive and list(state) == list(naive)
+
+    def test_heap_scan_inner_uses_the_cached_grouping(self):
+        left, right = ranked_pair(seed=12)
+        rank_join = nrjn_over(left, right)
+        rank_join.open()
+        try:
+            probe = rank_join._kernel.tables[1]
+            assert probe.groups is right.key_positions("R.key")
+        finally:
+            rank_join.close()
+
+    def test_index_scan_inner(self):
+        left, right = ranked_pair(seed=13)
+        index = right.get_index("R_score_idx")
+        state = self.inner_state(left, IndexScan(right, index))
+        naive = naive_inner_table(row for _score, row in index.entries())
+        assert state == naive and list(state) == list(naive)
+
+    def test_row_input_inner(self):
+        left, right = ranked_pair(seed=14)
+        inner = Filter(TableScan(right), lambda row: row["R.score"] > 0.3)
+        state = self.inner_state(left, inner)
+        naive = naive_inner_table(
+            row for row in right.rows() if row["R.score"] > 0.3)
+        assert state == naive and list(state) == list(naive)
+
+
+class TestInnerUpdates:
+    def test_inner_grown_after_fusion_is_read_as_of_the_view(self):
+        """An insert between fusing the inner and draining it: the
+        table's grouping would name a position past the view."""
+        left, right = ranked_pair(seed=15)
+        rank_join = nrjn_over(left, right)
+        make_kernel = rank_join._make_kernel
+
+        def make_kernel_then_insert():
+            kernel = make_kernel()
+            top = left.get_index("L_score_idx").top()[1]
+            right.insert({"R.id": -1, "R.key": top["L.key"],
+                          "R.score": 5.0})
+            return kernel
+
+        rank_join._make_kernel = make_kernel_then_insert
+        rank_join.open()
+        try:
+            probe = rank_join._kernel.tables[1]
+            assert max(max(group) for group in probe.groups.values()) < 200
+            rows = rank_join.next_batch(5)
+            assert rank_join.depths[1] == 200
+        finally:
+            rank_join.close()
+        assert all(row["R.id"] != -1 for row in rows)
+
+    SQL = ("WITH Ranked AS (SELECT D.c1 AS s0, E.c1 AS s1, rank() OVER "
+           "(ORDER BY (0.5*D.c1 + 0.5*E.c1)) AS rank FROM D, E "
+           "WHERE D.c2 = E.c2) SELECT s0, s1, rank FROM Ranked "
+           "WHERE rank <= 10")
+
+    def make_db(self, extra=()):
+        rng = make_rng(5)
+        db = Database()
+        for name in "DE":
+            db.create_table(name, [("c1", "float"), ("c2", "int")], rows=[
+                [float(rng.uniform(0, 1)), int(rng.integers(0, 700))]
+                for _ in range(2000)])
+        for row in extra:
+            db.insert("E", row)
+        db.analyze()
+        return db
+
+    def test_insert_into_the_inner_reaches_the_next_execution(self):
+        db = self.make_db()
+        prepared = db.prepare(self.SQL)
+        before = prepared.execute()
+        assert any(op.name.startswith("NRJN") for op in before.operators)
+        top = max(db.catalog.table("D").rows(), key=lambda row: row["D.c1"])
+        inserted = [2.0, top["D.c2"]]
+        db.insert("E", inserted)
+        after = [dict(row._values) for row in prepared.execute().rows]
+        fresh = self.make_db(extra=[inserted]).execute(self.SQL)
+        assert after == [dict(row._values) for row in fresh.rows]
+        assert 2.0 in [row["E.c1"] for row in after]

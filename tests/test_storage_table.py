@@ -94,3 +94,32 @@ class TestIndexes:
         assert index.top()[0] == 0.1
         table.insert([2, 0.9])
         assert index.top()[0] == 0.9
+
+
+class TestKeyPositions:
+    def make(self):
+        return Table.from_columns(
+            "T", [("key", "int"), ("score", "float")],
+            rows=[[2, 0.1], [1, 0.2], [2, 0.3], [3, 0.4], [1, 0.5]])
+
+    def test_positions_ascend_within_a_key(self):
+        groups = self.make().key_positions("T.key")
+        assert groups == {2: [0, 2], 1: [1, 4], 3: [3]}
+        assert list(groups) == [2, 1, 3]  # First-seen heap order.
+
+    def test_bare_and_qualified_names(self):
+        table = self.make()
+        assert table.key_positions("key") is table.key_positions("T.key")
+
+    def test_cached_until_the_version_changes(self):
+        table = self.make()
+        groups = table.key_positions("T.key")
+        assert table.key_positions("T.key") is groups
+        table.insert([3, 0.6])
+        assert table.key_positions("T.key")[3] == [3, 5]
+        table.extend([[4, 0.7], [2, 0.8]])
+        assert table.key_positions("T.key")[2] == [0, 2, 7]
+        assert table.key_positions("T.key")[4] == [6]
+        table.load_from(self.make(), [3])
+        assert table.key_positions("T.key")[3] == [3, 5, 8]
+        assert groups == {2: [0, 2], 1: [1, 4], 3: [3]}  # Not mutated.
