@@ -96,8 +96,10 @@ class Database:
         (on by default; pass False to control access paths manually).
     plan_cache_size:
         Capacity of the :class:`~repro.executor.plan_cache.PlanCache`
-        amortising parse/enumeration across repeated queries (0
-        disables caching; every execution re-optimizes).
+        amortising parsing (per SQL text) and enumeration (per query
+        shape and ``k``) across repeated queries; it bounds the cached
+        statements and plans separately (0 disables caching; every
+        execution re-parses and re-optimizes).
     feedback:
         The adaptive-feedback subsystem.  ``None`` (default) disables
         it entirely; ``True`` attaches an in-memory
@@ -231,8 +233,31 @@ class Database:
     # Queries
     # ------------------------------------------------------------------
     def parse(self, sql):
-        """Parse SQL text to a :class:`RankQuery`."""
-        return parse_query(sql)
+        """Parse SQL text to a :class:`RankQuery`.
+
+        A repeated text returns the cached, shared query: do not
+        mutate it.
+        """
+        return self._statement(sql, "parse")[0]
+
+    def _statement(self, query, method):
+        """``(RankQuery, fingerprint)`` of SQL text or a RankQuery.
+
+        The one place SQL text is parsed: a text already in the plan
+        cache's statement map skips the parser and the fingerprint;
+        only text that parsed is stored, so a malformed one raises on
+        every call.  Parsing runs outside the cache's lock.
+        """
+        if isinstance(query, str):
+            entry = self.plan_cache.statement(query)
+            if entry is None:
+                parsed = parse_query(query)
+                entry = self.plan_cache.put_statement(
+                    query, parsed, query_fingerprint(parsed))
+            return entry
+        if not isinstance(query, RankQuery):
+            raise TypeError("%s() takes SQL text or a RankQuery" % (method,))
+        return query, query_fingerprint(query)
 
     def _executor_for(self, query):
         """Return the executor serving ``query``.
@@ -309,27 +334,19 @@ class Database:
             return Telemetry()
         return None
 
-    @staticmethod
-    def _as_query(query, method):
-        """``query`` parsed from SQL text, or the RankQuery itself."""
-        if isinstance(query, str):
-            query = parse_query(query)
-        if not isinstance(query, RankQuery):
-            raise TypeError("%s() takes SQL text or a RankQuery" % (method,))
-        return query
-
     def prepare(self, query):
-        """Parse and fingerprint ``query`` once for repeated execution.
+        """Bind ``query`` for repeated execution with a rebindable ``k``.
 
         Returns a :class:`~repro.executor.prepared.PreparedQuery` whose
-        :meth:`~repro.executor.prepared.PreparedQuery.execute` skips
-        parsing entirely and serves plans from the database's
-        :class:`~repro.executor.plan_cache.PlanCache` -- a warm
-        execution pays neither parse nor System-R enumeration.  ``k``
-        is rebindable per execution (``prepared.execute(k=50)``).
+        :meth:`~repro.executor.prepared.PreparedQuery.execute` serves
+        plans from the database's
+        :class:`~repro.executor.plan_cache.PlanCache` and takes ``k``
+        per execution (``prepared.execute(k=50)``).  Repeated SQL text
+        skips the parser through :meth:`execute` as well.
         """
         sql = query if isinstance(query, str) else None
-        return PreparedQuery(self, self._as_query(query, "prepare"), sql=sql)
+        query, fingerprint = self._statement(query, "prepare")
+        return PreparedQuery(self, query, fingerprint, sql=sql)
 
     def execute(self, query, budget=None, trace=False, telemetry=None,
                 parallel=None, shards=None):
@@ -360,13 +377,13 @@ class Database:
         Plan choice goes through the database's plan cache: repeated
         executions of the same query shape (same join graph, score
         expression, predicates and ``k``) against an unchanged catalog
-        skip enumeration entirely.
+        skip enumeration entirely, and repeated SQL text skips parsing.
         """
-        query = self._as_query(query, "execute")
+        query, fingerprint = self._statement(query, "execute")
         if shards is not None:
             self._ensure_partitionings(query, shards)
         return self._execute_fingerprinted(
-            query, query_fingerprint(query), trace=trace,
+            query, fingerprint, trace=trace,
             telemetry=telemetry, parallel=parallel, budget=budget,
         )
 
@@ -450,14 +467,14 @@ class Database:
         from repro.robustness.checkpoint import CheckpointPolicy
         from repro.robustness.recovery import RecoveryPolicy
 
-        query = self._as_query(query, "execute_guarded")
+        query, fingerprint = self._statement(query, "execute_guarded")
         if shards is not None:
             self._ensure_partitionings(query, shards)
         store = self._durable_store(state_dir)
         if store is not None and checkpoint is None:
             checkpoint = CheckpointPolicy()
         return self._execute_fingerprinted(
-            query, query_fingerprint(query), trace=trace,
+            query, fingerprint, trace=trace,
             telemetry=telemetry, parallel=parallel, budget=budget,
             policy=policy or RecoveryPolicy(), checkpoint=checkpoint,
             faults=faults, store=store, query_id=query_id,
@@ -611,8 +628,9 @@ class Database:
     def explain(self, query):
         """Optimize (through the plan cache) without executing; returns
         the OptimizationResult."""
-        query = self._as_query(query, "explain")
-        return self._cached_optimization(self._executor_for(query), query)
+        query, fingerprint = self._statement(query, "explain")
+        return self._cached_optimization(self._executor_for(query), query,
+                                         fingerprint)
 
     def optimizer(self):
         """Expose the optimizer (for experiments over the MEMO)."""

@@ -10,6 +10,14 @@ deliberately excluded -- it is a bind parameter), and :class:`PlanCache`
 maps ``(fingerprint, k, catalog_version)`` to the finished
 :class:`~repro.optimizer.enumerator.OptimizationResult`.
 
+Parsing is cached one step earlier, by SQL text: the cache's statement
+map holds each text's ``(RankQuery, fingerprint)``, so a repeated text
+skips the parser and the fingerprint and goes straight to the plan
+lookup.  Parsing never reads the catalog, so statements need no version
+key; the map shares the plan map's capacity (with its own LRU order)
+and lock, and the cached queries are shared by every execution of the
+text, so nothing may mutate them.
+
 Keying on the catalog's monotone version counter makes invalidation
 implicit: an ``insert``/``analyze``/index change bumps the version, the
 old entries stop matching, and LRU eviction reclaims them.  ``k`` stays
@@ -76,8 +84,9 @@ class PlanCache:
     Parameters
     ----------
     capacity:
-        Maximum retained entries; 0 disables caching entirely (every
-        lookup is a miss and nothing is stored).
+        Maximum retained plans, and separately statements; 0 disables
+        caching entirely (every lookup is a miss, every text is parsed
+        and nothing is stored).
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`;
         when given, ``plan_cache_hits_total`` /
@@ -93,6 +102,7 @@ class PlanCache:
         self.capacity = capacity
         self._lock = threading.RLock()
         self._entries = OrderedDict()
+        self._statements = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -143,20 +153,51 @@ class PlanCache:
             self._size.set(len(self._entries))
         return result
 
+    def statement(self, sql):
+        """The cached ``(query, fingerprint)`` of ``sql``, or ``None``.
+
+        Statement lookups touch no hit/miss tally or metric: those
+        count plan lookups, which every execution still makes.
+        """
+        with self._lock:
+            entry = self._statements.get(sql)
+            if entry is not None:
+                self._statements.move_to_end(sql)
+            return entry
+
+    def put_statement(self, sql, query, fingerprint):
+        """Remember a parsed ``sql``; returns the entry to use.
+
+        When two threads parsed the same text, the first stored entry
+        is kept and returned to both.
+        """
+        entry = (query, fingerprint)
+        if self.capacity == 0:
+            return entry
+        with self._lock:
+            entry = self._statements.setdefault(sql, entry)
+            self._statements.move_to_end(sql)
+            if len(self._statements) > self.capacity:
+                self._statements.popitem(last=False)
+        return entry
+
     def invalidate(self):
-        """Drop every cached plan (explicit flush)."""
+        """Drop every cached plan and statement (explicit flush)."""
         with self._lock:
             self._entries.clear()
+            self._statements.clear()
             self._size.set(0)
 
     def stats(self):
-        """Return ``{hits, misses, evictions, size, capacity}``."""
+        """Return ``{hits, misses, evictions, size, statements,
+        capacity}``."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "size": len(self._entries),
+                "statements": len(self._statements),
                 "capacity": self.capacity,
             }
 

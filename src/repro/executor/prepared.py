@@ -1,13 +1,15 @@
-"""Prepared queries: parse and plan once, execute many times.
+"""Prepared queries: bind a query once, execute it at many ``k``.
 
 A :class:`PreparedQuery` is the serving-layer handle returned by
-:meth:`~repro.executor.database.Database.prepare`: the SQL text is
-parsed once into a :class:`~repro.optimizer.query.RankQuery` template
-and its :func:`~repro.executor.plan_cache.query_fingerprint` is
-computed once; every :meth:`PreparedQuery.execute` then goes straight
-to the plan cache -- a warm execution pays neither parsing nor System-R
-enumeration, only operator-tree construction and the (rank-aware,
-early-out) execution itself.
+:meth:`~repro.executor.database.Database.prepare`: it holds the
+:class:`~repro.optimizer.query.RankQuery` template and the
+:func:`~repro.executor.plan_cache.query_fingerprint` the database
+resolved for it (through the plan cache's statement map, so repeated
+SQL text already skips the parser without preparing); every
+:meth:`PreparedQuery.execute` then goes straight to the plan cache -- a
+warm execution pays neither parsing nor System-R enumeration, only
+operator-tree construction and the (rank-aware, early-out) execution
+itself.
 
 ``k`` is a bind parameter: ``prepared.execute(k=50)`` re-optimizes only
 if that ``k`` has not been planned before (plan choice legitimately
@@ -16,7 +18,6 @@ are memoised per ``k`` so rebinding is allocation-free after first use.
 """
 
 from repro.common.errors import OptimizerError
-from repro.executor.plan_cache import query_fingerprint
 from repro.optimizer.query import RankQuery
 
 
@@ -39,11 +40,11 @@ class PreparedQuery:
     execution after the store applies it, without re-preparing.
     """
 
-    def __init__(self, database, query, sql=None):
+    def __init__(self, database, query, fingerprint, sql=None):
         self.database = database
         self.query = query
         self.sql = sql
-        self.fingerprint = query_fingerprint(query)
+        self.fingerprint = fingerprint
         self._bound = {query.k: query}
 
     def bind(self, k=None):

@@ -23,7 +23,6 @@ import time
 
 from repro.common.errors import ExecutionError, ReproError
 from repro.observability.events import NULL_EVENTS
-from repro.optimizer.query import RankQuery
 from repro.server.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -32,7 +31,6 @@ from repro.server.admission import (
 from repro.server.journal import AdmissionJournal
 from repro.server.scheduler import InstalmentScheduler, SchedulerConfig
 from repro.server.session import QuerySession
-from repro.sql.parser import parse_query
 from repro.sql.unparse import to_sql
 
 
@@ -150,10 +148,7 @@ class Server:
         """
         if not self._started:
             raise ExecutionError("server is not started")
-        if isinstance(query, str):
-            query = parse_query(query)
-        if not isinstance(query, RankQuery):
-            raise TypeError("submit() takes SQL text or a RankQuery")
+        query = self.database._statement(query, "submit")[0]
         if k is not None and query.is_ranking and k != query.k:
             query = AdmissionController._with_k(query, k)
         if deadline is not None and deadline <= 0:
@@ -252,9 +247,10 @@ class Server:
                 sql = record.get("sql")
                 if not sql:
                     raise ExecutionError("journal entry carries no SQL")
-                query = parse_query(sql)
+                query, fingerprint = db._statement(sql, "recover")
                 executor = db._executor_for(query)
-                result = db._cached_optimization(executor, query)
+                result = db._cached_optimization(executor, query,
+                                                 fingerprint)
         except ReproError as error:
             self.events.emit(
                 "recover_failed", query_id=query_id, error=str(error))

@@ -13,6 +13,10 @@ KEYWORDS = frozenset((
 _TWO_CHAR = ("<=", ">=", "<>", "!=")
 _ONE_CHAR = "(),.*+=<>-/;"
 
+#: Number literals take ASCII digits only: ``str.isdigit`` also accepts
+#: ``²`` or ``٣``, which ``float()`` rejects or silently reinterprets.
+_DIGITS = frozenset("0123456789")
+
 
 class Token:
     """One lexical token: kind, text, and source position."""
@@ -61,17 +65,17 @@ def tokenize(text):
             tokens.append(Token(Token.SYMBOL, two, i))
             i += 2
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < length
-                            and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < length
+                             and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < length and (text[j].isdigit()
+            while j < length and (text[j] in _DIGITS
                                   or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     # A dot followed by a non-digit ends the number
                     # (e.g. ``5.`` in ``rank<=5.``); only consume it
                     # when a digit follows.
-                    if j + 1 >= length or not text[j + 1].isdigit():
+                    if j + 1 >= length or text[j + 1] not in _DIGITS:
                         break
                     seen_dot = True
                 j += 1

@@ -1,8 +1,12 @@
 """Plan cache, prepared queries, and version-keyed invalidation."""
 
+import asyncio
+import threading
+
 import pytest
 
-from repro.common.errors import OptimizerError
+import repro.executor.database as database_module
+from repro.common.errors import OptimizerError, ParseError
 from repro.common.rng import make_rng
 from repro.executor.database import Database
 from repro.executor.plan_cache import PlanCache, query_fingerprint
@@ -19,6 +23,8 @@ SELECT x, y, rank FROM Ranked WHERE rank <= 10
 """
 
 SIMPLE_SQL = "SELECT A.c1 FROM A ORDER BY A.c1 DESC LIMIT 5"
+
+THIRD_SQL = "SELECT B.c1 FROM B ORDER BY B.c1 DESC LIMIT 4"
 
 
 def build_db(rows=80, seed=3, **kwargs):
@@ -232,6 +238,163 @@ class TestFingerprint:
         assert query_fingerprint(parse_query(TOPK_SQL)) == (
             query_fingerprint(parse_query(scaled))
         )
+
+
+def count_parses(monkeypatch):
+    """Count the parser calls the database makes from now on."""
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_query(text)
+
+    monkeypatch.setattr(database_module, "parse_query", counting)
+    return calls
+
+
+class TestStatementMap:
+    def test_repeated_text_skips_the_parser(self, monkeypatch):
+        db = build_db()
+        calls = count_parses(monkeypatch)
+        first = db.parse(TOPK_SQL)
+        db.execute(TOPK_SQL)
+        db.explain(TOPK_SQL)
+        db.execute_guarded(TOPK_SQL)
+        prepared = db.prepare(TOPK_SQL)
+        assert calls == [TOPK_SQL]
+        assert db.parse(TOPK_SQL) is first
+        assert prepared.query is first
+        assert prepared.fingerprint == query_fingerprint(first)
+
+    def test_statements_are_bounded_and_evicted_lru(self, monkeypatch):
+        db = build_db(plan_cache_size=2)
+        calls = count_parses(monkeypatch)
+        db.parse(TOPK_SQL)
+        db.parse(SIMPLE_SQL)
+        db.parse(TOPK_SQL)  # Refreshes the top-k text.
+        db.parse(THIRD_SQL)  # Evicts the simple text.
+        assert db.plan_cache.stats()["statements"] == 2
+        db.parse(TOPK_SQL)
+        db.parse(SIMPLE_SQL)
+        assert calls == [TOPK_SQL, SIMPLE_SQL, THIRD_SQL, SIMPLE_SQL]
+        assert db.plan_cache.stats()["statements"] == 2
+
+    def test_zero_capacity_parses_every_call(self, monkeypatch):
+        db = build_db(plan_cache_size=0)
+        calls = count_parses(monkeypatch)
+        db.execute(TOPK_SQL)
+        db.execute(TOPK_SQL)
+        db.parse(TOPK_SQL)
+        assert calls == [TOPK_SQL] * 3
+        assert db.plan_cache.stats()["statements"] == 0
+
+    def test_invalidate_empties_both_maps(self, monkeypatch):
+        db = build_db()
+        db.execute(TOPK_SQL)
+        db.plan_cache.invalidate()
+        stats = db.plan_cache.stats()
+        assert (stats["size"], stats["statements"]) == (0, 0)
+        calls = count_parses(monkeypatch)
+        db.execute(TOPK_SQL)
+        assert calls == [TOPK_SQL]
+
+    def test_failed_text_is_not_cached(self, monkeypatch):
+        db = build_db()
+        calls = count_parses(monkeypatch)
+        bad = "SELECT A.c1 FROM A ORDER BY A.c1 DESC LIMIT 5\u00b2"
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                db.execute(bad)
+        no_table = "SELECT A.c1 FROM A WHERE Z.c1 <= 5"
+        for _ in range(2):
+            with pytest.raises(OptimizerError):
+                db.parse(no_table)
+        assert calls == [bad, bad, no_table, no_table]
+        assert db.plan_cache.stats()["statements"] == 0
+
+    def test_plan_counters_match_the_uncached_parser(self):
+        # Every statement hit still makes its plan lookup, so these
+        # counts are the ones a parse-every-call cache produces.
+        db = build_db(plan_cache_size=2)
+        db.execute(TOPK_SQL)
+        db.execute(TOPK_SQL)
+        db.execute(SIMPLE_SQL)
+        db.explain(TOPK_SQL)
+        db.prepare(TOPK_SQL).execute(k=3)
+        db.execute(THIRD_SQL)
+        db.parse(SIMPLE_SQL)
+        with pytest.raises(ParseError):
+            db.execute("SELECT FROM A")
+        db.catalog.table("A").insert([0.9, 3])
+        db.execute(TOPK_SQL)
+        db.execute_guarded(SIMPLE_SQL)
+        db.execute(TOPK_SQL)
+        db.execute(SIMPLE_SQL, parallel="off")
+        db.execute(THIRD_SQL)
+        stats = db.plan_cache.stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"],
+                stats["size"]) == (4, 8, 6, 2)
+        metrics = {m["name"]: m["value"] for m in db.metrics.as_dicts()
+                   if m["name"].startswith("plan_cache_")}
+        assert metrics == {
+            "plan_cache_evictions_total": 6,
+            "plan_cache_hits_total": 4,
+            "plan_cache_misses_total": 8,
+            "plan_cache_size": 2,
+        }
+
+    def test_concurrent_executions_match_serial(self):
+        texts = [TOPK_SQL, SIMPLE_SQL, THIRD_SQL,
+                 TOPK_SQL.replace("rank <= 10", "rank <= 3")]
+        serial = {text: rows_of(build_db().execute(text))
+                  for text in texts}
+        db = build_db()
+        barrier = threading.Barrier(8)
+        results, errors = [], []
+
+        def worker(offset):
+            try:
+                barrier.wait()
+                for step in range(12):
+                    text = texts[(offset + step) % len(texts)]
+                    results.append((text, rows_of(db.execute(text))))
+            except Exception as error:  # pragma: no cover - reported
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert len(results) == 8 * 12
+        for text, rows in results:
+            assert rows == serial[text]
+        assert db.plan_cache.stats()["statements"] == len(texts)
+
+    def test_shared_statement_is_never_mutated(self, tmp_path):
+        from repro.server.server import Server
+
+        db = build_db()
+        cached = db.parse(TOPK_SQL)
+        db.execute(TOPK_SQL)
+        db.execute_guarded(TOPK_SQL, checkpoint=2)
+        db.explain(TOPK_SQL)
+        db.prepare(TOPK_SQL).execute(k=4)
+
+        async def serve():
+            async with Server(db) as server:
+                session = await server.submit(TOPK_SQL, k=3)
+                return await session.result()
+
+        assert len(asyncio.run(serve()).rows) == 3
+        assert db.parse(TOPK_SQL) is cached
+        fresh = parse_query(TOPK_SQL)
+        assert query_fingerprint(cached) == query_fingerprint(fresh)
+        assert cached.k == fresh.k == 10
+        assert cached.aliases == fresh.aliases
+        assert cached.ranking.weights == fresh.ranking.weights
 
 
 class TestPlanCacheUnit:

@@ -148,3 +148,18 @@ class TestErrors:
                 "(ORDER BY A.c1) AS r FROM A) "
                 "SELECT zz, r FROM R WHERE r <= 5",
             )
+
+    @pytest.mark.parametrize("text, position", [
+        # Superscript two in a rank bound / a weight, Arabic-Indic three.
+        ("WITH R AS (SELECT A.c1 AS x, rank() OVER "
+         "(ORDER BY A.c1) AS rank FROM A) "
+         "SELECT x FROM R WHERE rank <= 5²", 104),
+        ("WITH R AS (SELECT A.c1 AS x, rank() OVER "
+         "(ORDER BY (²*A.c1)) AS r FROM A) "
+         "SELECT x FROM R WHERE r <= 5", 52),
+        ("SELECT A.c1 FROM A ORDER BY A.c1 DESC LIMIT ٣", 44),
+    ])
+    def test_non_ascii_digits_are_parse_errors(self, text, position):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_query(text)
+        assert info.value.position == position
