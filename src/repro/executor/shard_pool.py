@@ -14,8 +14,9 @@ plane.
 
 The worker runs the same
 :class:`~repro.operators.rank_kernel.RankJoinKernel` as the in-process
-:class:`~repro.operators.hrjn.HRJN` (``alternate`` strategy), through
-the same positional adapter over the shared columns, with heap
+:class:`~repro.operators.hrjn.HRJN`, with the polling strategy its
+task spec names (``alternate``, HRJN's default, when it names none),
+through the same positional adapter over the shared columns, with heap
 positions as payloads instead of Rows -- so its output stream is the
 serial operator's by construction.
 
@@ -119,7 +120,7 @@ def _run_shard_task(spec, skip, budget, attempt=1):
                                  ScoreSpec.weighted(side["expression"]))
             for index, side in enumerate(sides)
         ),
-        SumScore(), "alternate", join.stats,
+        SumScore(), spec.get("strategy", "alternate"), join.stats,
     )
     needed = skip + budget
     reported = kernel.advance(needed)

@@ -39,8 +39,9 @@ tests pin down.
 """
 
 import heapq
+from math import isfinite
 
-from repro.common.errors import ExecutionError
+from repro.common.errors import DataError, ExecutionError
 from repro.common.types import Column, Row, Schema
 from repro.operators.base import Operator, ScoreSpec, check_score
 from repro.operators.joins import _key_accessor
@@ -335,6 +336,12 @@ class AnyK(Operator):
         neg_score, _seq, choices, deviation = heapq.heappop(
             self._frontier
         )
+        if not isfinite(neg_score):
+            # Node scores are finite, so only their sum can overflow.
+            raise DataError(
+                "combined score must be finite (any-k %s, %d inputs); "
+                "the combination overflows a float"
+                % (self.name, len(self.nodes)))
         self._successors(choices, deviation)
         output = {}
         for position in range(len(self.nodes)):

@@ -61,8 +61,9 @@ class HRJN(Operator):
     strategy:
         Input polling strategy: ``"alternate"`` (round-robin, default),
         ``"threshold"`` (poll the input responsible for the larger
-        threshold term, shrinking ``T`` fastest), ``"left"``/``"right"``
-        (drain one side first; mainly for tests/ablations).
+        threshold term, shrinking ``T`` fastest; every HRJN the
+        optimizer plans uses it), ``"left"``/``"right"`` (drain one
+        side first; mainly for tests/ablations).
     """
 
     def __init__(self, left, right, left_key, right_key, left_score,

@@ -34,7 +34,7 @@ import heapq
 from math import fsum, isfinite
 from time import perf_counter_ns
 
-from repro.common.errors import ExecutionError
+from repro.common.errors import DataError, ExecutionError
 from repro.common.scoring import SumScore
 from repro.operators.base import ScoreSpec, check_score
 from repro.operators.joins import _drain_build
@@ -301,7 +301,7 @@ class RankJoinKernel:
     """
 
     __slots__ = ("inputs", "combine", "strategy", "stats", "tables",
-                 "queue", "sequence", "turn", "threshold")
+                 "queue", "sequence", "turn", "terms", "threshold")
 
     def __init__(self, inputs, combiner, strategy, stats):
         self.inputs = inputs
@@ -313,6 +313,7 @@ class RankJoinKernel:
         self.queue = []
         self.sequence = 0
         self.turn = 0
+        self.terms = [None, None]
         self._refresh()
 
     # ------------------------------------------------------------------
@@ -324,25 +325,34 @@ class RankJoinKernel:
         are exhausted or one is exhausted without ever delivering a
         tuple (nothing can join it), else the larger bound on a
         combination with an unseen left or an unseen right tuple.
+        Those two bounds, ``f(lastL, topR)`` and ``f(topL, lastR)``,
+        are kept as :attr:`terms` (``None`` where not computed): the
+        ``threshold`` strategy polls the side whose term is larger, and
+        :meth:`_poll` updates one term per pull once both sides run.
         """
         left, right = self.inputs
         bound = _NEG_INF
+        left_term = right_term = None
         if not left.exhausted:
             if left.last_score is None or right.top_score is None:
                 if not (right.exhausted and right.top_score is None):
+                    self.terms[:] = (None, None)
                     self.threshold = None
                     return
             else:
-                bound = self.combine((left.last_score, right.top_score))
+                bound = left_term = self.combine(
+                    (left.last_score, right.top_score))
         if not right.exhausted:
             if right.last_score is None or left.top_score is None:
                 if not (left.exhausted and left.top_score is None):
+                    self.terms[:] = (left_term, None)
                     self.threshold = None
                     return
             else:
-                term = self.combine((left.top_score, right.last_score))
-                if left.exhausted or term > bound:
-                    bound = term
+                right_term = self.combine((left.top_score, right.last_score))
+                if left.exhausted or right_term > bound:
+                    bound = right_term
+        self.terms[:] = (left_term, right_term)
         self.threshold = bound
 
     def preload(self, side):
@@ -375,6 +385,9 @@ class RankJoinKernel:
         An entry is reported once its combined score reaches the
         threshold (within :data:`EPSILON`); until then inputs are
         polled.  Fewer than ``n`` entries means the join is exhausted.
+        Finite scores whose combination overflows a float raise
+        :class:`~repro.common.errors.DataError`, caught here rather
+        than checked per pull.
         """
         out = []
         queue = self.queue
@@ -390,7 +403,14 @@ class RankJoinKernel:
                         return out
                 if threshold == _NEG_INF:
                     return out
-            self._poll()
+            try:
+                self._poll()
+            except OverflowError as error:
+                left, right = self.inputs
+                raise DataError(
+                    "combined score must be finite (%s; %s); the "
+                    "combination overflows a float"
+                    % (left.context(), right.context())) from error
 
     def _poll(self):
         """Pull inputs until the queue head is reportable or both end.
@@ -399,11 +419,15 @@ class RankJoinKernel:
         locals once per run of pulls (a sparse join pulls thousands of
         tuples per result), not once per ``advance(1)``.  Each pulled
         tuple probes the other side's hash table; matches are buffered.
+        Once both sides have delivered and neither is exhausted, a pull
+        moves only its own side's term of ``T`` and recomputes just
+        that one; every other pull recomputes both (:meth:`_refresh`).
         """
         queue = self.queue
         inputs = left, right = self.inputs
         pulls = (left.pull, right.pull)
         tables = self.tables
+        terms = self.terms
         combine = self.combine
         strategy = self.strategy
         stats = self.stats
@@ -411,26 +435,28 @@ class RankJoinKernel:
         while True:
             # An exhausted side yields to the other; both sides deliver
             # one tuple before any strategy applies.
+            steady = False
             if left.exhausted:
                 side = 1
             elif right.exhausted or left.last_score is None:
                 side = 0
             elif right.last_score is None:
                 side = 1
-            elif strategy == "alternate":
-                side = self.turn
-                self.turn = 1 - side
-            elif strategy == "threshold":
-                # The side whose unseen-term dominates lowers the
-                # threshold fastest.
-                side = 0 if (
-                    combine((left.last_score, right.top_score))
-                    >= combine((left.top_score, right.last_score))) else 1
             else:
-                side = 0 if strategy == "left" else 1
+                steady = True
+                if strategy == "alternate":
+                    side = self.turn
+                    self.turn = 1 - side
+                elif strategy == "threshold":
+                    # The side whose unseen-term dominates lowers the
+                    # threshold fastest.
+                    side = 0 if terms[0] >= terms[1] else 1
+                else:
+                    side = 0 if strategy == "left" else 1
             entry = pulls[side]()
             if entry is None:
                 inputs[side].exhausted = True
+                self._refresh()
             else:
                 key, score, payload = entry
                 tables[side].setdefault(key, []).append((score, payload))
@@ -448,11 +474,21 @@ class RankJoinKernel:
                                          sequence, other, payload))
                             sequence += 1
                     self.sequence = sequence
+                if steady:
+                    # ``score`` is the pulled side's new last score.
+                    if side:
+                        terms[1] = combine((left.top_score, score))
+                    else:
+                        terms[0] = combine((score, right.top_score))
+                    self.threshold = (terms[1] if terms[1] > terms[0]
+                                      else terms[0])
+                else:
+                    self._refresh()
                 # Every pull reports the queue length; without a guard
-                # that is a no-op unless the queue just grew.
+                # that is a no-op unless the queue just grew.  A buffer
+                # trip here leaves the threshold current.
                 if matches or stats.guard is not None:
                     stats.note_buffer(len(queue))
-            self._refresh()
             threshold = self.threshold
             if threshold is not None and (
                     threshold == _NEG_INF

@@ -5,6 +5,7 @@ interesting order (or the final ranking order) when no pipelined ranked
 plan is available -- the paper's "sort plan" (Figure 5a).
 """
 
+from repro.common.errors import DataError
 from repro.operators.base import Operator, ScoreSpec
 
 
@@ -49,7 +50,13 @@ class Sort(Operator):
             if len(batch) < self.BUILD_BATCH:
                 break
         self.stats.note_buffer(len(rows))
-        rows.sort(key=self.score_spec, reverse=self.descending)
+        try:
+            rows.sort(key=self.score_spec, reverse=self.descending)
+        except OverflowError as error:
+            raise DataError(
+                "score must be finite (%s, %s); the weighted sum "
+                "overflows a float"
+                % (self.name, self.score_spec.description)) from error
         self._sorted = rows
         self._position = 0
 

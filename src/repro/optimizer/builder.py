@@ -36,6 +36,14 @@ from repro.optimizer.plans import (
 )
 
 
+#: Polling strategy of every HRJN the optimizer plans, serial or per
+#: shard: poll the input whose unseen-tuple term of the threshold is
+#: larger (HRJN* of Ilyas, Aref and Elmagarmid, VLDB 2003).  Under a
+#: weighted ranking it reads the heavily weighted input less deeply
+#: than round-robin and reports the same results.
+POLLING = "threshold"
+
+
 def _key(columns):
     """Join key over ``columns``: the name, or a tuple when composite."""
     return columns[0] if len(columns) == 1 else tuple(columns)
@@ -201,7 +209,7 @@ class PlanBuilder:
             return HRJN(
                 left, right, left_key, right_key, left_spec, right_spec,
                 combiner=SumScore(), name=name,
-                output_score_column=score_column,
+                output_score_column=score_column, strategy=POLLING,
             )
         if plan.operator == "jstar":
             from repro.operators.jstar import JStarRankJoin
@@ -314,6 +322,7 @@ class PlanBuilder:
                 "expression": plan.right_expression,
             },
             "score_column": score_column,
+            "strategy": POLLING,
         }
         left_schema = self.catalog.table(left_node.table_name).schema
         right_schema = self.catalog.table(right_node.table_name).schema

@@ -18,6 +18,7 @@ from repro.operators.joins import HashJoin
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
 from repro.operators.topk import Limit
+from repro.optimizer.enumerator import OptimizerConfig
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
@@ -265,3 +266,36 @@ class TestNonFiniteColumnsThroughDatabase:
                            match=r"score must be finite \(rank-join input 0"
                                  r", A\.c1\)"):
             db.execute(RANKED_AB)
+
+
+OVERFLOWING_AB = """
+WITH R AS (
+  SELECT A.c1 AS x, B.c1 AS y,
+         rank() OVER (ORDER BY (A.c1 + B.c1)) AS rank
+  FROM A, B WHERE A.c2 = B.c2)
+SELECT x, y, rank FROM R WHERE rank <= 2"""
+RANK_JOIN_INPUTS = r"rank-join input 0, A\.c1; rank-join input 1, B\.c1"
+
+
+class TestOverflowingCombinedScore:
+    """Finite scores whose sum overflows a float: every plan type
+    raises DataError instead of a bare OverflowError or an inf row."""
+
+    @pytest.mark.parametrize("config,plan,message", [
+        ({"enable_nrjn": False}, "hrjn", RANK_JOIN_INPUTS),
+        ({"enable_hrjn": False}, "nrjn", RANK_JOIN_INPUTS),
+        ({"enable_hrjn": False, "enable_nrjn": False}, "SortPlan",
+         r"Sort, A\.c1 \+ B\.c1"),
+        ({"enable_anyk": True}, "AnyKPlan", r"any-k ANYK1"),
+    ], ids=["hrjn", "nrjn", "sort", "anyk"])
+    def test_raises_data_error_naming_the_input(self, config, plan,
+                                                 message):
+        db = Database(config=OptimizerConfig(**config))
+        for name in ("A", "B"):
+            db.create_table(name, [("c1", "float"), ("c2", "int")],
+                            rows=[[1e308, 1], [1.0, 2]])
+        db.analyze()
+        best = db.explain(OVERFLOWING_AB).best_plan
+        assert getattr(best, "operator", type(best).__name__) == plan
+        with pytest.raises(DataError, match=message):
+            db.execute(OVERFLOWING_AB)

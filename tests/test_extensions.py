@@ -23,6 +23,7 @@ from repro.experiments.harness import (
     realized_selectivity,
 )
 from repro.experiments.report import relative_error
+from repro.operators.filters import Filter
 from repro.operators.hrjn import HRJN
 from repro.operators.joins import HashJoin
 from repro.operators.jstar import JStarRankJoin
@@ -81,7 +82,9 @@ def test_top_k_join_strategies():
 def test_selection_under_rank_join():
     """A filter with pass rate p thins the stream a rank join consumes,
     so the base-table reads for the same k grow like 1/p (n=4000,
-    k=20)."""
+    k=20).  The paper's round-robin HRJN over the filtered index scans
+    shows it; the engine's plan, which polls the input whose threshold
+    term is larger, reads no deeper at any p and answers the same."""
     rng = make_rng(17)
     # Pin the plan shape to HRJN over two (filtered) index scans.
     db = Database(config=OptimizerConfig(enable_nrjn=False))
@@ -92,8 +95,17 @@ def test_selection_under_rank_join():
                   for _ in range(4000)],
         )
     db.analyze()
+    a, b = db.catalog.table("A"), db.catalog.table("B")
     base_reads = []
+    engine_reads = []
     for bound in (9, 4, 1):  # Pass rates 1.0, 0.5, 0.2.
+        left = IndexScan(a, a.get_index("A_c1_idx"))
+        right = IndexScan(b, b.get_index("B_c1_idx"))
+        join = HRJN(Filter(left, lambda row, _b=bound: row["A.c2"] <= _b),
+                    right, "A.c2", "B.c2", "A.c1", "B.c1",
+                    strategy="alternate", name="RJ")
+        expected = [round(row["_score_RJ"], 9) for row in Limit(join, 20)]
+        base_reads.append(left.stats.rows_out + right.stats.rows_out)
         report = db.execute("""
         WITH R AS (
           SELECT A.c1 AS x, B.c1 AS y,
@@ -102,11 +114,16 @@ def test_selection_under_rank_join():
         SELECT x, y, rank FROM R WHERE rank <= 20
         """ % (bound,))
         assert len(report.rows) == 20
-        base_reads.append(sum(
+        assert [round(row["A.c1"] + row["B.c1"], 9)
+                for row in report.rows] == expected
+        engine_reads.append(sum(
             snap.rows_out for snap in report.operators
             if snap.name.startswith(("IndexScan", "Scan", "TableScan"))
         ))
     assert base_reads == [52, 92, 211]
+    assert engine_reads == [43, 61, 86]
+    assert all(engine <= base
+               for engine, base in zip(engine_reads, base_reads))
 
 
 def test_model_robustness():

@@ -352,8 +352,9 @@ class TestTracerParity:
     @pytest.mark.parametrize("kind", ("positional", "row"))
     @pytest.mark.parametrize("cls,reference,options", [
         (HRJN, ReferenceHRJN, {}),
+        (HRJN, ReferenceHRJN, {"strategy": "threshold"}),
         (NRJN, ReferenceNRJN, {"right_ranked": False}),
-    ], ids=["hrjn", "nrjn"])
+    ], ids=["hrjn", "hrjn-threshold", "nrjn"])
     def test_traced_run_is_the_same_run(self, cls, reference, options,
                                         kind):
         actual = build(cls, L, R, kind, **options)
@@ -471,3 +472,51 @@ class TestShardTaskWindows:
                     assert result["exhausted"] == (skip + budget > total)
         finally:
             pool.shutdown()
+
+    def test_a_spec_naming_threshold_polls_as_the_operator_does(self):
+        """Weights 0.9/0.1 make the two strategies read different
+        depths, so a worker that ignored the spec's strategy fails."""
+        catalog = Catalog()
+        catalog.register(L)
+        catalog.register(R)
+        weights = {"L": 0.9, "R": 0.1}
+        expressions = {name: ScoreExpression({"%s.score" % name: weight})
+                       for name, weight in weights.items()}
+        spec = {
+            side: {"table": name, "index": "%s_idx" % name,
+                   "key": "%s.key" % name, "expression": expressions[name]}
+            for side, name in (("left", "L"), ("right", "R"))
+        }
+        spec.update(score_column="_score_RJ", strategy="threshold")
+
+        def serial(needed, strategy):
+            op = HRJN(*(ranked_child(table, "positional")
+                        for table in (L, R)),
+                      "L.key", "R.key",
+                      *(ScoreSpec.weighted(expressions[table.name])
+                        for table in (L, R)),
+                      name="RJ", strategy=strategy)
+            op.open()
+            try:
+                rows = op.next_batch(needed)
+                return ([dict(row.items()) for row in rows],
+                        tuple(op.stats.pulled))
+            finally:
+                op.close()
+
+        total = len(serial(10 ** 6, "threshold")[0])
+        pool = ShardPool(catalog)
+        moved = False
+        try:
+            for skip in (0, 1, 5, total - 1, total):
+                for budget in (1, 3, total + 5):
+                    result = pool.run_inline(spec, skip, budget)
+                    rows, pulled = serial(skip + budget, "threshold")
+                    assert result["rows"] == rows[skip:]
+                    assert result["pulled"] == pulled
+                    assert result["exhausted"] == (skip + budget > total)
+                    moved |= pulled != serial(skip + budget,
+                                              "alternate")[1]
+        finally:
+            pool.shutdown()
+        assert moved
