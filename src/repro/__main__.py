@@ -38,13 +38,6 @@ Serving flag (``demo`` and ``sql``): ``--prepare`` executes through
 :meth:`Database.prepare` (plan cache + prepared query) and prints the
 cache counters.
 
-Adaptivity flags (``demo``, ``sql`` and ``serve``): ``--feedback``
-attaches the adaptive feedback store (learned selectivities, per-
-fingerprint depth-error tracking, mid-flight re-planning under
-``--checkpoint-every``) and prints what the store learned;
-``--feedback-store PATH`` additionally persists observations to PATH
-as JSON lines, so repeated invocations keep learning.
-
 Parallelism flags (``demo`` and ``sql``): ``--shards N``
 hash-partitions the join inputs into N shards so sharded parallel
 rank-join plans become available; ``--parallel MODE`` picks the
@@ -52,6 +45,11 @@ vehicle (``auto`` lets the cost model decide, ``inline`` runs shard
 pipelines serially in-process, ``pool`` uses worker processes,
 ``off`` disables parallel plans).  The demo prints per-shard depths
 when a parallel plan ran.
+
+Count flags (``--rows``, ``--checkpoint-every``, ``--shards``,
+``--clients``, ``--instalment``) take integers >= 1, and ``--limit``
+and ``--seed`` integers >= 0; any other value exits with status 2 and a
+usage line.
 """
 
 import argparse
@@ -70,12 +68,19 @@ SELECT x, y, rank FROM Ranked WHERE rank <= 5
 """
 
 
-def _feedback_setting(args):
-    """The ``Database(feedback=...)`` value the CLI flags ask for."""
-    store = getattr(args, "feedback_store", None)
-    if store:
-        return store
-    return bool(getattr(args, "feedback", False))
+def _at_least(minimum):
+    """An argparse ``type=``: an integer no smaller than ``minimum``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid int value: %r" % (text,)) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be >= %d, got %d" % (minimum, value))
+        return value
+    return parse
 
 
 def _operator_config(args):
@@ -95,9 +100,9 @@ def _operator_config(args):
     return OptimizerConfig(enable_anyk=True)
 
 
-def _make_demo_db(rows, seed, feedback=False, config=None):
+def _make_demo_db(rows, seed, config=None):
     rng = make_rng(seed)
-    db = Database(feedback=feedback, config=config)
+    db = Database(config=config)
     db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
         [float(rng.uniform(0, 1)), int(rng.integers(0, 40))]
         for _ in range(rows)
@@ -110,9 +115,9 @@ def _make_demo_db(rows, seed, feedback=False, config=None):
     return db
 
 
-def _make_sql_db(rows, seed, feedback=False, config=None):
+def _make_sql_db(rows, seed, config=None):
     rng = make_rng(seed)
-    db = Database(feedback=feedback, config=config)
+    db = Database(config=config)
     for name in ("A", "B", "C"):
         db.create_table(name, [("c1", "float"), ("c2", "int")], rows=[
             [float(rng.uniform(0, 1)), int(rng.integers(0, 40))]
@@ -127,7 +132,7 @@ def _wants_telemetry(args):
                 or getattr(args, "metrics_out", None))
 
 
-def _emit_telemetry(args, report, feedback=None):
+def _emit_telemetry(args, report):
     """Print/serialise the run's telemetry per the CLI flags."""
     telemetry = report.telemetry
     if telemetry is None:
@@ -147,7 +152,7 @@ def _emit_telemetry(args, report, feedback=None):
         if args.metrics_out.endswith(".prom"):
             payload = to_prometheus(telemetry.metrics)
         else:
-            payload = to_jsonl(telemetry, feedback=feedback)
+            payload = to_jsonl(telemetry)
         with open(args.metrics_out, "w") as handle:
             handle.write(payload)
         print("\ntelemetry written to %s" % (args.metrics_out,))
@@ -198,15 +203,8 @@ def _print_shard_depths(report):
               % (snap.name, list(snap.pulled), snap.rows_out))
 
 
-def _print_feedback(db):
-    """Print what the adaptive feedback store has learned, if attached."""
-    if db.feedback is not None:
-        print("\n" + db.feedback.describe())
-
-
 def cmd_demo(args):
     db = _make_demo_db(args.rows, args.seed,
-                       feedback=_feedback_setting(args),
                        config=_operator_config(args))
     report = _run_query(db, _DEMO_SQL, args)
     print(report.explain())
@@ -214,14 +212,12 @@ def cmd_demo(args):
     for row in report.rows:
         print("  %r" % (row,))
     _print_shard_depths(report)
-    _print_feedback(db)
-    _emit_telemetry(args, report, feedback=db.feedback)
+    _emit_telemetry(args, report)
     return 0
 
 
 def cmd_sql(args):
     db = _make_sql_db(args.rows, args.seed,
-                      feedback=_feedback_setting(args),
                       config=_operator_config(args))
     report = _run_query(db, args.query, args)
     print(report.explain())
@@ -231,8 +227,7 @@ def cmd_sql(args):
     if len(report.rows) > args.limit:
         print("  ... (%d more)" % (len(report.rows) - args.limit,))
     _print_shard_depths(report)
-    _print_feedback(db)
-    _emit_telemetry(args, report, feedback=db.feedback)
+    _emit_telemetry(args, report)
     return 0
 
 
@@ -250,7 +245,6 @@ def cmd_serve(args):
     from repro.server import SchedulerConfig, Server
 
     db = _make_demo_db(args.rows, args.seed,
-                       feedback=_feedback_setting(args),
                        config=_operator_config(args))
     expensive = _DEMO_SQL.replace("rank <= 5", "rank <= 40")
 
@@ -292,7 +286,6 @@ def cmd_serve(args):
     stats = db.plan_cache.stats()
     print("plan cache: %d hit(s), %d miss(es)"
           % (stats["hits"], stats["misses"]))
-    _print_feedback(db)
     return 0
 
 
@@ -308,9 +301,9 @@ def main(argv=None):
         prog="repro",
         description="Rank-aware Query Optimization (SIGMOD 2004) demo CLI",
     )
-    parser.add_argument("--rows", type=int, default=2000,
+    parser.add_argument("--rows", type=_at_least(1), default=2000,
                         help="rows per generated table (default 2000)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_at_least(0), default=0,
                         help="generator seed (default 0)")
     parser.add_argument("--trace", action="store_true",
                         help="trace the run: print the span tree, event "
@@ -318,7 +311,8 @@ def main(argv=None):
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="write the run's telemetry to PATH as JSON "
                              "lines (.prom extension: Prometheus text)")
-    parser.add_argument("--checkpoint-every", metavar="N", type=int,
+    parser.add_argument("--checkpoint-every", metavar="N",
+                        type=_at_least(1),
                         default=None,
                         help="run demo/sql through the guarded executor, "
                              "checkpointing operator state every N rows "
@@ -334,7 +328,8 @@ def main(argv=None):
                         help="run demo/sql through Database.prepare (the "
                              "plan-cache serving path) and print the "
                              "cache counters")
-    parser.add_argument("--shards", metavar="N", type=int, default=None,
+    parser.add_argument("--shards", metavar="N", type=_at_least(1),
+                        default=None,
                         help="hash-partition join inputs into N shards "
                              "(enables sharded parallel rank joins)")
     parser.add_argument("--parallel", default=None,
@@ -349,27 +344,19 @@ def main(argv=None):
                              "space (cost decides), anyk pins ranked "
                              "enumeration to the any-k operator, hrjn "
                              "keeps the default binary rank joins")
-    parser.add_argument("--feedback", action="store_true",
-                        help="attach the adaptive feedback store: learn "
-                             "observed selectivities/depths and print "
-                             "what was learned after the run")
-    parser.add_argument("--feedback-store", metavar="PATH", default=None,
-                        help="like --feedback, persisting observations "
-                             "to PATH (JSON lines) so repeated runs "
-                             "keep learning")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("demo", help="run the quickstart scenario")
     sql = sub.add_parser("sql", help="run a query against generated data")
     sql.add_argument("query", help="query text (see README for dialect)")
-    sql.add_argument("--limit", type=int, default=20,
+    sql.add_argument("--limit", type=_at_least(0), default=20,
                      help="rows to print (default 20)")
     sub.add_parser("figures", help="print the analytic figures 1 and 6")
     serve = sub.add_parser(
         "serve", help="demo the concurrent query server")
-    serve.add_argument("--clients", type=int, default=6,
+    serve.add_argument("--clients", type=_at_least(1), default=6,
                        help="interactive sessions to submit alongside "
                             "the expensive batch query (default 6)")
-    serve.add_argument("--instalment", type=int, default=500,
+    serve.add_argument("--instalment", type=_at_least(1), default=500,
                        help="pull budget per scheduler instalment "
                             "(default 500)")
     sub.add_parser(

@@ -195,19 +195,6 @@ class CostModel:
             return self.pool_shard_startup_cost
         return self.inline_shard_startup_cost
 
-    def replan_overhead(self, tables):
-        """Fixed cost of one mid-flight re-optimization.
-
-        Re-planning re-runs the enumerator (exponential in the number
-        of ``tables``, like the System R space it explores), rebuilds
-        the operator tree, and restores a checkpoint into it.  The
-        guarded executor only attempts a re-plan when the *remaining*
-        plan cost exceeds this overhead -- a query about to finish
-        anyway keeps its budget-widening recovery instead.
-        """
-        enumerations = 3.0 ** max(1, tables)
-        return self.cpu(enumerations) + self.inline_shard_startup_cost
-
     def anyk_preprocess_cost(self, tuples):
         """Any-k bottom-up DP over ``tuples`` materialised input rows.
 

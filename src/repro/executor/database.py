@@ -78,8 +78,7 @@ def forced_parallel_result(catalog, cost_model, result, mode):
     if not changed:
         return result
     return OptimizationResult(result.query, result.memo, plan,
-                              result.required_order,
-                              stats_epoch=result.stats_epoch)
+                              result.required_order)
 
 
 class Database:
@@ -100,16 +99,6 @@ class Database:
         shape and ``k``) across repeated queries; it bounds the cached
         statements and plans separately (0 disables caching; every
         execution re-parses and re-optimizes).
-    feedback:
-        The adaptive-feedback subsystem.  ``None`` (default) disables
-        it entirely; ``True`` attaches an in-memory
-        :class:`~repro.feedback.store.FeedbackStore`; a path string
-        attaches a JSONL-persisted store at that path; an existing
-        store instance is attached as-is (letting several databases
-        share learned statistics).  When attached, every execution
-        reports observed selectivities and depth errors into the store,
-        and the catalog plans subsequent queries with the learned
-        values (see ``docs/adaptivity.md``).
 
     The database keeps a persistent ``metrics``
     :class:`~repro.observability.metrics.MetricsRegistry` accumulating
@@ -121,7 +110,7 @@ class Database:
 
     def __init__(self, cost_model=None, config=None,
                  auto_index_scores=True,
-                 plan_cache_size=DEFAULT_CAPACITY, feedback=None):
+                 plan_cache_size=DEFAULT_CAPACITY):
         self.catalog = Catalog()
         self.cost_model = cost_model or CostModel()
         self.config = config or OptimizerConfig()
@@ -129,27 +118,10 @@ class Database:
         self.metrics = MetricsRegistry()
         self.plan_cache = PlanCache(plan_cache_size, metrics=self.metrics)
         self.shard_pool = ShardPool(self.catalog, metrics=self.metrics)
-        self.feedback = self._make_feedback(feedback)
-        if self.feedback is not None:
-            self.catalog.attach_learned(self.feedback)
         self._executor = Executor(self.catalog, self.cost_model,
                                   self.config, metrics=self.metrics,
-                                  shard_pool=self.shard_pool,
-                                  feedback=self.feedback)
+                                  shard_pool=self.shard_pool)
         self._alias_executors = {}
-
-    def _make_feedback(self, feedback):
-        """Resolve the ``feedback`` constructor argument to a store."""
-        if feedback is None or feedback is False:
-            return None
-        from repro.feedback import FeedbackStore
-
-        if feedback is True:
-            return FeedbackStore(metrics=self.metrics)
-        if isinstance(feedback, (str, bytes)) or hasattr(feedback,
-                                                         "__fspath__"):
-            return FeedbackStore(path=feedback, metrics=self.metrics)
-        return feedback
 
     # ------------------------------------------------------------------
     # DDL / DML
@@ -281,46 +253,26 @@ class Database:
             base = query.aliases[alias]
             derived.register(self.catalog.table(base).aliased(alias))
         derived.analyze()
-        if self.feedback is not None:
-            derived.attach_learned(self.feedback)
         executor = Executor(derived, self.cost_model, self.config,
-                            metrics=self.metrics, feedback=self.feedback)
+                            metrics=self.metrics)
         self._alias_executors[key] = (version, executor)
         return executor
-
-    def _plan_epoch(self, query):
-        """Learned-stats epoch of ``query`` (0 without feedback).
-
-        A learned update to one of the query's joins advances this
-        number, so cached plans that planned with the stale selectivity
-        stop matching -- while fingerprints over untouched joins keep
-        hitting (epoch-scoped invalidation; see the plan-cache module
-        docstring).
-        """
-        if self.feedback is None:
-            return 0
-        return self.feedback.plan_epoch(query)
 
     def _cached_optimization(self, executor, query, fingerprint=None):
         """Plan ``query`` through the cache; returns the result.
 
-        The cache key is ``(fingerprint, k, catalog version, learned
-        epoch)`` -- the *base* catalog version even for aliased
-        queries, since derived executors are themselves rebuilt
-        whenever the base version moves.  A ``None`` return means the
-        caller should optimize (and :meth:`_store_plan` the result)
-        itself; this path optimizes eagerly.
+        The cache key is ``(fingerprint, k, catalog version)`` -- the
+        *base* catalog version even for aliased queries, since derived
+        executors are themselves rebuilt whenever the base version
+        moves.  A miss optimizes eagerly and stores the result.
         """
         if fingerprint is None:
             fingerprint = query_fingerprint(query)
         version = self.catalog.version
-        epoch = self._plan_epoch(query)
-        result = self.plan_cache.get(fingerprint, query.k, version,
-                                     epoch=epoch)
+        result = self.plan_cache.get(fingerprint, query.k, version)
         if result is None:
             result = executor.optimizer.optimize(query)
-            self.plan_cache.put(fingerprint, query.k, version, result,
-                                epoch=epoch)
+            self.plan_cache.put(fingerprint, query.k, version, result)
         return result
 
     @staticmethod
@@ -410,10 +362,9 @@ class Database:
         executor = self._executor_for(query)
         telemetry = self._telemetry_for(trace, telemetry)
         version = self.catalog.version
-        epoch = self._plan_epoch(query)
         forced = parallel not in (None, "auto")
         key = (fingerprint, "parallel", parallel) if forced else fingerprint
-        result = self.plan_cache.get(key, query.k, version, epoch=epoch)
+        result = self.plan_cache.get(key, query.k, version)
         if result is None:
             def result():
                 if forced:
@@ -426,8 +377,7 @@ class Database:
                 else:
                     planned = executor.optimizer.optimize(
                         query, telemetry=telemetry)
-                return self.plan_cache.put(key, query.k, version, planned,
-                                           epoch=epoch)
+                return self.plan_cache.put(key, query.k, version, planned)
         return executor.run(query, telemetry=telemetry, result=result,
                             **options)
 
@@ -559,8 +509,7 @@ class Database:
 
         ``state_dir`` keeps the *continued* run durable too: new
         checkpoints taken while draining the remainder are persisted
-        there under ``query_id``.  With a feedback store attached the
-        resumed run reports into it like every other execution.
+        there under ``query_id``.
         """
         from repro.robustness.recovery import restart_event
 

@@ -94,12 +94,6 @@ class ExecutionReport:
     guarded, checkpointed execution hit its budget and paused instead
     of raising (``None`` otherwise); ``rows`` then holds the partial
     prefix delivered so far.
-
-    ``feedback`` is the summary dict returned by
-    :meth:`~repro.feedback.store.FeedbackStore.observe_report` when the
-    executor has an adaptive feedback store attached -- the
-    fingerprint, smoothed depth error, and learned selectivities this
-    execution contributed (``None`` otherwise).
     """
 
     def __init__(self, query, result, rows, operators, recovery=None,
@@ -116,7 +110,6 @@ class ExecutionReport:
         self.recovery = recovery
         self.telemetry = telemetry
         self.suspension = suspension
-        self.feedback = None
 
     @property
     def suspended(self):
@@ -213,31 +206,6 @@ class ExecutionReport:
         if estimates:
             lines.append("")
             lines.append(self.accuracy_summary())
-        if self.feedback is not None:
-            lines.append("")
-            lines.append(self.feedback_summary())
-        return "\n".join(lines)
-
-    def feedback_summary(self):
-        """Readable per-fingerprint view of this run's feedback.
-
-        Shows what the adaptive store now believes about this query
-        shape -- observation count, smoothed (EWMA) depth-estimate
-        error across runs, and the learned selectivity of each join the
-        run observed -- complementing :meth:`accuracy_summary`, which
-        covers this run alone.
-        """
-        info = self.feedback
-        error = ("%.0f%%" % (100.0 * info["depth_error"],)
-                 if info.get("depth_error") is not None else "n/a")
-        lines = [
-            "feedback: fingerprint=%s observations=%d "
-            "depth_error_ewma=%s" % (info["fingerprint"],
-                                     info["observations"], error),
-        ]
-        for join in sorted(info.get("joins", ())):
-            lines.append("  %s: learned s=%.2g"
-                         % (join, info["joins"][join]))
         return "\n".join(lines)
 
     def estimate_accuracy(self):
@@ -286,14 +254,14 @@ class _Run:
     """One execution's state, shared by the drive loop and recovery.
 
     ``root`` and ``result`` always name the tree actually running and
-    the plan it was built from: a mid-flight re-plan swaps both, a
-    selectivity correction swaps ``result`` for the run's own corrected
-    copy, and a fallback swaps ``root`` for the sort plan's tree.
+    the plan it was built from: a selectivity correction swaps
+    ``result`` for the run's own corrected copy, and a fallback swaps
+    ``root`` for the sort plan's tree.
     """
 
     __slots__ = ("executor", "query", "result", "root", "telemetry",
                  "tracer", "guard", "policy", "recovery", "manager",
-                 "rows", "reestimates", "replans", "migrated")
+                 "rows", "reestimates", "migrated")
 
     def __init__(self, executor, query, root=None, telemetry=None):
         self.executor = executor
@@ -304,7 +272,7 @@ class _Run:
         self.tracer = NULL_TRACER if telemetry is None else telemetry.tracer
         self.guard = self.policy = self.recovery = self.manager = None
         self.rows = []
-        self.reestimates = self.replans = 0
+        self.reestimates = 0
         self.migrated = False
 
 
@@ -315,7 +283,7 @@ class Executor:
     faults] -> instrument -> [guard + Propagate depth limits] ->
     [checkpoint manager + durable persistence] -> one drive loop ->
     [sort-plan fallback through the same loop] -> snapshots -> report
-    -> [feedback] -> [retire durable snapshots].  Each bracketed stage
+    -> [retire durable snapshots].  Each bracketed stage
     is a no-op unless its :meth:`run` argument is given, so a plain run
     is a guarded run with null policies.
 
@@ -323,22 +291,16 @@ class Executor:
     :class:`~repro.observability.metrics.MetricsRegistry` (the serving
     database's registry) fed with the fused columnar counters of
     untraced runs; per-run telemetry stays separate and opt-in.
-    ``feedback`` optionally attaches a
-    :class:`~repro.feedback.store.FeedbackStore`: every run
-    reports its observed statistics into it, depth-overrun re-estimates
-    are learned instead of discarded, and -- with checkpointing active
-    -- a guarded run may re-plan mid-flight (see ``docs/adaptivity.md``).
     The executor holds no per-run state, so one instance serves
     concurrent callers.
     """
 
     def __init__(self, catalog, cost_model, config=None, metrics=None,
-                 shard_pool=None, feedback=None):
+                 shard_pool=None):
         self.catalog = catalog
         self.optimizer = Optimizer(catalog, cost_model, config)
         self.builder = PlanBuilder(catalog, shard_pool=shard_pool)
         self.metrics = NULL_METRICS if metrics is None else metrics
-        self.feedback = feedback
 
     def run(self, query, budget=None, policy=None, telemetry=None,
             checkpoint=None, faults=None, result=None, store=None,
@@ -353,7 +315,7 @@ class Executor:
         ``policy`` -- a
         :class:`~repro.robustness.recovery.RecoveryPolicy` makes the
         run *guarded*: every rank join gets a Propagate depth limit and
-        an overrun is recovered from (re-estimate, re-plan, migrate, or
+        an overrun is recovered from (re-estimate, migrate, or
         fall back to the sort plan).  The report's ``recovery`` records
         the path taken; it is ``None`` for unguarded runs.
 
@@ -576,7 +538,7 @@ class Executor:
         self._drain(run, None)
 
     def _report(self, run, suspension, store, query_id):
-        """Snapshots -> report -> feedback -> retire durable snapshots."""
+        """Snapshots -> report -> retire durable snapshots."""
         root = run.root
         operators = [OperatorSnapshot(op) for op in root.walk()]
         recovery = run.recovery
@@ -594,11 +556,6 @@ class Executor:
         report = ExecutionReport(run.query, run.result, run.rows, operators,
                                  recovery=recovery, telemetry=telemetry,
                                  suspension=suspension)
-        if self.feedback is not None:
-            # Every run lands here -- plain, guarded, served instalments
-            # and resumes -- including suspended ones, whose partial
-            # depths still carry selectivity evidence.
-            report.feedback = self.feedback.observe_report(run.query, report)
         if store is not None and suspension is None:
             # A completed run leaves nothing to recover, and a stale
             # snapshot would wrongly re-run the query on the next resume

@@ -24,14 +24,6 @@ old entries stop matching, and LRU eviction reclaims them.  ``k`` stays
 in the key (not the fingerprint) because plan choice genuinely depends
 on it -- the paper's ``k*`` crossover flips the winner between the
 rank-join and sort plans as ``k`` grows.
-
-Learned statistics (the feedback subsystem) invalidate on a finer
-grain: the ``epoch`` key component is the *per-query* learned epoch
-(:meth:`~repro.feedback.store.FeedbackStore.plan_epoch` -- the sum of
-applied-update counters over the joins the query's predicates touch).
-A learned correction to one join therefore strands exactly the cached
-plans that depended on it, while every other fingerprint keeps hitting;
-a whole-catalog version bump is never needed.
 """
 
 import threading
@@ -115,18 +107,9 @@ class PlanCache:
     def __len__(self):
         return len(self._entries)
 
-    @staticmethod
-    def key(fingerprint, k, version, epoch=0):
-        """The full cache key for one lookup.
-
-        ``epoch`` is the query's learned-statistics epoch (0 when no
-        feedback store is attached) -- see the module docstring.
-        """
-        return (fingerprint, k, version, epoch)
-
-    def get(self, fingerprint, k, version, epoch=0):
+    def get(self, fingerprint, k, version):
         """Return the cached result or ``None``; counts the outcome."""
-        key = self.key(fingerprint, k, version, epoch)
+        key = (fingerprint, k, version)
         with self._lock:
             result = self._entries.get(key)
             if result is None:
@@ -138,11 +121,11 @@ class PlanCache:
         self._hits.inc()
         return result
 
-    def put(self, fingerprint, k, version, result, epoch=0):
+    def put(self, fingerprint, k, version, result):
         """Insert ``result``, evicting least-recently-used overflow."""
         if self.capacity == 0:
             return result
-        key = self.key(fingerprint, k, version, epoch)
+        key = (fingerprint, k, version)
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)

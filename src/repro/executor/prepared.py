@@ -30,14 +30,6 @@ class PreparedQuery:
     Statistics/DDL changes do not stale a prepared query -- the plan
     cache keys on the catalog version, so the next execution after a
     change transparently re-optimizes.
-
-    With an adaptive feedback store attached to the database, every
-    execution reports its observed statistics in (the shared
-    ``_execute_fingerprinted`` path does the observing) and the plan
-    cache additionally keys on the query's learned epoch -- so a
-    prepared query whose early executions exposed a selectivity
-    mis-estimate transparently re-plans with the learned value on the
-    execution after the store applies it, without re-preparing.
     """
 
     def __init__(self, database, query, fingerprint, sql=None):

@@ -24,20 +24,12 @@ from repro.cost.buffer import buffer_upper_bound
 # ----------------------------------------------------------------------
 # JSON lines
 # ----------------------------------------------------------------------
-def to_jsonl(telemetry, feedback=None):
+def to_jsonl(telemetry):
     """Serialise a Telemetry bundle as JSON lines.
 
     Every line is a standalone JSON object tagged with ``type``:
     ``span`` (one per root span, children nested), ``metric`` (one per
     metric/label-set sample), ``event`` (one per logged event).
-
-    With a :class:`~repro.feedback.store.FeedbackStore` as
-    ``feedback``, one ``feedback`` line per observed query fingerprint
-    is appended (the
-    :meth:`~repro.feedback.store.FeedbackStore.accuracy_by_fingerprint`
-    rows): observation counts, the cross-run EWMA depth-estimate error,
-    and the learned per-join selectivities -- the longitudinal
-    counterpart to the per-run ``estimate_accuracy`` table.
     """
     lines = []
     for span in telemetry.tracer.as_dicts():
@@ -46,10 +38,6 @@ def to_jsonl(telemetry, feedback=None):
         lines.append(json.dumps({"type": "metric", **sample}, default=str))
     for event in telemetry.events.as_dicts():
         lines.append(json.dumps({"type": "event", **event}, default=str))
-    if feedback is not None:
-        for row in feedback.accuracy_by_fingerprint():
-            lines.append(json.dumps({"type": "feedback", **row},
-                                    default=str))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -99,17 +99,6 @@ METRICS = {
         "counter", "Transient failures retried by the scheduler"),
     "server_wait_seconds": ("histogram", "Queue wait in seconds"),
     "server_latency_seconds": ("histogram", "Submit-to-completion latency"),
-    # Adaptive feedback.
-    "feedback_observations_total": (
-        "counter", "Runtime observations absorbed by the feedback store"),
-    "feedback_overrides_total": (
-        "counter", "Learned selectivities applied to the catalog overlay"),
-    "feedback_replans_total": ("counter",
-                               "Mid-flight re-plan attempts by outcome"),
-    "feedback_replay_skipped_total": (
-        "counter", "Corrupt JSONL lines skipped while replaying persistence"),
-    "feedback_depth_error_ewma": (
-        "gauge", "Smoothed relative depth-estimate error per fingerprint"),
     # Durability.
     "durability_writes_total": ("counter",
                                 "Durable checkpoint snapshots written"),

@@ -452,7 +452,7 @@ class Operator:
         ``open()`` must not be called on a restored tree.  Operator
         names are a function of the plan shape (see
         :class:`~repro.optimizer.builder.PlanBuilder`), so any build of
-        the same shape -- including a mid-flight re-plan's -- matches.
+        the same shape matches.
         """
         if self.checkpoint_transparent:
             self.children[0].load_state_dict(state)

@@ -69,7 +69,7 @@ class PlanBuilder:
     Operator names are a function of the plan: each :meth:`build_query`
     / :meth:`build` call numbers its rank-join, any-k and score-merge
     groups from 1 in post-order, so rebuilding a plan -- a checkpoint
-    resume, a re-plan into the same shape, a recovering process --
+    resume, a recovering process --
     reproduces every name and ``_score_<name>`` column, and the builder
     keeps no state between calls.
     """

@@ -183,16 +183,11 @@ class OptimizerConfig:
 class OptimizationResult:
     """Output of :meth:`Optimizer.optimize`."""
 
-    def __init__(self, query, memo, best_plan, required_order,
-                 stats_epoch=0):
+    def __init__(self, query, memo, best_plan, required_order):
         self.query = query
         self.memo = memo
         self.best_plan = best_plan
         self.required_order = required_order
-        #: Learned-statistics epoch of the catalog at optimization time
-        #: (see :attr:`repro.storage.catalog.Catalog.stats_epoch`); lets
-        #: callers tell whether a result predates a learned update.
-        self.stats_epoch = stats_epoch
 
     @property
     def k(self):
@@ -270,10 +265,7 @@ class Optimizer:
             if cheapest is None:
                 raise OptimizerError("no plan found for %r" % (query,))
             best = SortPlan(self.model, cheapest, required_order)
-        return OptimizationResult(
-            query, memo, best, required_order,
-            stats_epoch=getattr(self.catalog, "stats_epoch", 0),
-        )
+        return OptimizationResult(query, memo, best, required_order)
 
     def fallback_plan(self, result):
         """Best blocking (non-rank-join) alternative for ``result``.

@@ -92,7 +92,7 @@ class Checkpoint:
         1-based index of this checkpoint within its manager.
     reason:
         What triggered it: ``cadence`` / ``pressure`` / ``suspend`` /
-        ``explicit`` / ``replan``.
+        ``explicit``.
     total_pulled:
         The guard's cumulative pull count at snapshot time (``0``
         without a guard) -- the work the checkpoint preserves.

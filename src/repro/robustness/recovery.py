@@ -38,8 +38,9 @@ Every decision is recorded in a :class:`RecoveryLog` attached to the
 
 import copy
 import math
+import numbers
 
-from repro.common.errors import CheckpointError, OptimizerError
+from repro.common.errors import OptimizerError
 from repro.observability.events import NULL_EVENTS
 from repro.observability.metrics import NULL_METRICS
 from repro.optimizer.enumerator import OptimizationResult
@@ -67,34 +68,31 @@ class RecoveryPolicy:
     monitor_depths:
         Master switch; off degrades a guarded run to plain budget
         enforcement.
-    replan:
-        Allow mid-flight re-planning on a depth overrun when the
-        executor has a feedback store and checkpointing is active:
-        the corrected selectivity is pushed into the learned-statistics
-        overlay, the enumerator re-runs, and -- when the re-enumerated
-        winner is structurally compatible -- the live operator state
-        migrates into the new plan (see ``docs/adaptivity.md``).
-        Inert without a feedback store.
-    max_replans:
-        Mid-flight re-plans allowed per execution; overruns past this
-        take the ordinary re-estimate/fallback route.
+
+    ``overrun_factor`` must be a finite number >= 1; ``max_reestimates``
+    and ``min_headroom`` must be integers >= 0.  Anything else raises
+    :class:`~repro.common.errors.OptimizerError` here rather than
+    breaking the guarded run that uses it.
     """
 
     def __init__(self, overrun_factor=2.0, max_reestimates=2,
-                 min_headroom=16, monitor_depths=True, replan=True,
-                 max_replans=1):
-        if overrun_factor < 1.0:
-            raise OptimizerError("overrun_factor must be >= 1.0")
-        if max_reestimates < 0:
-            raise OptimizerError("max_reestimates must be >= 0")
-        if max_replans < 0:
-            raise OptimizerError("max_replans must be >= 0")
+                 min_headroom=16, monitor_depths=True):
+        if not (isinstance(overrun_factor, numbers.Real)
+                and math.isfinite(overrun_factor)
+                and overrun_factor >= 1.0):
+            raise OptimizerError(
+                "overrun_factor must be a finite number >= 1.0, got %r"
+                % (overrun_factor,))
+        for name, value in (("max_reestimates", max_reestimates),
+                            ("min_headroom", min_headroom)):
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < 0):
+                raise OptimizerError(
+                    "%s must be an integer >= 0, got %r" % (name, value))
         self.overrun_factor = overrun_factor
         self.max_reestimates = max_reestimates
         self.min_headroom = min_headroom
         self.monitor_depths = monitor_depths
-        self.replan = replan
-        self.max_replans = max_replans
 
     def __repr__(self):
         return ("RecoveryPolicy(factor=%g, max_reestimates=%d)"
@@ -142,9 +140,6 @@ class RecoveryLog:
     * ``"direct"`` -- no depth limit tripped; the plan ran as costed;
     * ``"reestimated"`` -- one or more mid-query re-estimations, then
       the rank-join plan completed under its updated budgets;
-    * ``"replanned"`` -- a depth overrun triggered a mid-flight
-      re-optimization with learned statistics, and the live operator
-      state migrated into the re-enumerated plan;
     * ``"resumed"`` -- a transient fault was absorbed by restoring the
       last checkpoint;
     * ``"restarted"`` -- a durable snapshot was unusable (corrupt,
@@ -173,14 +168,13 @@ class RecoveryLog:
     """
 
     #: Ascending drasticness; record() keeps the highest seen.
-    _PRECEDENCE = ("direct", "reestimated", "replanned", "resumed",
-                   "restarted", "suspended", "shed", "migrated",
-                   "fallback", "deadline")
-    _PATH_OF = {"reestimate": "reestimated", "replan": "replanned",
-                "resume": "resumed", "restart": "restarted",
-                "suspend": "suspended", "migrate": "migrated",
-                "fallback": "fallback", "shard_retry": "direct",
-                "shard_pool_degraded": "direct",
+    _PRECEDENCE = ("direct", "reestimated", "resumed", "restarted",
+                   "suspended", "shed", "migrated", "fallback",
+                   "deadline")
+    _PATH_OF = {"reestimate": "reestimated", "resume": "resumed",
+                "restart": "restarted", "suspend": "suspended",
+                "migrate": "migrated", "fallback": "fallback",
+                "shard_retry": "direct", "shard_pool_degraded": "direct",
                 "shed": "shed", "deadline_cancel": "deadline"}
 
     def __init__(self, event_log=None, metrics=None):
@@ -416,9 +410,7 @@ def _correct(run, operator, observed):
     result = run.result
     run.result = OptimizationResult(
         result.query, result.memo,
-        _copy_interior(result.best_plan, copies),
-        result.required_order, stats_epoch=result.stats_epoch,
-    )
+        _copy_interior(result.best_plan, copies), result.required_order)
     for node in run.root.walk():
         node.plan = copies.get(id(node.plan), node.plan)
     operator.plan.selectivity = min(1.0, observed)
@@ -443,13 +435,10 @@ def on_overrun(run, overrun):
 
     The executor's drive loop calls this on every
     :class:`~repro.common.errors.DepthOverrunError`.  Returns True to
-    keep draining -- the limits were re-estimated, the plan was
-    re-planned mid-flight, or the live rank-join state migrates -- and
-    False to fall back to the sort plan from scratch.
+    keep draining -- the limits were re-estimated or the live rank-join
+    state migrates -- and False to fall back to the sort plan from
+    scratch.
     """
-    if _replan_eligible(run) and _try_replan(run, overrun):
-        run.replans += 1
-        return True
     manager = run.manager
     allow_migrate = (manager is not None
                      and manager.policy.migrate_on_fallback
@@ -466,123 +455,6 @@ def on_overrun(run, overrun):
         return False
     run.reestimates += 1
     return True
-
-
-def _replan_eligible(run):
-    """Cheap gate before attempting a mid-flight re-plan."""
-    policy = run.policy
-    return (run.executor.feedback is not None
-            and policy.replan
-            and run.replans < policy.max_replans
-            and run.manager is not None
-            and run.root._opened)
-
-
-def _try_replan(run, overrun):
-    """Re-optimize with learned stats and migrate the live state.
-
-    On success the running tree's full checkpointed state -- every
-    consumed prefix, hash table, candidate queue, and threshold -- is
-    restored into a tree built from the *re-enumerated* plan, ``run``'s
-    root and result become the new ones, and the guard's depth limits
-    are re-derived from the corrected estimates.  Returns True exactly
-    then.
-
-    Returns False (falling through to the ordinary re-estimate/fallback
-    recovery) when the overrun carries no usable selectivity
-    observation, the remaining plan cost does not justify the
-    enumeration overhead (``declined``), or the re-enumerated winner is
-    structurally incompatible with the live tree so its state cannot
-    migrate (``incompatible``) -- the learned correction persists in
-    the store either way, so the *next* optimization of this shape
-    plans correctly even when this one could not.
-    """
-    executor = run.executor
-    feedback = executor.feedback
-    operator = overrun.operator
-    plan = operator.plan
-    observed = _observed_selectivity(operator)
-    if (observed is None or not isinstance(plan, RankJoinPlan)
-            or len(plan.predicates) != 1):
-        return False
-    assumed = plan.selectivity
-    # Push the hard evidence into the learned overlay *before* the
-    # overhead gate: even a declined re-plan must not discard it.
-    if not feedback.learn_join(plan.predicates, observed,
-                               source="replan", force=True):
-        return False
-    _correct(run, operator, observed)
-    remaining = run.result.best_plan.cost(run.result.k)
-    if remaining < executor.optimizer.model.replan_overhead(
-            len(run.query.tables)):
-        feedback.note_replan("declined")
-        return False
-    manager = run.manager
-    manager.checkpoint(run.rows, reason="replan")
-    new_result = executor.optimizer.optimize(run.query)
-    # Operator names are a function of the plan shape, so wherever the
-    # re-enumerated plan matches the running one the rebuilt tree has
-    # the same names and score columns: post-migration rows are
-    # byte-identical to a serial run's.
-    new_root = executor.builder.build_query(new_result)
-    old_root = run.root
-    if not _trees_compatible(old_root, new_root):
-        feedback.note_replan("incompatible")
-        return False
-    try:
-        restored = manager.restore(root=new_root, kind="replan")
-    except CheckpointError:
-        feedback.note_replan("incompatible")
-        return False
-    guard = run.guard
-    guard.detach()
-    old_root.close()
-    if run.telemetry is not None:
-        run.telemetry.instrument(new_root)
-    guard.attach(new_root)
-    guard.depth_limits.clear()
-    run.root, run.result = new_root, new_result
-    _update_depth_limits(run)
-    run.rows[:] = restored
-    feedback.note_replan("migrated")
-    run.recovery.record(RecoveryEvent(
-        "replan", operator.name, observed, assumed, len(run.rows),
-        "re-enumerated with learned stats; live state migrated",
-    ))
-    return True
-
-
-def _strip_transparent(operator):
-    """Descend through checkpoint-transparent wrappers."""
-    while operator.checkpoint_transparent:
-        operator = operator.children[0]
-    return operator
-
-
-def _trees_compatible(old, new):
-    """True when live state can migrate from ``old`` into ``new``.
-
-    A lockstep walk (through checkpoint-transparent wrappers, which a
-    fault-injected tree has and a rebuilt one does not) requiring the
-    same operator class, child count, and plan description at every
-    node.  ``describe()`` encodes the operator kind, join predicates,
-    and score-expression orientation -- but not selectivity -- so a
-    re-enumeration that flipped the join order or switched physical
-    operators is rejected, while one that merely re-costed the same
-    shape passes.
-    """
-    old = _strip_transparent(old)
-    new = _strip_transparent(new)
-    if type(old) is not type(new):
-        return False
-    if len(old.children) != len(new.children):
-        return False
-    if (old.plan is None) != (new.plan is None):
-        return False
-    if old.plan is not None and old.plan.describe() != new.plan.describe():
-        return False
-    return all(_trees_compatible(a, b)
-               for a, b in zip(old.children, new.children))
 
 
 def _observed_selectivity(operator):
@@ -611,13 +483,6 @@ def _recover(run, overrun, allow_migrate):
     plan = operator.plan
     observed = _observed_selectivity(operator)
     assumed = getattr(plan, "selectivity", float("nan"))
-    feedback = run.executor.feedback
-    if (feedback is not None and observed is not None
-            and isinstance(plan, RankJoinPlan)):
-        # PR 1 computed this correction and threw it away with the
-        # query; now it lands in the store even when no re-plan
-        # happens, so the next optimization of this join benefits.
-        feedback.learn_join(plan.predicates, observed, source="overrun")
     recovery = run.recovery
     rows_emitted = len(run.rows)
     if observed is None or not isinstance(plan, RankJoinPlan):

@@ -19,13 +19,9 @@ overload protection as a ladder, gentlest rung first:
    :class:`~repro.common.errors.OverloadError`, keeping queue waits
    bounded for everything already admitted.
 
-When the database carries an adaptive feedback store (see
-``docs/adaptivity.md``), admission-time planning sees its learned
-selectivities automatically: ``_cached_optimization`` keys the plan
-cache on the query's learned epoch, so a learned update re-plans the
-affected shapes on their next admission -- the cost estimate that
-classifies interactive vs batch (and sizes degradation) converges
-toward observed reality instead of repeating the initial guess.
+Admission plans with the catalog's statistics, so a catalog change
+(``analyze``, a selectivity override, an insert) moves the plan-cache
+key and re-plans the affected shapes on their next admission.
 """
 
 from repro.common.errors import OptimizerError, OverloadError

@@ -20,7 +20,6 @@ class Catalog:
         self._selectivity_overrides = {}
         self._partitionings = {}
         self._version = 0
-        self._learned = None
 
     # ------------------------------------------------------------------
     # Versioning
@@ -147,46 +146,6 @@ class Catalog:
         self._version += 1
 
     # ------------------------------------------------------------------
-    # Learned statistics
-    # ------------------------------------------------------------------
-    def attach_learned(self, provider):
-        """Attach a learned-statistics overlay (or ``None`` to detach).
-
-        ``provider`` is anything exposing
-        ``learned_join_selectivity(frozenset_of_columns) -> float|None``
-        and a monotone ``stats_epoch`` property -- in practice a
-        :class:`~repro.feedback.store.FeedbackStore`.  Learned values
-        take precedence over explicit overrides: an observed
-        selectivity from actual executions outranks a pinned
-        assumption.
-
-        Attaching does **not** bump :attr:`version`, and neither do
-        later learned updates: learned invalidation is *epoch-scoped*
-        (see :attr:`stats_epoch`), so a correction to one join evicts
-        only the cached plans whose predicates touch it instead of
-        flushing the whole plan cache.
-        """
-        self._learned = provider
-
-    @property
-    def learned(self):
-        """The attached learned-statistics provider, or ``None``."""
-        return self._learned
-
-    @property
-    def stats_epoch(self):
-        """Epoch of the learned overlay (``0`` when none is attached).
-
-        Plan caches combine this with :attr:`version` per query (see
-        :meth:`~repro.feedback.store.FeedbackStore.plan_epoch` for the
-        per-fingerprint refinement) so learned updates invalidate
-        cached plans without touching the catalog version.
-        """
-        if self._learned is None:
-            return 0
-        return self._learned.stats_epoch
-
-    # ------------------------------------------------------------------
     # Selectivity
     # ------------------------------------------------------------------
     def set_join_selectivity(self, left_column, right_column, selectivity):
@@ -207,16 +166,10 @@ class Catalog:
                          right_column):
         """Return the selectivity of ``left_column = right_column``.
 
-        Precedence: learned statistics (when a feedback overlay is
-        attached and has an applied value for this join), then explicit
-        overrides, then the System R distinct-value formula over the
-        analyzed statistics.
+        Precedence: explicit overrides, then the System R
+        distinct-value formula over the analyzed statistics.
         """
         key = frozenset((left_column, right_column))
-        if self._learned is not None:
-            learned = self._learned.learned_join_selectivity(key)
-            if learned is not None:
-                return learned
         if key in self._selectivity_overrides:
             return self._selectivity_overrides[key]
         return estimate_join_selectivity(

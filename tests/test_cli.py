@@ -84,6 +84,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--rows", "0", "demo"],
+        ["--checkpoint-every", "0", "demo"],
+        ["--shards", "0", "demo"],
+        ["--rows", "many", "demo"],
+        ["--seed", "-1", "demo"],
+        ["serve", "--clients", "-1"],
+        ["serve", "--instalment", "0"],
+        ["sql", "--limit", "-1", "SELECT A.c1 FROM A"],
+    ], ids=["rows", "checkpoint-every", "shards", "rows-not-int", "seed",
+            "clients", "instalment", "limit"])
+    def test_bad_count_exits_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "error: argument" in err
+
     def test_demo_checkpoint_every(self, capsys):
         assert main(["--rows", "300", "--checkpoint-every", "2",
                      "demo"]) == 0

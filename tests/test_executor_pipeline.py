@@ -22,9 +22,6 @@ from repro.optimizer.plans import RankJoinPlan
 from repro.robustness.budget import ResourceBudget
 from repro.robustness.recovery import RecoveryPolicy
 
-from tests.test_feedback_adaptive import POLICY, SHAPES as ADAPTIVE
-from tests.test_feedback_adaptive import make_db as make_adaptive_db
-from tests.test_feedback_adaptive import mis_estimate
 from tests.test_parallel_equivalence import SHAPES, make_db, topk_sql
 
 #: ``[op.name for op in root.walk()]`` of a fresh guarded run of each
@@ -249,24 +246,54 @@ def cached(db, sql):
     return db.prepare(sql).explain()
 
 
-class TestGuardedRunsAndThePlanCache:
-    @pytest.mark.parametrize("path, feedback, policy, checkpoint", [
-        ("reestimated", False,
-         RecoveryPolicy(overrun_factor=1.1, min_headroom=4,
-                        max_reestimates=2), None),
-        ("fallback", False, POLICY, None),
-        ("replanned", True, POLICY, 2),
+#: Aggressive limits so a 4x selectivity mis-estimate overruns early.
+POLICY = RecoveryPolicy(overrun_factor=1.1, min_headroom=4,
+                        max_reestimates=0)
+
+WEIGHTED = """
+WITH Ranked AS (
+  SELECT rank() OVER (ORDER BY (0.3*A.c1 + 0.7*B.c2)) AS rank
+  FROM A, B WHERE A.c2 = B.c1)
+SELECT rank FROM Ranked WHERE rank <= 5
+"""
+
+
+def make_recovery_db(rows=400, seed=3, domain=15):
+    rng = make_rng(seed)
+    db = Database()
+    db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
+        [float(rng.uniform(0, 1)), int(rng.integers(0, domain))]
+        for _ in range(rows)
     ])
-    def test_direct_recovery_leaves_cached_plan_intact(
-            self, path, feedback, policy, checkpoint):
-        sql = ADAPTIVE["weighted"][0]
-        reference = make_adaptive_db().execute(sql)
-        db = make_adaptive_db(feedback=feedback)
+    db.create_table("B", [("c1", "int"), ("c2", "float")], rows=[
+        [int(rng.integers(0, domain)), float(rng.uniform(0, 1))]
+        for _ in range(rows)
+    ])
+    db.analyze()
+    return db
+
+
+def mis_estimate(db, factor=4.0):
+    """Pin the join estimate ``factor``x too high (tight depth limits)."""
+    real = db.catalog.join_selectivity("A", "A.c2", "B", "B.c1")
+    db.set_join_selectivity("A.c2", "B.c1", min(1.0, real * factor))
+
+
+class TestGuardedRunsAndThePlanCache:
+    @pytest.mark.parametrize("path, policy", [
+        ("reestimated",
+         RecoveryPolicy(overrun_factor=1.1, min_headroom=4,
+                        max_reestimates=2)),
+        ("fallback", POLICY),
+    ])
+    def test_direct_recovery_leaves_cached_plan_intact(self, path, policy):
+        sql = WEIGHTED
+        reference = make_recovery_db().execute(sql)
+        db = make_recovery_db()
         mis_estimate(db)
         entry = cached(db, sql)
         before = cache_signature(entry)
-        report = db.execute_guarded(sql, policy=policy,
-                                    checkpoint=checkpoint)
+        report = db.execute_guarded(sql, policy=policy)
         assert report.recovery.path == path
         assert cache_signature(entry) == before
         assert pairs(report.rows) == pairs(reference.rows)

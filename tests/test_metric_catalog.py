@@ -4,8 +4,8 @@
 metrics.  These tests hold it to the tables of ``docs/observability.md``
 in both directions, and replay a fixed scenario set -- a traced guarded
 run with faults and checkpoints, a durable suspend/resume, a served run
-with shedding, rejection and a retry, a feedback re-plan, and an inline
-sharded run -- whose every counter and gauge sample must equal
+with shedding, rejection and a retry, and an inline sharded run --
+whose every counter and gauge sample must equal
 ``fixtures/metric_golden.json``.
 
 Regenerate the golden file only when a metric change is intended::
@@ -18,7 +18,6 @@ import json
 import os
 import re
 import tempfile
-import warnings
 
 import pytest
 
@@ -47,7 +46,6 @@ from repro.robustness.faults import (
     FaultyOperator,
     RetryingOperator,
 )
-from repro.robustness.recovery import RecoveryPolicy
 from repro.server import AdmissionPolicy, SchedulerConfig, Server
 
 HERE = os.path.dirname(__file__)
@@ -72,10 +70,10 @@ TIMED = {"operator_time_ns"}
 KINDS = ("counter", "gauge", "histogram")
 
 
-def make_db(hrjn_only=False, feedback=None, rows=400, seed=3, domain=15):
+def make_db(hrjn_only=False, rows=400, seed=3, domain=15):
     rng = make_rng(seed)
     config = OptimizerConfig(enable_nrjn=False) if hrjn_only else None
-    db = Database(config=config, feedback=feedback)
+    db = Database(config=config)
     db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
         [float(rng.uniform(0, 1)), int(rng.integers(0, domain))]
         for _ in range(rows)
@@ -168,26 +166,6 @@ def served_scenario(_workdir):
     return {"db": db.metrics}
 
 
-def feedback_scenario(workdir):
-    path = os.path.join(workdir, "feedback.jsonl")
-    db = make_db(feedback=path)
-    db.execute(SQL)
-    real = db.catalog.join_selectivity("A", "A.c2", "B", "B.c1")
-    db.set_join_selectivity("A.c2", "B.c1", min(1.0, real * 4.0))
-    report = db.execute_guarded(
-        SQL, checkpoint=2, trace=True,
-        policy=RecoveryPolicy(overrun_factor=1.1, min_headroom=4,
-                              max_reestimates=0))
-    assert report.recovery.path == "replanned"
-    with open(path, "a") as handle:
-        handle.write('{"kind": "jo')  # a torn trailing line
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        replayed = make_db(feedback=path)
-    return {"db": db.metrics, "replanned": report.telemetry.metrics,
-            "replayed": replayed.metrics}
-
-
 def sharded_scenario(_workdir):
     db = make_db()
     try:
@@ -201,7 +179,6 @@ SCENARIOS = {
     "guarded": guarded_scenario,
     "durable": durable_scenario,
     "served": served_scenario,
-    "feedback": feedback_scenario,
     "sharded": sharded_scenario,
 }
 

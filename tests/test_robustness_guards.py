@@ -283,6 +283,25 @@ class TestAdaptiveRecovery:
         with pytest.raises(OptimizerError):
             RecoveryPolicy(max_reestimates=-1)
 
+    @pytest.mark.parametrize("options", [
+        {"overrun_factor": float("nan")},
+        {"overrun_factor": float("inf")},
+        {"min_headroom": -1000},
+        {"min_headroom": 2.5},
+        {"max_reestimates": float("nan")},
+        {"max_reestimates": True},
+    ], ids=["factor-nan", "factor-inf", "headroom-negative",
+            "headroom-float", "reestimates-nan", "reestimates-bool"])
+    def test_policy_rejects_values_that_break_a_guarded_run(self, options):
+        """A NaN or infinite factor cannot size a depth limit, a
+        negative headroom puts limits below the depth already pulled,
+        and a NaN re-estimate budget never runs out: each is rejected
+        when the policy is built, not in the middle of a run."""
+        from repro.common.errors import OptimizerError
+
+        with pytest.raises(OptimizerError):
+            RecoveryPolicy(**options)
+
 
 class TestFallbackPlanRetrieval:
     def test_fallback_plan_is_rank_free_and_ordered(self):

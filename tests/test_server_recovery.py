@@ -253,7 +253,7 @@ class TestServerCrashRecovery:
         writes = db.metrics.counter("durability_writes_total")
         assert writes.value(reason="suspend") == suspensions
         assert ({labels["reason"] for labels in writes.labelsets()}
-                <= {"cadence", "pressure", "suspend", "explicit", "replan"})
+                <= {"cadence", "pressure", "suspend", "explicit"})
         durable = log.events("durable_checkpoint")
         assert len(durable) == writes.total()
         assert sum(event.attributes["reason"] == "suspend"
