@@ -48,7 +48,7 @@ from repro.common.scoring import (
 from repro.common.types import Column, Row, Schema
 from repro.cost.buffer import buffer_upper_bound
 from repro.cost.crossover import find_k_star
-from repro.cost.model import CostModel
+from repro.cost.model import IN_MEMORY, PAPER_2004, CostModel, CostProfile
 from repro.estimation.depths import (
     any_k_depths,
     any_k_depths_uniform,
@@ -145,6 +145,7 @@ __all__ = [
     "CheckpointPolicy",
     "Column",
     "CostModel",
+    "CostProfile",
     "DataError",
     "Database",
     "DepthOverrunError",
@@ -161,6 +162,7 @@ __all__ = [
     "FilterPredicate",
     "HRJN",
     "HashJoin",
+    "IN_MEMORY",
     "IndexNestedLoopsJoin",
     "IndexScan",
     "InstalmentScheduler",
@@ -176,6 +178,7 @@ __all__ = [
     "Optimizer",
     "OptimizerConfig",
     "OverloadError",
+    "PAPER_2004",
     "Project",
     "QuerySession",
     "RankQuery",

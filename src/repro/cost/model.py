@@ -3,55 +3,129 @@
 The paper plugs "traditional cost formulas for external sorting and
 index nested-loops join" into its comparison (Figure 6); this module
 provides those formulas.  Costs are abstract units: one unit = one
-sequential page read.  Random I/O carries a configurable multiplier,
-and CPU work a small per-tuple weight so plans that touch the same
-pages still differ.
+sequential page read.  Random I/O carries a multiplier, and CPU work
+a small per-tuple weight so plans that touch the same pages still
+differ.  The constants live in named, frozen :class:`CostProfile`
+values: :data:`PAPER_2004` (the paper's disk model) and
+:data:`IN_MEMORY` (this engine, which ``Database()`` plans with).
 """
 
 import math
+from dataclasses import dataclass, replace
+from enum import Enum
 
 from repro.common.errors import EstimationError
 
 
-class CostModel:
-    """Tunable cost model.
+class CostProfileVersion(str, Enum):
+    """Names of the committed cost profiles."""
 
-    Parameters
-    ----------
-    tuples_per_page:
-        Tuples that fit one disk page.
-    buffer_pages:
-        Memory pages available to sorts and hash joins (``B``).
-    random_io_weight:
-        Cost of one random page read relative to a sequential one.
-    cpu_tuple_weight:
-        Cost of processing one tuple relative to a sequential page read.
-    index_probe_pages:
-        Pages touched by one index probe (root-to-leaf traversal).
-    clustered_index:
-        When true, sorted index access reads sequential pages; when
-        false (default -- matching the high-dimensional indexes of the
-        paper's video prototype) every indexed tuple costs a random
-        page read.
+    paper_2004 = "paper_2004"
+    in_memory_v1 = "in_memory_v1"
+
+
+#: Integer constants and their least value (a sort needs 3 buffers).
+_COUNT_MINIMA = {"tuples_per_page": 1, "buffer_pages": 3,
+                 "index_probe_pages": 0}
+_WEIGHTS = ("random_io_weight", "cpu_tuple_weight",
+            "inline_shard_startup_cost", "pool_shard_startup_cost")
+
+
+@dataclass(frozen=True)
+class CostProfile:
+    """The constants a :class:`CostModel` prices plans with.
+
+    The formulas never change between profiles; only these numbers do.
+    Each committed value is derived in ``docs/estimation_model.md``
+    ("Cost profiles").
     """
 
-    def __init__(self, tuples_per_page=100, buffer_pages=64,
-                 random_io_weight=4.0, cpu_tuple_weight=0.001,
-                 index_probe_pages=2, clustered_index=False,
-                 inline_shard_startup_cost=0.02,
-                 pool_shard_startup_cost=6.0):
-        if tuples_per_page < 1:
-            raise EstimationError("tuples_per_page must be >= 1")
-        if buffer_pages < 3:
-            raise EstimationError("buffer_pages must be >= 3 (sort needs 3)")
-        self.tuples_per_page = tuples_per_page
-        self.buffer_pages = buffer_pages
-        self.random_io_weight = random_io_weight
-        self.cpu_tuple_weight = cpu_tuple_weight
-        self.index_probe_pages = index_probe_pages
-        self.clustered_index = clustered_index
-        self.inline_shard_startup_cost = inline_shard_startup_cost
-        self.pool_shard_startup_cost = pool_shard_startup_cost
+    version: CostProfileVersion
+    # Tuples that fit one disk page.
+    tuples_per_page: int
+    # Memory pages available to sorts and hash joins (``B``, >= 3).
+    buffer_pages: int
+    # Cost of one random page read relative to a sequential one.
+    random_io_weight: float
+    # Cost of processing one tuple relative to a sequential page read.
+    cpu_tuple_weight: float
+    # Pages touched by one index probe (root-to-leaf traversal).
+    index_probe_pages: int
+    # Sorted index access reads sequential pages when true; when false
+    # every indexed tuple costs a random read (the high-dimensional
+    # indexes of the paper's video prototype).
+    clustered_index: bool
+    # Fixed per-shard setup of an inline / a process-pool shard.
+    inline_shard_startup_cost: float
+    pool_shard_startup_cost: float
+
+    def __post_init__(self):
+        if not isinstance(self.version, CostProfileVersion):
+            raise EstimationError("version must be a CostProfileVersion")
+        for name, least in _COUNT_MINIMA.items():
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < least):
+                raise EstimationError(
+                    "%s must be an integer >= %d" % (name, least))
+        for name in _WEIGHTS:
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value < 0):
+                raise EstimationError(
+                    "%s must be a finite number >= 0" % (name,))
+        if not isinstance(self.clustered_index, bool):
+            raise EstimationError("clustered_index must be a bool")
+
+    @property
+    def name(self):
+        return self.version.value
+
+
+#: The 2004 disk model the paper's figures are drawn in: one unit is
+#: one sequential page read, a random read costs four.
+PAPER_2004 = CostProfile(
+    version=CostProfileVersion.paper_2004,
+    tuples_per_page=100,
+    buffer_pages=64,
+    random_io_weight=4.0,
+    cpu_tuple_weight=0.001,
+    index_probe_pages=2,
+    clustered_index=False,
+    inline_shard_startup_cost=0.02,
+    pool_shard_startup_cost=6.0,
+)
+
+#: This engine's units: a tuple read through a sorted index is a list
+#: lookup by position, priced like a tuple of a heap scan
+#: (``1 / tuples_per_page``).  Every other constant is PAPER_2004's.
+IN_MEMORY = replace(
+    PAPER_2004,
+    version=CostProfileVersion.in_memory_v1,
+    random_io_weight=1.0 / PAPER_2004.tuples_per_page,
+)
+
+
+class CostModel:
+    """The cost formulas, priced by one :class:`CostProfile`.
+
+    ``Database()`` plans with :data:`IN_MEMORY`; the paper's figures
+    (``repro.experiments``) and a bare ``CostModel()`` use
+    :data:`PAPER_2004`.  A variant is ``CostModel(dataclasses.replace(
+    PAPER_2004, buffer_pages=8))``.
+    """
+
+    def __init__(self, profile=PAPER_2004):
+        self.profile = profile
+        self.tuples_per_page = profile.tuples_per_page
+        self.buffer_pages = profile.buffer_pages
+        self.random_io_weight = profile.random_io_weight
+        self.cpu_tuple_weight = profile.cpu_tuple_weight
+        self.index_probe_pages = profile.index_probe_pages
+        self.clustered_index = profile.clustered_index
+        self.inline_shard_startup_cost = profile.inline_shard_startup_cost
+        self.pool_shard_startup_cost = profile.pool_shard_startup_cost
 
     # ------------------------------------------------------------------
     # Primitives
@@ -104,12 +178,14 @@ class CostModel:
         pages = self.pages(tuples)
         if pages <= 1:
             return self.cpu(tuples)
-        runs = math.ceil(pages / self.buffer_pages)
-        if runs <= 1:
-            passes = 1
-        else:
-            fan_in = self.buffer_pages - 1
-            passes = 1 + math.ceil(math.log(runs, fan_in))
+        runs = -(-pages // self.buffer_pages)
+        fan_in = self.buffer_pages - 1
+        passes = 1
+        # Merge passes counted in integers: in floats ``log(125, 5)`` is
+        # 3.0000000000000004, one pass too many at exact powers.
+        while runs > 1:
+            runs = -(-runs // fan_in)
+            passes += 1
         return 2.0 * pages * passes + self.cpu(tuples)
 
     # ------------------------------------------------------------------
@@ -234,7 +310,7 @@ class CostModel:
                 + self.cpu(depth_outer + buffered + queue_ops))
 
     def __repr__(self):
-        return ("CostModel(tpp=%d, B=%d, rand=%.1f, cpu=%g, clustered=%s)"
-                % (self.tuples_per_page, self.buffer_pages,
-                   self.random_io_weight, self.cpu_tuple_weight,
-                   self.clustered_index))
+        return ("CostModel(%s: tpp=%d, B=%d, rand=%g, cpu=%g, clustered=%s)"
+                % (self.profile.name, self.tuples_per_page,
+                   self.buffer_pages, self.random_io_weight,
+                   self.cpu_tuple_weight, self.clustered_index))

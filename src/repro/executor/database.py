@@ -13,7 +13,7 @@ feature has a high-dimensional index delivering ranked streams).
 
 import os
 
-from repro.cost.model import CostModel
+from repro.cost.model import IN_MEMORY, CostModel
 from repro.executor.executor import Executor
 from repro.executor.plan_cache import (
     DEFAULT_CAPACITY,
@@ -87,7 +87,9 @@ class Database:
     Parameters
     ----------
     cost_model:
-        Optional :class:`~repro.cost.model.CostModel` override.
+        Optional :class:`~repro.cost.model.CostModel` override; the
+        default prices plans with the ``IN_MEMORY`` cost profile
+        (``CostModel(PAPER_2004)`` plans as the paper's disk model).
     config:
         Optional :class:`~repro.optimizer.enumerator.OptimizerConfig`.
     auto_index_scores:
@@ -112,7 +114,7 @@ class Database:
                  auto_index_scores=True,
                  plan_cache_size=DEFAULT_CAPACITY):
         self.catalog = Catalog()
-        self.cost_model = cost_model or CostModel()
+        self.cost_model = cost_model or CostModel(IN_MEMORY)
         self.config = config or OptimizerConfig()
         self.auto_index_scores = auto_index_scores
         self.metrics = MetricsRegistry()

@@ -14,7 +14,7 @@ optimizer's own plan nodes (:func:`two_way_plans`), so the curves and
 from functools import cache
 
 from repro.cost.crossover import find_k_star
-from repro.cost.model import CostModel
+from repro.cost.model import PAPER_2004, CostModel
 from repro.data.catalogs import make_abc_catalog
 from repro.experiments.harness import measure_depths, measure_pipeline_depths
 from repro.experiments.report import format_table, relative_error
@@ -57,7 +57,7 @@ def two_way_plans(cardinality, selectivity):
     (blocking, flat in ``k``); the rank-join plan is HRJN over the two
     sorted score indexes (its cost grows with ``k``).
     """
-    model = CostModel()
+    model = CostModel(PAPER_2004)
     left_score = ScoreExpression.single("L.score")
     right_score = ScoreExpression.single("R.score")
     combined = left_score.combine(right_score)
@@ -117,7 +117,7 @@ def figures2_3():
     ``"3(a)"`` / ``"3(b)"`` query Q2 traditional / rank-aware.
     """
     catalog = make_abc_catalog()
-    model = CostModel()
+    model = CostModel(PAPER_2004)
     predicates = [JoinPredicate("A.c1", "B.c1"),
                   JoinPredicate("B.c2", "C.c2")]
     traditional = Optimizer(catalog, model,

@@ -8,7 +8,7 @@ Figures 13, 14, and 15, and of the Figure 4 depth-propagation example.
 
 from repro.common.errors import EstimationError
 from repro.cost.buffer import buffer_upper_bound
-from repro.cost.model import CostModel
+from repro.cost.model import PAPER_2004, CostModel
 from repro.data.generators import generate_ranked_table
 from repro.estimation.depths import (
     any_k_depths_uniform,
@@ -200,7 +200,7 @@ def pipeline_plan(cardinality, selectivities):
     :class:`~repro.optimizer.plans.RankJoinPlan`, whose
     ``propagate_depths(k)`` is Algorithm Propagate over the pipeline.
     """
-    model = CostModel()
+    model = CostModel(PAPER_2004)
 
     def ranked(i):
         return AccessPlan(model, "T%d" % (i,), cardinality,

@@ -210,7 +210,8 @@ class OptimizationResult:
     def explain(self):
         """Readable summary of the chosen plan."""
         k = self.query.k if self.query.is_ranking else None
-        header = "best plan (k=%s):" % (k,)
+        header = "best plan (k=%s): cost profile %s" % (
+            k, self.best_plan.model.profile.name)
         return header + "\n" + self.best_plan.explain(k=k or 1)
 
     def __repr__(self):

@@ -41,7 +41,8 @@ class AdmissionPolicy:
     ----------
     interactive_cost:
         Estimated plan-cost threshold below which a query is classed
-        ``interactive`` (scheduled strictly before ``batch`` work).
+        ``interactive`` (scheduled strictly before ``batch`` work), in
+        the units of the database's cost profile.
     high_water:
         Queue depth (queued + running queries) at which new
         submissions are rejected with :class:`OverloadError`.

@@ -15,6 +15,7 @@ from repro.common.errors import (
     TransientFaultError,
 )
 from repro.common.rng import make_rng
+from repro.cost.model import PAPER_2004, CostModel
 from repro.executor.database import Database
 from repro.optimizer.enumerator import OptimizerConfig
 from repro.robustness.budget import ResourceBudget
@@ -40,7 +41,10 @@ def make_db(rows=400, seed=3, domain=15, hrjn_only=False):
     # step no budget can split -- so tests that need incremental
     # progress per budget instalment pin the fully pipelined HRJN.
     config = (OptimizerConfig(enable_nrjn=False) if hrjn_only else None)
-    db = Database(config=config)
+    # The suspension scenarios need a plan that reads past 100 pulls:
+    # pin the paper's cost profile, whose plan here is NRJN (428
+    # pulls; IN_MEMORY's HRJN reads 36).
+    db = Database(cost_model=CostModel(PAPER_2004), config=config)
     db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
         [float(rng.uniform(0, 1)), int(rng.integers(0, domain))]
         for _ in range(rows)

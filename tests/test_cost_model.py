@@ -1,29 +1,36 @@
 """Unit tests for the cost model primitives."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import EstimationError
-from repro.cost.model import CostModel
+from repro.cost.model import PAPER_2004, CostModel
+
+
+def model_with(**constants):
+    """A PAPER_2004 model with ``constants`` replaced."""
+    return CostModel(replace(PAPER_2004, **constants))
 
 
 class TestPrimitives:
     def test_pages(self):
-        model = CostModel(tuples_per_page=100)
+        model = model_with(tuples_per_page=100)
         assert model.pages(0) == 0
         assert model.pages(1) == 1
         assert model.pages(100) == 1
         assert model.pages(101) == 2
 
     def test_cpu_weight(self):
-        model = CostModel(cpu_tuple_weight=0.01)
+        model = model_with(cpu_tuple_weight=0.01)
         assert model.cpu(100) == pytest.approx(1.0)
         assert model.cpu(-5) == 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(EstimationError):
-            CostModel(tuples_per_page=0)
+            model_with(tuples_per_page=0)
         with pytest.raises(EstimationError):
-            CostModel(buffer_pages=2)
+            model_with(buffer_pages=2)
 
 
 class TestAccessPaths:
@@ -32,14 +39,14 @@ class TestAccessPaths:
         assert model.table_scan_cost(1000) < model.table_scan_cost(10000)
 
     def test_unclustered_index_random_io(self):
-        model = CostModel(random_io_weight=4.0, clustered_index=False)
+        model = model_with(random_io_weight=4.0, clustered_index=False)
         cost = model.index_sorted_access_cost(10)
         assert cost >= 10 * 4.0  # One random page per tuple.
 
     def test_clustered_index_sequential(self):
-        model = CostModel(clustered_index=True, tuples_per_page=100)
+        model = model_with(clustered_index=True, tuples_per_page=100)
         clustered = model.index_sorted_access_cost(1000)
-        unclustered = CostModel(
+        unclustered = model_with(
             clustered_index=False,
         ).index_sorted_access_cost(1000)
         assert clustered < unclustered
@@ -48,24 +55,24 @@ class TestAccessPaths:
         assert CostModel().index_sorted_access_cost(0) == 0.0
 
     def test_probe_cost(self):
-        model = CostModel(index_probe_pages=2)
+        model = model_with(index_probe_pages=2)
         assert model.index_probe_cost(0) >= 2
 
 
 class TestSort:
     def test_in_memory_sort_cpu_only(self):
-        model = CostModel(tuples_per_page=1000)
+        model = model_with(tuples_per_page=1000)
         assert model.external_sort_cost(500) == model.cpu(500)
 
     def test_single_pass(self):
-        model = CostModel(tuples_per_page=100, buffer_pages=64)
+        model = model_with(tuples_per_page=100, buffer_pages=64)
         # 10 pages fit in 64 buffers: one read+write pass.
         assert model.external_sort_cost(1000) == pytest.approx(
             2 * 10 + model.cpu(1000),
         )
 
     def test_multi_pass_growth(self):
-        model = CostModel(tuples_per_page=10, buffer_pages=4)
+        model = model_with(tuples_per_page=10, buffer_pages=4)
         small = model.external_sort_cost(1000)
         large = model.external_sort_cost(100000)
         assert large > small
@@ -76,12 +83,12 @@ class TestSort:
 
 class TestJoins:
     def test_hash_join_in_memory(self):
-        model = CostModel(tuples_per_page=100, buffer_pages=64)
+        model = model_with(tuples_per_page=100, buffer_pages=64)
         cost = model.hash_join_cost(1000, 1000)
         assert cost == pytest.approx(model.cpu(2000))
 
     def test_hash_join_grace_spill(self):
-        model = CostModel(tuples_per_page=10, buffer_pages=4)
+        model = model_with(tuples_per_page=10, buffer_pages=4)
         cost = model.hash_join_cost(10000, 10000)
         assert cost >= 2 * (1000 + 1000)
 
@@ -91,7 +98,7 @@ class TestJoins:
                 < model.index_nl_join_cost(1000, 10000, 0.01))
 
     def test_nl_quadratic_pages(self):
-        model = CostModel(tuples_per_page=100)
+        model = model_with(tuples_per_page=100)
         cost = model.nl_join_cost(1000, 1000)
         assert cost >= 10 * 10
 

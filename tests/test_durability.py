@@ -22,6 +22,7 @@ from repro.common.errors import (
     ExecutionError,
 )
 from repro.common.rng import make_rng
+from repro.cost.model import PAPER_2004, CostModel
 from repro.executor.database import Database
 from repro.observability.metrics import MetricsRegistry
 from repro.optimizer.enumerator import OptimizerConfig
@@ -51,7 +52,10 @@ def make_db(rows=400, seed=3, domain=15, hrjn_only=False):
     """The Figure 6 workload tables; deterministic across processes."""
     rng = make_rng(seed)
     config = (OptimizerConfig(enable_nrjn=False) if hrjn_only else None)
-    db = Database(config=config)
+    # The suspension scenarios need a plan that reads past 100 pulls:
+    # pin the paper's cost profile, whose plan here is NRJN (428
+    # pulls; IN_MEMORY's HRJN reads 36).
+    db = Database(cost_model=CostModel(PAPER_2004), config=config)
     db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
         [float(rng.uniform(0, 1)), int(rng.integers(0, domain))]
         for _ in range(rows)

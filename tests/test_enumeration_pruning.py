@@ -13,7 +13,7 @@ many plans a cold optimize still builds on the benchmark's catalog.
 import pytest
 
 from repro.common.rng import make_rng
-from repro.cost.model import CostModel
+from repro.cost.model import PAPER_2004, CostModel
 from repro.executor.database import Database
 from repro.observability import Telemetry
 from repro.optimizer.enumerator import Optimizer, OptimizerConfig
@@ -158,7 +158,8 @@ def built_plans(optimizer, sql, monkeypatch):
 
 class TestOfferCount:
     """A count, not a timing: the exhaustive loop offered 345 plans on
-    the cold 3-table shape and 80 on the 2-table one."""
+    the cold 3-table shape and 80 on the 2-table one.  Counted in the
+    PAPER_2004 cost profile the counts were taken in."""
 
     @pytest.mark.parametrize("tables, weights, most, accepted", [
         ("ABC", (0.2, 0.3, 0.5), 130, 26),
@@ -174,8 +175,9 @@ class TestOfferCount:
             return kept[-1]
 
         monkeypatch.setattr(Memo, "add", counted)
-        plan_cold_optimizer.optimize(parse_query(ranked_sql(tables,
-                                                            weights)))
+        optimizer = Optimizer(plan_cold_optimizer.catalog,
+                              CostModel(PAPER_2004))
+        optimizer.optimize(parse_query(ranked_sql(tables, weights)))
         assert len(kept) <= most
         assert sum(kept) == accepted
 

@@ -16,6 +16,7 @@ import shutil
 import pytest
 
 from repro.common.rng import make_rng
+from repro.cost.model import PAPER_2004, CostModel
 from repro.executor.database import Database
 from repro.optimizer.enumerator import OptimizerConfig
 from repro.optimizer.plans import RankJoinPlan
@@ -62,7 +63,8 @@ GOLDEN_NAMES = {
                   "HRJN1", "IndexScan(B.B_c2_idx)", "IndexScan(C.C_c1_idx)"],
 }
 
-#: The same capture for two-shard inline runs of two shapes.
+#: The same capture for two-shard inline runs of two shapes, planned
+#: with the paper's cost profile (IN_MEMORY shards another join order).
 GOLDEN_SHARDED = {
     "base_k5": ["Project", "Limit(5)", "ScoreMerge(HRJN1)", "HRJN1[s0]",
                 "ShardedScan(A[0/2])", "ShardedScan(B[0/2])", "HRJN1[s1]",
@@ -108,7 +110,7 @@ class TestOperatorNames:
 
     @pytest.mark.parametrize("shape", sorted(GOLDEN_SHARDED))
     def test_sharded_group_names(self, shape):
-        db = make_db()
+        db = make_db(cost_model=CostModel(PAPER_2004))
         for sql in OTHER_SHAPES[:3]:
             db.execute(sql)
         report = db.execute_guarded(SHAPES[shape], parallel="inline",

@@ -27,6 +27,7 @@ from repro.common.errors import (
     OverloadError,
 )
 from repro.common.rng import make_rng
+from repro.cost.model import PAPER_2004, CostModel
 from repro.executor.database import Database
 from repro.observability.events import NULL_EVENTS, EventLog
 from repro.observability.metrics import (
@@ -70,10 +71,10 @@ TIMED = {"operator_time_ns"}
 KINDS = ("counter", "gauge", "histogram")
 
 
-def make_db(hrjn_only=False, rows=400, seed=3, domain=15):
+def make_db(hrjn_only=False, rows=400, seed=3, domain=15, cost_model=None):
     rng = make_rng(seed)
     config = OptimizerConfig(enable_nrjn=False) if hrjn_only else None
-    db = Database(config=config)
+    db = Database(cost_model=cost_model, config=config)
     db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
         [float(rng.uniform(0, 1)), int(rng.integers(0, domain))]
         for _ in range(rows)
@@ -95,7 +96,9 @@ def rank_join_faults(**kwargs):
 # The scenarios: each returns {source: registry}
 # ----------------------------------------------------------------------
 def guarded_scenario(_workdir):
-    db = make_db()
+    # The breach needs a plan that reads past 100 pulls: the paper's
+    # cost profile plans NRJN here (IN_MEMORY's HRJN reads 36).
+    db = make_db(cost_model=CostModel(PAPER_2004))
     faulted = db.execute_guarded(
         SQL, trace=True, checkpoint=2,
         faults=rank_join_faults(on="next", at=4, transient=True))

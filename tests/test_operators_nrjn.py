@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ExecutionError
 from repro.common.rng import make_rng
 from repro.data.generators import generate_ranked_table
+from repro.cost.model import PAPER_2004, CostModel
 from repro.executor.database import Database
 from repro.operators.filters import Filter
 from repro.operators.joins import HashJoin
@@ -229,7 +230,8 @@ class TestInnerUpdates:
 
     def make_db(self, extra=()):
         rng = make_rng(5)
-        db = Database()
+        # The paper's cost profile plans NRJN here; IN_MEMORY plans HRJN.
+        db = Database(cost_model=CostModel(PAPER_2004))
         for name in "DE":
             db.create_table(name, [("c1", "float"), ("c2", "int")], rows=[
                 [float(rng.uniform(0, 1)), int(rng.integers(0, 700))]

@@ -20,12 +20,13 @@ ROWS = 240
 SHARD_COUNTS = (2, 4)
 
 
-def make_db(seed=5, rows=ROWS, key_domain=30):
+def make_db(seed=5, rows=ROWS, key_domain=30, cost_model=None):
     """A/C rank float ``c1`` and join on int ``c2``; B is mirrored
     (int ``c1``, float ``c2``) so every score column has a descending
     index and every A-B / B-C predicate joins int columns."""
     rng = make_rng(seed)
-    db = Database(config=OptimizerConfig(enable_nrjn=False))
+    db = Database(cost_model=cost_model,
+                  config=OptimizerConfig(enable_nrjn=False))
     for name in ("A", "C"):
         db.create_table(
             name, [("c1", "float"), ("c2", "int")], rows=[

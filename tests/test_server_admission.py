@@ -15,6 +15,7 @@ import pytest
 
 from repro.common.errors import OverloadError
 from repro.common.rng import make_rng
+from repro.cost.model import PAPER_2004, CostModel
 from repro.executor.database import Database
 from repro.executor.plan_cache import PlanCache
 from repro.observability.events import EventLog
@@ -36,9 +37,10 @@ SELECT x, y, rank FROM Ranked WHERE rank <= 5
 BIG_SQL = SQL.replace("rank <= 5", "rank <= 40")
 
 
-def make_db(rows=400, seed=3, domain=15):
+def make_db(rows=400, seed=3, domain=15, cost_model=None):
     rng = make_rng(seed)
-    db = Database(config=OptimizerConfig(enable_nrjn=False))
+    db = Database(cost_model=cost_model,
+                  config=OptimizerConfig(enable_nrjn=False))
     db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
         [float(rng.uniform(0, 1)), int(rng.integers(0, domain))]
         for _ in range(rows)
@@ -53,9 +55,9 @@ def make_db(rows=400, seed=3, domain=15):
 
 class TestQueueClassing:
     def test_cost_threshold_splits_interactive_from_batch(self):
-        db = make_db()
-        # The k=5 plan costs ~102, the k=40 plan ~282: a threshold
-        # between them classes one per queue.
+        db = make_db(cost_model=CostModel(PAPER_2004))
+        # In PAPER_2004 units the k=5 plan costs ~102, the k=40 plan
+        # ~282: a threshold between them classes one per queue.
         controller = AdmissionController(
             db, AdmissionPolicy(interactive_cost=150.0))
         cheap = controller.admit(parse_query(SQL), "t", queue_depth=0)

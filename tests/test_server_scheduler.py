@@ -16,6 +16,7 @@ import pytest
 
 from repro.common.errors import ExecutionError, TransientFaultError
 from repro.common.rng import make_rng
+from repro.cost.model import PAPER_2004, CostModel
 from repro.executor.database import Database
 from repro.optimizer.enumerator import OptimizerConfig
 from repro.robustness.faults import FaultPlan, FaultSpec
@@ -56,9 +57,10 @@ SELECT x, z, rank FROM Ranked WHERE rank <= 8
 """
 
 
-def make_db(rows=400, seed=3, domain=15, config=None, three_way=False):
+def make_db(rows=400, seed=3, domain=15, config=None, three_way=False,
+            cost_model=None):
     rng = make_rng(seed)
-    db = Database(config=config)
+    db = Database(cost_model=cost_model, config=config)
     db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
         [float(rng.uniform(0, 1)), int(rng.integers(0, domain))]
         for _ in range(rows)
@@ -132,11 +134,11 @@ class TestMixedWorkloadPreemption:
     preemption, interactive-first completion, byte-identical results."""
 
     def test_expensive_query_preempted_interactive_first(self):
-        db = hrjn_db()
+        db = hrjn_db(cost_model=CostModel(PAPER_2004))
         serial_cheap = db.execute(SQL).rows
         serial_big = db.execute(BIG_SQL).rows
-        # The expensive query (est. cost ~282) lands in the batch
-        # class, the cheap ones (~102) stay interactive.
+        # In PAPER_2004 units the expensive query (est. cost ~282) lands
+        # in the batch class, the cheap ones (~102) stay interactive.
         policy = AdmissionPolicy(interactive_cost=150.0, high_water=64)
         config = SchedulerConfig(instalment_pulls=30)
 
