@@ -165,14 +165,17 @@ class Database:
         ``"A.c2"``) rows are hash-routed so equi-joins on that column
         are shard-co-located -- the prerequisite for the optimizer's
         parallel rank-join alternative.  Shards register in the catalog
-        (bumping its version, so cached plans refresh) and statistics
-        are recomputed.  Returns the
-        :class:`~repro.storage.partition.Partitioning`.
+        (bumping its version, so cached plans refresh) and are analyzed;
+        the statistics of every other table are left as they are.
+        Returns the :class:`~repro.storage.partition.Partitioning`.
         """
+        before = self.catalog.partitioning(name, column)
         partitioning = Partitioner(self.catalog).partition(
             name, shards, column=column, strategy=strategy,
         )
-        self.catalog.analyze()
+        if partitioning is not before:
+            for shard in partitioning.shard_names:
+                self.catalog.analyze(shard)
         return partitioning
 
     def _ensure_partitionings(self, query, shards):

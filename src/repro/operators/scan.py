@@ -1,9 +1,10 @@
 """Access-path operators: heap scan and sorted index scan.
 
-Scans are position-based: the cursor is an integer offset into the
-table's row facade (heap order) or the index's sorted entries, so
-``next_batch`` is a list slice rather than an iterator drain and a
-checkpoint stores just the offset.
+Scans are position-based: the cursor is an integer offset into heap
+order or the index's sort permutation, pinned with the stream's length
+at open, so a checkpoint stores just the offset.  Rows come from the
+table's row facade (:attr:`~repro.storage.table.Table.row_at`), which
+builds each Row the first time its position is read.
 
 Scans also expose :meth:`fuse_columnar`, the hook positional consumers
 -- the vectorized :class:`~repro.operators.filters.Filter` /
@@ -29,9 +30,11 @@ class ColumnarView:
         when the stream is in heap order (cursor == heap position).
     row_at:
         ``heap_position -> Row`` getter for the positions a consumer
-        keeps.
+        keeps: the table's row facade, which builds a Row on first
+        read.
     length:
-        Stream length at fusion time.
+        Stream length: as of the scan's ``open()`` (as of fusion for a
+        scan that is not open).
     """
 
     __slots__ = ("columns", "order", "row_at", "length")
@@ -75,45 +78,52 @@ class _Scan(Operator):
                 lambda row, _idx=index: _idx._key_fn(row),
                 index.key_description,
             )
-        self._source = None  # rows list (heap) or entries list (index).
+        # The stream as of open(): (index permutation or None for heap
+        # order, length).  None while closed.
+        self._snapshot = None
         self._consumed = 0
 
     @property
     def schema(self):
         return self.table.schema
 
-    def _source_list(self):
-        # Snapshot semantics: table and index replace (never mutate in
-        # place) what a reader may hold, so keeping the reference pins
-        # the stream as of open under concurrent mutation.
+    def _pin(self):
+        """The stream as of now: ``(order, length)``.
+
+        Snapshot semantics: a table only appends and an index replaces
+        (never mutates) its permutation, so positions below the pinned
+        length keep their rows under concurrent mutation.
+        """
         if self.index is None:
-            return self.table.rows()
-        return self.index.entries()
+            return None, len(self.table)
+        order = self.index.order()
+        return order, len(order)
 
     def _open(self):
-        self._source = self._source_list()
+        self._snapshot = self._pin()
         self._consumed = 0
 
     def _next(self):
-        source = self._source
+        order, length = self._snapshot
         consumed = self._consumed
-        if consumed >= len(source):
+        if consumed >= length:
             return None
         self._consumed = consumed + 1
-        if self.index is None:
-            return source[consumed]
-        return source[consumed][1]
+        return self.table.row_at(
+            consumed if order is None else order[consumed])
 
     def _next_batch(self, n):
+        order, length = self._snapshot
         start = self._consumed
-        chunk = self._source[start:start + n]
-        self._consumed = start + len(chunk)
-        if self.index is None:
-            return chunk
-        return [row for _score, row in chunk]
+        stop = min(start + n, length)
+        self._consumed = stop
+        return list(map(
+            self.table.row_at,
+            range(start, stop) if order is None else order[start:stop],
+        ))
 
     def _close(self):
-        self._source = None
+        self._snapshot = None
 
     def _state_dict(self):
         # The cursor is a position, not data: restore assumes the
@@ -122,18 +132,17 @@ class _Scan(Operator):
 
     def _load_state_dict(self, state):
         self._consumed = state["consumed"]
-        self._source = self._source_list()
+        self._snapshot = self._pin()
 
     def fuse_columnar(self):
-        """Return a :class:`ColumnarView` over this scan's stream."""
+        """Return a :class:`ColumnarView` over this scan's stream.
+
+        An open scan hands out the stream it pinned at open; a closed
+        one the stream as of now.
+        """
+        order, length = self._snapshot or self._pin()
         table = self.table
-        order = None if self.index is None else self.index.order()
-        return ColumnarView(
-            _column_map(table),
-            order,
-            table.rows().__getitem__,
-            len(table) if order is None else len(order),
-        )
+        return ColumnarView(_column_map(table), order, table.row_at, length)
 
     def advance(self, count):
         """Consume ``count`` positions on behalf of a positional consumer.

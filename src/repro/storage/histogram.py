@@ -40,14 +40,13 @@ class EquiWidthHistogram:
             self.width = 0.0
             self.counts = [self.total] + [0] * (self.buckets - 1)
             return
-        self.width = span / self.buckets
-        self.counts = [0] * self.buckets
+        self.width = width = span / self.buckets
+        self.counts = counts = [0] * self.buckets
+        low = self.low
+        last = self.buckets - 1
         for value in values:
-            index = min(
-                self.buckets - 1,
-                int((value - self.low) / self.width),
-            )
-            self.counts[index] += 1
+            index = int((value - low) / width)
+            counts[index if index < last else last] += 1
 
     def _check_nonempty(self):
         if self.total == 0:

@@ -49,8 +49,8 @@ class SortedIndex:
             self.key_description = key_description or key
             self.key_column = key  # qualified column name
         self._table = None
-        self._entries = None  # list of (score, row), sorted.
-        self._order = None  # heap positions in sorted order.
+        # (heap positions in sorted order, heap position -> key value).
+        self._sorted = None
 
     def attach(self, table):
         """Bind this index to ``table`` (called by ``Table.create_index``)."""
@@ -60,9 +60,12 @@ class SortedIndex:
         self.mark_stale()
 
     def mark_stale(self):
-        """Invalidate the sorted entries after a table mutation."""
-        self._entries = None
-        self._order = None
+        """Invalidate the sort permutation after a table mutation.
+
+        The old permutation list is dropped, never mutated, so a reader
+        holding it keeps the stream as of when it took it.
+        """
+        self._sorted = None
 
     def _keys_in_heap_order(self):
         """Return the key value per heap position.
@@ -72,8 +75,15 @@ class SortedIndex:
         """
         table = self._table
         if self.key_column is not None and self.key_column in table.schema:
-            return list(table.column(self.key_column))
+            return table.column(self.key_column)
         return [self._key_fn(row) for row in table.rows()]
+
+    def _sorted_state(self):
+        """Return ``(order, score_at)``, rebuilding if stale."""
+        state = self._sorted
+        if state is None:
+            state = self._sorted = self._build()
+        return state
 
     def _build(self):
         if self._table is None:
@@ -85,42 +95,42 @@ class SortedIndex:
         order = sorted(
             range(len(keys)), key=keys.__getitem__, reverse=self.descending,
         )
-        rows = self._table.rows()
-        self._order = order
-        self._entries = [(keys[position], rows[position]) for position in order]
-
-    def entries(self):
-        """Return the sorted ``(score, row)`` list, rebuilding if stale."""
-        if self._entries is None:
-            self._build()
-        return self._entries
+        return order, keys.__getitem__
 
     def order(self):
         """Return heap positions in index order (the sort permutation).
 
-        Columnar consumers -- the shared-memory shard transport and the
-        vectorized worker kernel -- use this to walk raw columns in
-        sorted order without materialising any rows.
+        The index's only sorted state: scans, the shared-memory shard
+        transport and the vectorized worker kernel walk raw columns in
+        sorted order through it, and the ``(score, row)`` views below
+        derive from it, building Rows only for the positions they read.
         """
-        if self._order is None:
-            self._build()
-        return self._order
+        return self._sorted_state()[0]
+
+    def entries(self):
+        """Return the sorted ``(score, row)`` list (builds every Row)."""
+        return list(self.sorted_access())
 
     def __len__(self):
-        return len(self.entries())
+        return len(self.order())
 
     def sorted_access(self):
-        """Yield ``(score, row)`` pairs in index order (sorted access)."""
-        # Snapshot semantics: iteration sees the entries as of the first
-        # next() even if the table is mutated concurrently.
-        return iter(list(self.entries()))
+        """Yield ``(score, row)`` pairs in index order (sorted access).
+
+        Snapshot semantics: the stream is the index as of this call
+        even if the table is mutated while it is iterated; Rows are
+        built as the iterator reaches them.
+        """
+        order, score_at = self._sorted_state()
+        return zip(map(score_at, order), map(self._table.row_at, order))
 
     def top(self):
         """Return the best ``(score, row)`` or ``None`` for an empty table."""
-        entries = self.entries()
-        if not entries:
+        order, score_at = self._sorted_state()
+        if not order:
             return None
-        return entries[0]
+        position = order[0]
+        return score_at(position), self._table.row_at(position)
 
     def __repr__(self):
         size = "detached" if self._table is None else "%d entries" % (len(self),)

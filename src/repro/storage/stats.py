@@ -9,6 +9,7 @@ pass would, and cached in the catalog.
 """
 
 import math
+from array import array
 
 from repro.common.errors import CatalogError
 
@@ -50,17 +51,24 @@ class ColumnStats:
         """
         from repro.storage.histogram import EquiWidthHistogram
 
-        values = [v for v in values if v is not None]
+        # A typed column buffer holds exact ints or floats, never None.
+        typed = isinstance(values, array)
+        values = (values.tolist() if typed
+                  else [v for v in values if v is not None])
         count = len(values)
         distinct = len(set(values))
         if count == 0:
             return cls(column, 0, 0, None, None)
-        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      for v in values)
+        numeric = typed or all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in values)
         if not numeric:
             return cls(column, count, distinct, min(values), max(values))
-        finite = [v for v in values
-                  if not isinstance(v, float) or math.isfinite(v)]
+        if typed:
+            finite = list(filter(math.isfinite, values))
+        else:
+            finite = [v for v in values
+                      if not isinstance(v, float) or math.isfinite(v)]
         if not finite:
             return cls(column, count, distinct, None, None)
         histogram = None
@@ -92,12 +100,15 @@ class TableStats:
 
     @classmethod
     def analyze(cls, table):
-        """Run an ``ANALYZE``-style pass over ``table``."""
+        """Run an ``ANALYZE``-style pass over ``table``.
+
+        Reads each column's raw buffer (the values its Rows would
+        carry), so no Row is built.
+        """
         column_stats = {}
-        for column in table.schema:
-            qualified = column.qualified_name
-            values = [row[qualified] for row in table.scan()]
-            column_stats[qualified] = ColumnStats.from_values(qualified, values)
+        for qualified in table.schema.qualified_names():
+            column_stats[qualified] = ColumnStats.from_values(
+                qualified, table.column(qualified))
         return cls(table.name, table.cardinality, column_stats)
 
     def column(self, qualified_name):

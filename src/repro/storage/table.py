@@ -6,13 +6,15 @@ insertion (heap) order; ordered access goes through
 :class:`repro.storage.index.SortedIndex` access paths registered with
 the table.
 
-Row-level callers are unaffected by the columnar layout: :meth:`scan`
-and :meth:`rows` serve :class:`~repro.common.types.Row` objects from a
-lazily materialised facade cache, so operators, checkpoints, and the
-equivalence suites see exactly the dict-of-rows behaviour they always
-did.  Columnar callers (vectorized operators, the shared-memory shard
-transport) reach the raw typed buffers through :meth:`column` /
-:meth:`column_store` instead.
+Row-level callers are unaffected by the columnar layout: the row
+facade is a position cache (:class:`RowCache`) that builds the
+:class:`~repro.common.types.Row` at a heap position the first time it
+is read (:attr:`Table.row_at`) and keeps it, so operators, checkpoints,
+and the equivalence suites see exactly the dict-of-rows behaviour they
+always did while a top-k query builds Rows only for the positions its
+scans deliver.  Columnar callers (statistics, index builds, vectorized
+operators, the shared-memory shard transport) reach the raw typed
+buffers through :meth:`column` / :meth:`column_store` instead.
 """
 
 from repro.common.errors import CatalogError, SchemaError
@@ -33,6 +35,28 @@ def group_positions(keys):
         else:
             group.append(position)
     return groups
+
+
+class RowCache(dict):
+    """The row facade: ``{heap position: Row}``, filled on first read.
+
+    A hit is a plain C-level dict lookup; a miss (``__missing__``)
+    builds the Row from the column store.  ``setdefault`` makes the
+    first writer win, so threads racing on one position share one Row
+    object -- payloads are shared by identity (a join's queue and hash
+    tables hold the same Row).
+    """
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store):
+        super().__init__()
+        self._store = store
+
+    def __missing__(self, position):
+        if not 0 <= position < len(self._store):
+            raise IndexError("row position %r out of range" % (position,))
+        return self.setdefault(position, self._store.row_at(position))
 
 
 class Table:
@@ -63,7 +87,12 @@ class Table:
         self.name = name
         self.schema = schema
         self._store = ColumnStore(schema)
-        self._row_cache = []
+        self._row_cache = RowCache(self._store)
+        #: ``position -> Row``: the facade's getter (a C-level dict
+        #: lookup on a hit); one Row object per position for the
+        #: table's lifetime.
+        self.row_at = self._row_cache.__getitem__
+        self._rows = None  # the rows() list, once someone asked for it
         self._indexes = {}
         self._version = 0
         self._key_positions = {}  # column -> (version, groups)
@@ -110,15 +139,12 @@ class Table:
         ``row`` may be a :class:`Row` keyed by qualified names, or a
         mapping/sequence of bare values that is qualified automatically.
         """
-        cache_complete = len(self._row_cache) == len(self._store)
-        values = self._coerce(row)
-        self._store.append(values)
-        if cache_complete:
-            # Keep the facade live for callers holding the rows() list;
-            # building one Row here matches the old per-insert cost.
-            self._row_cache.append(
-                Row._adopt(dict(zip(self._store.names, values)))
-            )
+        rows = self._rows
+        position = len(self._store)
+        self._store.append(self._coerce(row))
+        if rows is not None and len(rows) == position:
+            # Keep a complete rows() list live for callers holding it.
+            rows.append(self.row_at(position))
         self._version += 1
         for index in self._indexes.values():
             index.mark_stale()
@@ -178,17 +204,25 @@ class Table:
         return iter(self.rows())
 
     def rows(self):
-        """Return the list of rows (shared, do not mutate).
+        """Return the list of every row in heap order (shared, do not mutate).
 
-        The list is the table's row facade: Rows are materialised from
-        the column store on first demand and cached, so repeated scans
-        pay columnar reconstruction once.
+        For the readers that need every row (the experiments harness,
+        a callable-key index build): builds the Rows the facade cache
+        lacks and reuses the ones it holds, so ``rows()[p] is
+        row_at(p)``.  The list is extended in place on later calls and
+        by :meth:`insert`.
         """
-        cache = self._row_cache
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = []
+        start = len(rows)
         length = len(self._store)
-        if len(cache) < length:
-            cache.extend(self._store.build_rows(len(cache), length))
-        return cache
+        if start < length:
+            rows.extend(map(
+                self._row_cache.setdefault, range(start, length),
+                self._store.build_rows(start, length),
+            ))
+        return rows
 
     # ------------------------------------------------------------------
     # Columnar access

@@ -4,10 +4,15 @@ import pytest
 
 from repro.common.errors import CatalogError
 from repro.common.rng import make_rng
+from repro.executor.database import Database
 from repro.storage.catalog import Catalog
 from repro.storage.index import SortedIndex
 from repro.storage.partition import Partitioner, stable_hash
+from repro.storage.stats import TableStats
 from repro.storage.table import Table
+
+from tests.test_memo_costing import ranked_sql
+from tests.test_row_cache import stats_fields as column_fields
 
 
 def make_catalog(rows=60, key_domain=7, seed=3):
@@ -128,6 +133,71 @@ class TestLifecycle:
             partitioner.partition("T", 2, strategy="range")
         with pytest.raises(CatalogError, match="needs a column"):
             partitioner.partition("T", 2, strategy="hash")
+
+
+class TestDatabasePartitionTable:
+    """``Database.partition_table`` analyzes only the shards it adds."""
+
+    def make_db(self):
+        db = Database()
+        rng = make_rng(5)
+        for name in "ABC":
+            db.create_table(name, [("c1", "float"), ("c2", "int")], rows=[
+                [float(rng.uniform(0, 1)), int(rng.integers(0, 9))]
+                for _ in range(300)
+            ])
+        db.analyze()
+        return db
+
+    def test_analyzes_only_the_registered_shards(self, monkeypatch):
+        db = self.make_db()
+        catalog = db.catalog
+        before = {name: catalog.stats(name) for name in "ABC"}
+        fields = {name: stats_fields(stats)
+                  for name, stats in before.items()}
+        analyzed = []
+        analyze = TableStats.analyze.__func__
+
+        def recorded(cls, table):
+            analyzed.append(table)
+            return analyze(cls, table)
+
+        monkeypatch.setattr(TableStats, "analyze", classmethod(recorded))
+        version = catalog.version
+        partitioning = db.partition_table("A", 2, column="A.c2")
+        shards = [catalog.table(name) for name in partitioning.shard_names]
+        assert analyzed == shards
+        assert catalog.version > version
+        for name in "ABC":
+            assert catalog.stats(name) is before[name]
+            assert stats_fields(catalog.stats(name)) == fields[name]
+        for name, shard in zip(partitioning.shard_names, shards):
+            assert (stats_fields(catalog.stats(name))
+                    == stats_fields(analyze(TableStats, shard)))
+
+        del analyzed[:]
+        version = catalog.version
+        assert db.partition_table("A", 2, column="A.c2") is partitioning
+        assert analyzed == []
+        assert catalog.version == version
+
+    def test_cached_plans_refresh(self):
+        db = self.make_db()
+        sql = ranked_sql("AB", (0.5, 0.5), k=3)
+        db.execute(sql)
+        misses = db.plan_cache.misses
+        db.execute(sql)
+        assert db.plan_cache.misses == misses
+        db.partition_table("B", 2, column="B.c2")
+        db.execute(sql)
+        assert db.plan_cache.misses == misses + 1
+
+
+def stats_fields(table_stats):
+    """Every field of a :class:`TableStats`, histograms included."""
+    return (table_stats.table_name, table_stats.cardinality,
+            [column_fields(stats) for _name, stats
+             in sorted(table_stats.columns().items())])
 
 
 class TestStableHash:
