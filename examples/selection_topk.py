@@ -7,7 +7,7 @@ ranking with joins *and selections*.  This example:
    shows the selection sitting under the rank-join, preserving the
    ranked order while thinning the stream;
 2. answers the same (unfiltered) query with the paper's blocking
-   *join-then-sort* plan (hash join, then top-k sort) and contrasts
+   *join-then-sort* plan, ``Limit(Sort(HashJoin), k)``, and contrasts
    the tuples consumed.
 
 Run with::
@@ -19,7 +19,8 @@ from repro.common.rng import make_rng
 from repro.executor.database import Database
 from repro.operators.joins import HashJoin
 from repro.operators.scan import TableScan
-from repro.operators.topk import TopK
+from repro.operators.sort import Sort
+from repro.operators.topk import Limit
 
 ROWS = 3000
 DOMAIN = 12
@@ -70,7 +71,8 @@ def main():
     def score_of(row):
         return row["A.c1"] + row["B.c1"]
 
-    sorted_rows = list(TopK(join, K, score_of, description="A.c1+B.c1"))
+    sorted_rows = list(Limit(Sort(join, score_of, description="A.c1+B.c1"),
+                             K))
     sort_consumed = sum(join.stats.pulled)
     rank_scores = [round(r["A.c1"] + r["B.c1"], 9) for r in plain.rows]
     sort_scores = [round(score_of(r), 9) for r in sorted_rows]

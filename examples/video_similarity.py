@@ -26,7 +26,8 @@ from repro.experiments.harness import (
 from repro.experiments.report import format_table
 from repro.operators.joins import HashJoin
 from repro.operators.scan import TableScan
-from repro.operators.topk import TopK
+from repro.operators.sort import Sort
+from repro.operators.topk import Limit
 
 K = 20
 CARDINALITY = 2000
@@ -62,7 +63,7 @@ def main():
     for table, left_key, key in zip(tables[1:], keys, keys[1:]):
         plan = HashJoin(plan, TableScan(table), left_key, key)
     score_of = lambda row: sum(row[c] for c in scores)
-    baseline = list(TopK(plan, K, score_of, description="sum"))
+    baseline = list(Limit(Sort(plan, score_of, description="sum"), K))
     assert [round(score_of(r), 9) for r in baseline] == [
         round(r[combined], 9) for r in rows
     ], "rank-join and join-then-sort disagree!"

@@ -58,10 +58,6 @@ from repro.estimation.depths import (
     top_k_depths_streams,
     top_k_depths_uniform,
 )
-from repro.estimation.empirical import (
-    ScoreProfile,
-    empirical_top_k_depths,
-)
 from repro.executor.database import Database
 from repro.executor.executor import ExecutionReport, Executor
 from repro.operators import (
@@ -77,9 +73,7 @@ from repro.operators import (
     NestedLoopsJoin,
     Project,
     Sort,
-    SymmetricHashJoin,
     TableScan,
-    TopK,
 )
 from repro.observability import (
     EventLog,
@@ -191,18 +185,15 @@ __all__ = [
     "SchedulerConfig",
     "Schema",
     "ScoreExpression",
-    "ScoreProfile",
     "Server",
     "Sort",
     "SortedIndex",
     "SumScore",
     "SuspendedQuery",
-    "SymmetricHashJoin",
     "Table",
     "TableScan",
     "Telemetry",
     "TenantBudget",
-    "TopK",
     "Tracer",
     "TransientFaultError",
     "WeightedSum",
@@ -210,7 +201,6 @@ __all__ = [
     "any_k_depths_uniform",
     "buffer_upper_bound",
     "collect_interesting_orders",
-    "empirical_top_k_depths",
     "estimate_accuracy",
     "format_accuracy",
     "find_k_star",

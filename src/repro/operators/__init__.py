@@ -13,11 +13,10 @@ Operators:
 * access paths: :class:`TableScan`, :class:`IndexScan`
 * tuple-at-a-time: :class:`Filter`, :class:`Project`
 * blocking: :class:`Sort`, :class:`HashJoin`
-* pipelined joins: :class:`NestedLoopsJoin`, :class:`IndexNestedLoopsJoin`,
-  :class:`SymmetricHashJoin`
+* pipelined joins: :class:`NestedLoopsJoin`, :class:`IndexNestedLoopsJoin`
 * rank-aware joins: :class:`HRJN`, :class:`NRJN`
 * any-k enumeration: :class:`AnyK` (DP over an acyclic join tree)
-* top-k: :class:`TopK`, :class:`Limit`
+* top-k: :class:`Limit` (over a rank join, or over a :class:`Sort`)
 * parallel: :class:`ShardedScan`, :class:`ScoreMerge`
 """
 
@@ -29,14 +28,13 @@ from repro.operators.joins import (
     HashJoin,
     IndexNestedLoopsJoin,
     NestedLoopsJoin,
-    SymmetricHashJoin,
 )
 from repro.operators.jstar import JStarRankJoin
 from repro.operators.merge import ScoreMerge
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, ShardedScan, TableScan
 from repro.operators.sort import Sort
-from repro.operators.topk import Limit, TopK
+from repro.operators.topk import Limit
 
 __all__ = [
     "AnyK",
@@ -57,7 +55,5 @@ __all__ = [
     "ScoreSpec",
     "ShardedScan",
     "Sort",
-    "SymmetricHashJoin",
     "TableScan",
-    "TopK",
 ]

@@ -244,90 +244,3 @@ class HashJoin(Operator):
 
     def describe(self):
         return "HashJoin"
-
-
-class SymmetricHashJoin(Operator):
-    """Symmetric (double-pipelined) hash join.
-
-    Maintains a hash table per input and alternates pulls, emitting
-    matches as soon as both sides of a pair have arrived.  This is the
-    join engine inside HRJN (Section 2.2), exposed standalone both as a
-    substrate and for tests.
-    """
-
-    def __init__(self, left, right, left_key, right_key, name=None):
-        super().__init__(children=(left, right), name=name or "SymHashJoin")
-        self.left_key = _key_accessor(left_key)
-        self.right_key = _key_accessor(right_key)
-        self._schema = left.schema.merge(right.schema)
-        self._tables = None
-        self._buffered = 0
-        self._exhausted = None
-        self._turn = 0
-        self._pending = []  # Last first, as in IndexNestedLoopsJoin.
-
-    @property
-    def schema(self):
-        return self._schema
-
-    def _open(self):
-        self._tables = ({}, {})
-        self._buffered = 0
-        self._exhausted = [False, False]
-        self._turn = 0
-        self._pending = []
-
-    def _next(self):
-        while True:
-            if self._pending:
-                return self._pending.pop()
-            if all(self._exhausted):
-                return None
-            side = self._turn
-            self._turn = 1 - self._turn
-            if self._exhausted[side]:
-                continue
-            row = self._pull(side)
-            if row is None:
-                self._exhausted[side] = True
-                continue
-            key_fn = self.left_key if side == 0 else self.right_key
-            other_key_fn = self.right_key if side == 0 else self.left_key
-            key = key_fn(row)
-            self._tables[side].setdefault(key, []).append(row)
-            self._buffered += 1
-            self.stats.note_buffer(self._buffered)
-            matches = reversed(self._tables[1 - side].get(key, ()))
-            if side == 0:
-                self._pending = [row.merge(match) for match in matches]
-            else:
-                self._pending = [match.merge(row) for match in matches]
-
-    def _close(self):
-        self._tables = None
-        self._pending = []
-
-    def _state_dict(self):
-        return {
-            "tables": [
-                {key: list(rows) for key, rows in table.items()}
-                for table in self._tables
-            ],
-            "exhausted": list(self._exhausted),
-            "turn": self._turn,
-            "pending": self._pending[::-1],
-        }
-
-    def _load_state_dict(self, state):
-        self._tables = tuple(
-            {key: list(rows) for key, rows in table.items()}
-            for table in state["tables"]
-        )
-        self._buffered = sum(len(rows) for table in self._tables
-                             for rows in table.values())
-        self._exhausted = list(state["exhausted"])
-        self._turn = state["turn"]
-        self._pending = state["pending"][::-1]
-
-    def describe(self):
-        return "SymmetricHashJoin"

@@ -1,18 +1,13 @@
-"""Top-k / limit operators.
+"""The limit operator.
 
 ``Limit`` truncates any stream after ``k`` rows -- placed above a ranked
 stream it implements the ``WHERE rank <= k`` clause of the paper's Q1/Q2
-and is what lets a pipelined rank-join plan stop early.
-
-``TopK`` is the self-contained blocking alternative (a bounded heap)
-used when the input is *not* ranked.
+and is what lets a pipelined rank-join plan stop early.  Over an unranked
+input the top-k is the paper's sort plan, ``Limit(Sort(input, key), k)``.
 """
 
-import heapq
-import itertools
-
 from repro.common.errors import ExecutionError
-from repro.operators.base import Operator, ScoreSpec
+from repro.operators.base import Operator
 
 
 class Limit(Operator):
@@ -59,85 +54,3 @@ class Limit(Operator):
 
     def describe(self):
         return "Limit(k=%d)" % (self.k,)
-
-
-class TopK(Operator):
-    """Blocking top-k over an unranked input via a bounded min-heap.
-
-    Keeps the ``k`` best rows by ``key`` while consuming the whole
-    input, then emits them in descending score order.  Ties are broken
-    deterministically by arrival order (earlier wins) so results are
-    reproducible.
-    """
-
-    pipelined = False
-
-    def __init__(self, child, k, key, descending=True, description=None,
-                 name=None):
-        if k < 0:
-            raise ExecutionError("TopK k must be >= 0, got %r" % (k,))
-        super().__init__(children=(child,), name=name or "TopK(%d)" % (k,))
-        self.k = k
-        self.score_spec = ScoreSpec(key, description)
-        self.descending = descending
-        self._results = None
-        self._position = 0
-
-    @property
-    def schema(self):
-        return self.children[0].schema
-
-    #: Input batch size for the blocking build phase.
-    BUILD_BATCH = 1024
-
-    def _open(self):
-        # Min-heap of (score, arrival, row); the heap root is the worst
-        # retained row, popped whenever a better row arrives.
-        heap = []
-        counter = itertools.count()
-        sign = 1.0 if self.descending else -1.0
-        exhausted = False
-        while not exhausted:
-            batch = self._pull_batch(0, self.BUILD_BATCH)
-            exhausted = len(batch) < self.BUILD_BATCH
-            for row in batch:
-                score = sign * self.score_spec(row)
-                arrival = next(counter)
-                if len(heap) < self.k:
-                    # Later arrival = lower priority among ties, so
-                    # negate the arrival index inside a min-heap.
-                    heapq.heappush(heap, (score, -arrival, row))
-                    self.stats.note_buffer(len(heap))
-                elif (self.k > 0
-                        and (score, -arrival) > (heap[0][0], heap[0][1])):
-                    heapq.heapreplace(heap, (score, -arrival, row))
-        ordered = sorted(heap, key=lambda item: (-item[0], -item[1]))
-        self._results = [row for _score, _arrival, row in ordered]
-        self._position = 0
-
-    def _next(self):
-        if self._position >= len(self._results):
-            return None
-        row = self._results[self._position]
-        self._position += 1
-        return row
-
-    def _next_batch(self, n):
-        start = self._position
-        rows = self._results[start:start + n]
-        self._position = start + len(rows)
-        return rows
-
-    def _close(self):
-        self._results = None
-        self._position = 0
-
-    def _state_dict(self):
-        return {"results": list(self._results), "position": self._position}
-
-    def _load_state_dict(self, state):
-        self._results = list(state["results"])
-        self._position = state["position"]
-
-    def describe(self):
-        return "TopK(k=%d on %s)" % (self.k, self.score_spec.description)

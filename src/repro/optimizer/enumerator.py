@@ -23,6 +23,7 @@ from repro.common.errors import OptimizerError
 from repro.optimizer.interesting import interesting_orders_for_tables
 from repro.optimizer.memo import _COST_EPSILON, Memo
 from repro.optimizer.plans import (
+    JOIN_METHODS,
     RANK_JOIN_OPERATORS,
     AccessPlan,
     AnyKPlan,
@@ -115,6 +116,10 @@ class _MemoBuild:
         return orders
 
 
+#: The values :attr:`OptimizerConfig.parallel` accepts.
+PARALLEL_POLICIES = ("auto", "off")
+
+
 class OptimizerConfig:
     """Feature switches for the enumerator (used by the ablations).
 
@@ -138,13 +143,8 @@ class OptimizerConfig:
         crossover.  Off by default, like J*: it extends the paper's
         operator repertoire rather than reproducing it.
     join_methods:
-        Traditional join methods to enumerate.
-    estimation_mode:
-        Depth-estimation flavour for rank-join costing: ``"average"``
-        (closed form, default), ``"worst"`` (Equations 2-5 bounds), or
-        ``"empirical"`` (distribution-free estimates over the measured
-        score-gap profiles of indexed inputs; falls back to
-        average-case for inputs without a profile).
+        Traditional join methods to enumerate, a subset of
+        :data:`~repro.optimizer.plans.JOIN_METHODS`.
     eager_enforcement:
         Glue sorts to enforce interesting orders that no natural plan
         produces (the System R eager policy).
@@ -161,20 +161,30 @@ class OptimizerConfig:
         specific vehicle happens per execution via
         ``Database.execute(parallel=...)``, not here.)  With no
         partitionings registered, ``"auto"`` changes nothing.
+
+    An unknown join method or parallel policy raises
+    :class:`~repro.common.errors.OptimizerError` here, not at the first
+    query that would read it.
     """
 
     def __init__(self, rank_aware=True, enable_hrjn=True, enable_nrjn=True,
                  enable_jstar=False, enable_anyk=False,
-                 join_methods=("hash", "nl", "inl", "sort_merge"),
-                 estimation_mode="average", eager_enforcement=True,
+                 join_methods=JOIN_METHODS, eager_enforcement=True,
                  respect_pipelining=True, parallel="auto"):
+        join_methods = tuple(join_methods)
+        unknown = [m for m in join_methods if m not in JOIN_METHODS]
+        if unknown:
+            raise OptimizerError("unknown join method(s) %r; expected %r"
+                                 % (unknown, JOIN_METHODS))
+        if parallel not in PARALLEL_POLICIES:
+            raise OptimizerError("parallel must be one of %r, got %r"
+                                 % (PARALLEL_POLICIES, parallel))
         self.rank_aware = rank_aware
         self.enable_hrjn = enable_hrjn
         self.enable_nrjn = enable_nrjn
         self.enable_jstar = enable_jstar
         self.enable_anyk = enable_anyk
-        self.join_methods = tuple(join_methods)
-        self.estimation_mode = estimation_mode
+        self.join_methods = join_methods
         self.eager_enforcement = eager_enforcement
         self.respect_pipelining = respect_pipelining
         self.parallel = parallel
@@ -236,8 +246,6 @@ class Optimizer:
         self.catalog = catalog
         self.model = cost_model
         self.config = config or OptimizerConfig()
-        self._profile_cache = {}
-        self._profile_cache_version = catalog.version
 
     # ------------------------------------------------------------------
     # Public API
@@ -542,61 +550,16 @@ class Optimizer:
                                         right_costs.__getitem__)
                 inputs[method] = [(i, j) for i in every_left
                                   for j in cheaper]
-            elif method == "inl":
+            else:  # "inl"
                 probed = [j for j, right in enumerate(rights)
                           if self._inl_eligible(right)][:1]
                 inputs[method] = [(i, j) for i in every_left
                                   for j in probed]
-            else:
-                raise OptimizerError("unknown join method %r" % (method,))
         return inputs
 
     def _inl_eligible(self, right):
         """INL needs a single base table inner (probe-able)."""
         return isinstance(right, AccessPlan)
-
-    def _profile_for(self, plan, expression):
-        """Empirical score profile of a ranked leaf plan, or ``None``.
-
-        Only used in ``estimation_mode == "empirical"``.  Profiles are
-        available for (optionally filtered) indexed access paths: the
-        expression is evaluated over the index entries (descending in
-        the same order by construction), surviving filters included.
-        """
-        if self.config.estimation_mode != "empirical":
-            return None
-        from repro.estimation.empirical import ScoreProfile
-
-        filters = ()
-        target = plan
-        if (isinstance(target, FilterPlan)
-                and isinstance(target.children[0], AccessPlan)):
-            filters = target.predicates
-            target = target.children[0]
-        if not isinstance(target, AccessPlan) or target.index_name is None:
-            return None
-        version = self.catalog.version
-        if version != self._profile_cache_version:
-            # Data or statistics changed since the profiles were
-            # measured; drop them all rather than serving stale shapes.
-            self._profile_cache = {}
-            self._profile_cache_version = version
-        cache_key = (
-            target.table_name, target.index_name, filters,
-            tuple(sorted(expression.weights.items())),
-        )
-        if cache_key in self._profile_cache:
-            return self._profile_cache[cache_key]
-        table = self.catalog.table(target.table_name)
-        index = table.get_index(target.index_name)
-        scores = [
-            expression.evaluate(row)
-            for _score, row in index.entries()
-            if all(f.matches(row) for f in filters)
-        ]
-        profile = ScoreProfile(scores) if scores else None
-        self._profile_cache[cache_key] = profile
-        return profile
 
     def _rank_join_inputs(self, build, lefts, rights, right_costs, inputs):
         """Add the rank joins over one split to ``inputs``.
@@ -607,10 +570,9 @@ class Optimizer:
         ``cost(d)`` of both inputs and pipeline from both, so they pair
         every sorted left with every sorted right.  NRJN reads the
         outer's ``cost(d)`` but only the inner's full-consumption cost
-        (``right_costs``) and cardinality, its leaf cardinalities (the
-        model's ``n``) and its empirical profile: every sorted left meets
-        the rights that undercut all earlier rights with the same leaves
-        and profile.
+        (``right_costs``) and cardinality, and its leaf cardinalities (the
+        model's ``n``): every sorted left meets the rights that undercut
+        all earlier rights with the same leaves.
         """
         ranking = build.query.ranking
         left_expr = ranking.restrict(lefts[0].tables)
@@ -636,8 +598,7 @@ class Optimizer:
             # Left (sorted) as outer, right as the rescanned inner.
             inners = _undercutting(
                 range(len(rights)), right_costs.__getitem__,
-                group=lambda j: (rights[j].leaf_logs,
-                                 self._profile_for(rights[j], right_expr)))
+                group=lambda j: rights[j].leaf_logs)
             inputs["nrjn"] = [(i, j) for i in sorted_lefts for j in inners]
         return left_expr, right_expr, left_expr.combine(right_expr)
 
@@ -648,9 +609,6 @@ class Optimizer:
         plan = RankJoinPlan(
             self.model, operator, left, right, predicates, selectivity,
             left_expr, right_expr, combined,
-            estimation_mode=self.config.estimation_mode,
-            profiles=(self._profile_for(left, left_expr),
-                      self._profile_for(right, right_expr)),
         )
         self._add(build, plan)
         if operator == "hrjn" and self.config.parallel != "off":

@@ -158,7 +158,7 @@ def apply_parallel_mode(catalog, model, plan, mode):
             plan.model, plan.operator, new_children[0], new_children[1],
             plan.predicates, plan.selectivity, plan.left_expression,
             plan.right_expression, plan.combined_expression,
-            estimation_mode=plan.estimation_mode, profiles=plan.profiles,
+            estimation_mode=plan.estimation_mode,
         )
         return rebuilt, changed
     return plan, 0

@@ -37,6 +37,11 @@ JOIN_METHODS = ("hash", "nl", "inl", "sort_merge")
 #: Rank-join operators known to the enumerator.
 RANK_JOIN_OPERATORS = ("hrjn", "nrjn", "jstar")
 
+#: Depth estimates a :class:`RankJoinPlan` costs with: the average case
+#: (what the optimizer plans with) and the worst-case bounds of
+#: Equations 2-5 (the experiments harness).
+ESTIMATION_MODES = ("average", "worst")
+
 
 class Plan:
     """Base optimizer plan node."""
@@ -359,17 +364,20 @@ class RankJoinPlan(Plan):
     produces.
 
     ``cost(k)`` estimates the depths via the Section 4 closed forms
-    (``l`` and ``r`` are the children's *ranked leaf counts*) and
+    (``l`` and ``r`` are the children's *ranked leaf counts*), average
+    case unless ``estimation_mode`` is ``"worst"``, and
     recursively charges each child for its depth, which implements the
     ``Propagate`` recursion across a rank-join pipeline.
     """
 
     def __init__(self, model, operator, left, right, predicates,
                  selectivity, left_expression, right_expression,
-                 combined_expression, estimation_mode="average",
-                 profiles=(None, None)):
+                 combined_expression, estimation_mode="average"):
         if operator not in RANK_JOIN_OPERATORS:
             raise OptimizerError("unknown rank-join %r" % (operator,))
+        if estimation_mode not in ESTIMATION_MODES:
+            raise OptimizerError("estimation_mode must be one of %r, got %r"
+                                 % (ESTIMATION_MODES, estimation_mode))
         if not predicates:
             raise OptimizerError("RankJoinPlan needs a predicate")
         cardinality = selectivity * left.cardinality * right.cardinality
@@ -394,10 +402,6 @@ class RankJoinPlan(Plan):
         self.right_expression = right_expression
         self.combined_expression = combined_expression
         self.estimation_mode = estimation_mode
-        #: Optional empirical ScoreProfiles for (left, right) inputs;
-        #: used when ``estimation_mode == "empirical"`` and both are
-        #: available (leaf-level rank-joins over indexed streams).
-        self.profiles = tuple(profiles)
         #: Geometric mean of the leaf cardinalities: the model's ``n``.
         self.mean_leaf_cardinality = math.exp(
             sum(self.leaf_logs) / len(self.leaf_logs))
@@ -420,17 +424,6 @@ class RankJoinPlan(Plan):
         r = right.leaf_count
         m_left = max(1.0, left.cardinality)
         m_right = max(1.0, right.cardinality)
-        if (self.estimation_mode == "empirical"
-                and all(p is not None for p in self.profiles)):
-            from repro.estimation.empirical import empirical_top_k_depths
-
-            estimate = empirical_top_k_depths(
-                self.profiles[0], self.profiles[1], max(1, int(k)),
-                self.selectivity,
-            )
-            return estimate.clamp(
-                max_left=left.cardinality, max_right=right.cardinality,
-            )
         if self.estimation_mode == "worst":
             estimate = top_k_depths_streams(
                 k, self.selectivity, n, l=l, r=r,

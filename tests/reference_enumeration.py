@@ -69,16 +69,10 @@ class ExhaustiveOptimizer(Optimizer):
         combined = left_expr.combine(right_expr)
         left_sorted = left.order.covers(OrderProperty(left_expr))
         right_sorted = right.order.covers(OrderProperty(right_expr))
-        profiles = (
-            self._profile_for(left, left_expr),
-            self._profile_for(right, right_expr),
-        )
         if self.config.enable_hrjn and left_sorted and right_sorted:
             hrjn = RankJoinPlan(
                 self.model, "hrjn", left, right, predicates, selectivity,
                 left_expr, right_expr, combined,
-                estimation_mode=self.config.estimation_mode,
-                profiles=profiles,
             )
             self._add(build, hrjn)
             if self.config.parallel != "off":
@@ -93,14 +87,10 @@ class ExhaustiveOptimizer(Optimizer):
             self._add(build, RankJoinPlan(
                 self.model, "jstar", left, right, predicates, selectivity,
                 left_expr, right_expr, combined,
-                estimation_mode=self.config.estimation_mode,
-                profiles=profiles,
             ))
         if self.config.enable_nrjn and left_sorted:
             # Left (sorted) as outer, right as the rescanned inner.
             self._add(build, RankJoinPlan(
                 self.model, "nrjn", left, right, predicates, selectivity,
                 left_expr, right_expr, combined,
-                estimation_mode=self.config.estimation_mode,
-                profiles=profiles,
             ))

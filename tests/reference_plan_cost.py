@@ -118,17 +118,6 @@ def reference_depth_estimate(self, k):
     r = right.leaf_count
     m_left = max(1.0, left.cardinality)
     m_right = max(1.0, right.cardinality)
-    if (self.estimation_mode == "empirical"
-            and all(p is not None for p in self.profiles)):
-        from repro.estimation.empirical import empirical_top_k_depths
-
-        estimate = empirical_top_k_depths(
-            self.profiles[0], self.profiles[1], max(1, int(k)),
-            self.selectivity,
-        )
-        return estimate.clamp(
-            max_left=left.cardinality, max_right=right.cardinality,
-        )
     if self.estimation_mode == "worst":
         estimate = top_k_depths_streams(
             k, self.selectivity, n, l=l, r=r,

@@ -1,7 +1,7 @@
 """Ablations of the paper's design choices (DESIGN.md section 5).
 
 Each test toggles one choice -- polling strategy, rank-join operator,
-pruning switch, estimation mode, estimator, the optimizer's rank-join
+pruning switch, estimation mode, the optimizer's rank-join
 menu -- on a seeded workload and asserts the trade-off EXPERIMENTS.md
 reports, by counts (depths, buffers, plan classes), never wall-clock.
 """

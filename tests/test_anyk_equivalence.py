@@ -20,7 +20,7 @@ from repro.optimizer.expressions import ScoreExpression
 from repro.optimizer.plans import AnyKPlan
 from repro.optimizer.query import JoinPredicate, RankQuery
 
-from tests.test_four_way_queries import brute_force
+from tests.reference_answers import assert_query_top_k
 from tests.test_parallel_equivalence import SHAPES
 
 ANYK_ONLY = dict(enable_anyk=True, enable_hrjn=False,
@@ -141,9 +141,7 @@ def test_multiway_matches_brute_force(shape):
     tables, predicates = MULTIWAY[shape]
     query = multiway_query(tables, predicates)
     db = make_multiway_db(OptimizerConfig(**ANYK_ONLY))
-    report = db.execute(query)
-    got = [round(query.ranking.evaluate(r), 9) for r in report.rows]
-    assert got == brute_force(db, query)
+    assert_query_top_k(db.execute(query).rows, db.catalog, query)
 
 
 # ----------------------------------------------------------------------

@@ -19,13 +19,12 @@ from repro.operators.joins import (
     HashJoin,
     IndexNestedLoopsJoin,
     NestedLoopsJoin,
-    SymmetricHashJoin,
 )
 from repro.operators.jstar import JStarRankJoin
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
 from repro.operators.sort import Sort
-from repro.operators.topk import Limit, TopK
+from repro.operators.topk import Limit
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
@@ -81,14 +80,12 @@ FACTORIES = {
     "index_scan": lambda: index_scan(L),
     "sort": lambda: Sort(TableScan(L), "L.score", descending=True),
     "limit": lambda: Limit(TableScan(L), 7),
-    "topk": lambda: TopK(TableScan(L), 6, "L.score"),
+    "sort_limit": lambda: Limit(Sort(TableScan(L), "L.score"), 6),
     "nl_join": lambda: NestedLoopsJoin(
         TableScan(L), TableScan(R), "L.key", "R.key"),
     "inl_join": lambda: IndexNestedLoopsJoin(
         TableScan(L), TableScan(R), "L.key", "R.key"),
     "hash_join": lambda: HashJoin(
-        TableScan(L), TableScan(R), "L.key", "R.key"),
-    "sym_hash_join": lambda: SymmetricHashJoin(
         TableScan(L), TableScan(R), "L.key", "R.key"),
     "hrjn": lambda: HRJN(
         index_scan(L), index_scan(R), "L.key", "R.key",

@@ -14,13 +14,14 @@ from repro.common.rng import make_rng
 from repro.executor.database import Database
 from repro.operators.base import ScoreSpec, check_score
 from repro.operators.hrjn import HRJN
-from repro.operators.joins import HashJoin
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
 from repro.operators.topk import Limit
 from repro.optimizer.enumerator import OptimizerConfig
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
+
+from tests.reference_answers import answers, assert_top_k
 
 
 def constant_score_table(name, n, key_domain=3, score=0.5, seed=0):
@@ -34,6 +35,11 @@ def constant_score_table(name, n, key_domain=3, score=0.5, seed=0):
     return table
 
 
+def tied_answers(left, right):
+    return answers([left, right], [("L.key", "R.key")],
+                   {"L.score": 1.0, "R.score": 1.0})
+
+
 class TestAllTiedScores:
     def test_hrjn_emits_full_join_under_ties(self):
         left = constant_score_table("L", 30, seed=1)
@@ -44,10 +50,9 @@ class TestAllTiedScores:
             "L.key", "R.key", "L.score", "R.score", name="RJ",
         )
         rank_rows = list(rank_join)
-        join_rows = list(HashJoin(
-            TableScan(left), TableScan(right), "L.key", "R.key",
-        ))
-        assert len(rank_rows) == len(join_rows)
+        want = tied_answers(left, right)
+        assert_top_k(rank_rows, want, len(want), "_score_RJ",
+                     columns=("L.key", "R.key"))
         assert all(r["_score_RJ"] == 1.0 for r in rank_rows)
 
     def test_hrjn_topk_under_ties_returns_exactly_k(self):
@@ -58,7 +63,8 @@ class TestAllTiedScores:
             IndexScan(right, right.get_index("R_idx")),
             "L.key", "R.key", "L.score", "R.score", name="RJ",
         )
-        assert len(list(Limit(rank_join, 7))) == 7
+        assert_top_k(Limit(rank_join, 7), tied_answers(left, right), 7,
+                     "_score_RJ", columns=("L.key", "R.key"))
 
     def test_nrjn_under_ties(self):
         left = constant_score_table("L", 25, seed=5)
@@ -68,8 +74,8 @@ class TestAllTiedScores:
             TableScan(right),
             "L.key", "R.key", "L.score", "R.score", name="NR",
         )
-        rows = list(Limit(rank_join, 5))
-        assert len(rows) == 5
+        assert_top_k(Limit(rank_join, 5), tied_answers(left, right), 5,
+                     "_score_NR", columns=("L.key", "R.key"))
 
 
 class TestSingletons:

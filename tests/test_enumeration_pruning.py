@@ -18,7 +18,7 @@ from repro.executor.database import Database
 from repro.observability import Telemetry
 from repro.optimizer.enumerator import Optimizer, OptimizerConfig
 from repro.optimizer.memo import Memo
-from repro.optimizer.plans import JoinPlan, RankJoinPlan
+from repro.optimizer.plans import JoinPlan
 from repro.sql.parser import parse_query
 
 from tests.reference_enumeration import ExhaustiveOptimizer
@@ -37,8 +37,6 @@ SHAPES = {
 
 CONFIGS = {
     "average": {},
-    "worst": {"estimation_mode": "worst"},
-    "empirical": {"estimation_mode": "empirical"},
     "jstar": {"enable_jstar": True},
     "anyk": {"enable_anyk": True},
     "no_pipelining": {"respect_pipelining": False},
@@ -49,8 +47,7 @@ CONFIGS = {
 #: Table sizes per catalog.  Equal sizes tie alternatives' total costs;
 #: unequal ones make cardinalities differ in the last ulp by split
 #: order.  ``sharded`` hash-partitions the unequal tables on their join
-#: key, so leaf HRJNs get ScoreMerge alternatives.  Every score column
-#: is indexed, so under ``empirical`` both NRJN inputs carry profiles.
+#: key, so leaf HRJNs get ScoreMerge alternatives.
 CATALOGS = {
     "equal": {"A": 300, "B": 300, "C": 300, "D": 300},
     "unequal": {"A": 300, "B": 310, "C": 290, "D": 305},
@@ -128,18 +125,6 @@ class TestPrunedMatchesExhaustive:
         assert pruned["best"] == exhaustive["best"]
         assert pruned["memo_insert"] == exhaustive["memo_insert"]
         assert pruned_offers <= exhaustive_offers
-
-    def test_empirical_nrjn_inputs_both_profiled(self, catalogs,
-                                                 monkeypatch):
-        """The ``empirical`` cases offer NRJNs whose inner carries a
-        score profile too, so the inner's profile is a pruning key."""
-        optimizer = Optimizer(catalogs["equal"], CostModel(),
-                              OptimizerConfig(**CONFIGS["empirical"]))
-        nrjns = [plan for plan, _order in built_plans(
-                     optimizer, SHAPES["two"], monkeypatch)
-                 if isinstance(plan, RankJoinPlan)
-                 and plan.operator == "nrjn"]
-        assert any(None not in plan.profiles for plan in nrjns)
 
 
 def built_plans(optimizer, sql, monkeypatch):

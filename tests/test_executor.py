@@ -5,6 +5,8 @@ import pytest
 from repro.common.rng import make_rng
 from repro.executor.database import Database
 
+from tests.reference_answers import assert_query_top_k
+
 
 def make_db(rows=200, seed=3, domain=15):
     rng = make_rng(seed)
@@ -38,16 +40,7 @@ class TestDatabase:
     def test_results_correctly_ranked(self):
         db = make_db()
         report = db.execute(Q1_STYLE)
-        got = [round(0.3 * r["A.c1"] + 0.7 * r["B.c2"], 9)
-               for r in report.rows]
-        # Brute force.
-        truth = []
-        for a in db.catalog.table("A").scan():
-            for b in db.catalog.table("B").scan():
-                if a["A.c2"] == b["B.c1"]:
-                    truth.append(0.3 * a["A.c1"] + 0.7 * b["B.c2"])
-        truth.sort(reverse=True)
-        assert got == [round(v, 9) for v in truth[:5]]
+        assert_query_top_k(report.rows, db.catalog, db.parse(Q1_STYLE))
 
     def test_auto_score_indexes(self):
         db = make_db()

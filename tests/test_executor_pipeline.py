@@ -214,7 +214,6 @@ def rebuilt(plan):
         plan.model, plan.operator, left, right, plan.predicates,
         plan.selectivity, plan.left_expression, plan.right_expression,
         plan.combined_expression, estimation_mode=plan.estimation_mode,
-        profiles=plan.profiles,
     )
 
 

@@ -19,6 +19,8 @@ from repro.storage.catalog import Catalog
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
 
+from tests.reference_answers import assert_query_top_k
+
 
 def make_catalog(with_expression_index, rows=120, seed=13):
     rng = make_rng(seed)
@@ -63,15 +65,9 @@ class TestExpressionIndexes:
     def test_results_identical_either_way(self, with_index):
         catalog, expression = make_catalog(with_index)
         optimizer = Optimizer(catalog, CostModel(), OptimizerConfig())
-        result = optimizer.optimize(single_table_query(expression, k=4))
-        root = PlanBuilder(catalog).build_query(result)
-        got = [round(expression.evaluate(r), 9) for r in root]
-        truth = sorted(
-            (expression.evaluate(r)
-             for r in catalog.table("A").scan()),
-            reverse=True,
-        )[:4]
-        assert got == [round(v, 9) for v in truth]
+        query = single_table_query(expression, k=4)
+        root = PlanBuilder(catalog).build_query(optimizer.optimize(query))
+        assert_query_top_k(root, catalog, query)
 
     def test_index_scan_streams_expression_order(self):
         catalog, expression = make_catalog(with_expression_index=True)

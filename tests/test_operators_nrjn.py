@@ -8,11 +8,12 @@ from repro.data.generators import generate_ranked_table
 from repro.cost.model import PAPER_2004, CostModel
 from repro.executor.database import Database
 from repro.operators.filters import Filter
-from repro.operators.joins import HashJoin
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
-from repro.operators.topk import Limit, TopK
+from repro.operators.topk import Limit
 from repro.storage.table import Table
+
+from tests.test_operators_hrjn import check_top_k
 
 
 def ranked_pair(n=200, selectivity=0.05, seed=0):
@@ -31,19 +32,11 @@ def nrjn_over(left, right, **kwargs):
     )
 
 
-def baseline_scores(left, right, k):
-    join = HashJoin(TableScan(left), TableScan(right), "L.key", "R.key")
-    key = lambda r: r["L.score"] + r["R.score"]
-    return [round(key(r), 9) for r in TopK(join, k, key, description="f")]
-
-
 class TestCorrectness:
     def test_top_k_matches_baseline(self):
         left, right = ranked_pair()
         rows = list(Limit(nrjn_over(left, right), 10))
-        assert [round(r["_score_NR"], 9) for r in rows] == baseline_scores(
-            left, right, 10,
-        )
+        check_top_k(left, right, rows, 10, "_score_NR")
 
     def test_scores_non_increasing(self):
         left, right = ranked_pair(seed=2)
@@ -58,11 +51,8 @@ class TestCorrectness:
 
     def test_full_drain_matches_join_size(self):
         left, right = ranked_pair(n=60, selectivity=0.2, seed=4)
-        rank_rows = list(nrjn_over(left, right))
-        join_rows = list(HashJoin(
-            TableScan(left), TableScan(right), "L.key", "R.key",
-        ))
-        assert len(rank_rows) == len(join_rows)
+        check_top_k(left, right, list(nrjn_over(left, right)), None,
+                    "_score_NR")
 
     def test_empty_outer(self):
         left = generate_ranked_table("L", 0, seed=1)

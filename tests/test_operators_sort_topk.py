@@ -1,11 +1,11 @@
-"""Unit tests for Sort, TopK, and Limit."""
+"""Unit tests for Sort and Limit."""
 
 import pytest
 
 from repro.common.errors import ExecutionError
 from repro.operators.scan import TableScan
 from repro.operators.sort import Sort
-from repro.operators.topk import Limit, TopK
+from repro.operators.topk import Limit
 
 
 class TestSort:
@@ -57,38 +57,3 @@ class TestLimit:
     def test_negative_k_rejected(self, small_table):
         with pytest.raises(ExecutionError):
             Limit(TableScan(small_table), -1)
-
-
-class TestTopK:
-    def test_matches_sort_limit(self, small_table):
-        top = list(TopK(TableScan(small_table), 4, "T.score"))
-        reference = list(Limit(
-            Sort(TableScan(small_table), "T.score"), 4,
-        ))
-        assert top == reference
-
-    def test_bounded_buffer(self, small_table):
-        op = TopK(TableScan(small_table), 3, "T.score")
-        list(op)
-        assert op.stats.max_buffer == 3
-
-    def test_ties_break_by_arrival(self):
-        from repro.storage.table import Table
-
-        table = Table.from_columns("T", [("id", "int"), ("score", "float")])
-        for i in range(6):
-            table.insert([i, 0.5])  # All tied.
-        ids = [r["T.id"] for r in TopK(TableScan(table), 3, "T.score")]
-        assert ids == [0, 1, 2]
-
-    def test_ascending(self, small_table):
-        op = TopK(TableScan(small_table), 2, "T.score", descending=False)
-        scores = [r["T.score"] for r in op]
-        assert scores == [0.0, 0.1]
-
-    def test_k_zero(self, small_table):
-        assert list(TopK(TableScan(small_table), 0, "T.score")) == []
-
-    def test_negative_k_rejected(self, small_table):
-        with pytest.raises(ExecutionError):
-            TopK(TableScan(small_table), -2, "T.score")

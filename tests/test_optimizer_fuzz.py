@@ -19,6 +19,8 @@ from repro.optimizer.query import (
     RankQuery,
 )
 
+from tests.reference_answers import assert_query_top_k
+
 _TABLES = ("A", "B", "C", "D")
 
 
@@ -56,7 +58,6 @@ def scenarios(draw):
         OptimizerConfig(),
         OptimizerConfig(rank_aware=False),
         OptimizerConfig(enable_nrjn=False),
-        OptimizerConfig(estimation_mode="worst"),
     )))
     return tables, predicates, weights, k, filters, seed, config
 
@@ -74,40 +75,6 @@ def build_db(tables, seed, config):
     return db
 
 
-def brute_force(db, query):
-    tables = sorted(query.tables)
-    partial = [{}]
-    included = set()
-    for table in tables:
-        rows = [dict(r.items()) for r in db.catalog.table(table).scan()]
-        predicates = [
-            p for p in query.predicates
-            if table in p.tables and p.tables <= included | {table}
-        ]
-        filters = [f for f in query.filters if f.table == table]
-        extended = []
-        for merged in partial:
-            for row in rows:
-                if not all(
-                        FilterPredicate._OPS[f.op](
-                            row["%s" % f.column], f.value)
-                        for f in filters):
-                    continue
-                candidate = {**merged, **row}
-                if all(candidate[p.left_column]
-                       == candidate[p.right_column]
-                       for p in predicates):
-                    extended.append(candidate)
-        partial = extended
-        included.add(table)
-    scores = sorted(
-        (sum(w * merged[c] for c, w in query.ranking.weights.items())
-         for merged in partial),
-        reverse=True,
-    )
-    return [round(v, 9) for v in scores[:query.k]]
-
-
 class TestOptimizerFuzz:
     @given(scenario=scenarios())
     @settings(max_examples=40, deadline=None)
@@ -118,9 +85,7 @@ class TestOptimizerFuzz:
             tables=tables, predicates=predicates,
             ranking=ScoreExpression(weights), k=k, filters=filters,
         )
-        report = db.execute(query)
-        got = [round(query.ranking.evaluate(r), 9) for r in report.rows]
-        assert got == brute_force(db, query)
+        assert_query_top_k(db.execute(query).rows, db.catalog, query)
 
     @given(scenario=scenarios())
     @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import OptimizerError
 from repro.cost.model import CostModel
+from repro.optimizer.enumerator import OptimizerConfig
 from repro.optimizer.expressions import ScoreExpression
 from repro.optimizer.plans import (
     AccessPlan,
@@ -203,3 +204,16 @@ class TestRankJoinPlan:
     def test_unknown_operator(self, model):
         with pytest.raises(OptimizerError):
             rank_join(model, operator="zigzag")
+
+
+@pytest.mark.parametrize("build", [
+    lambda model: OptimizerConfig(parallel="Off"),
+    lambda model: OptimizerConfig(parallel=None),
+    lambda model: OptimizerConfig(join_methods=("hash", "merge")),
+    lambda model: rank_join(model, mode="bogus"),
+    lambda model: rank_join(model, mode="empirical"),
+], ids=["parallel-Off", "parallel-None", "join-method-merge",
+        "estimation-bogus", "estimation-empirical"])
+def test_invalid_planner_settings_rejected_at_construction(model, build):
+    with pytest.raises(OptimizerError):
+        build(model)

@@ -16,10 +16,12 @@ from repro.estimation.depths import (
 from repro.operators.hrjn import HRJN
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
-from repro.operators.topk import Limit, TopK
-from repro.operators.joins import HashJoin
+from repro.operators.sort import Sort
+from repro.operators.topk import Limit
 from repro.storage.index import SortedIndex
 from repro.storage.table import Table
+
+from tests.reference_answers import answers, assert_top_k
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -43,17 +45,12 @@ def make_ranked_table(name, rows):
     return table
 
 
-def brute_topk(left_rows, right_rows, k):
-    combined = sorted(
-        (
-            float(ls) + float(rs)
-            for lk, ls in left_rows
-            for rk, rs in right_rows
-            if lk == rk
-        ),
-        reverse=True,
-    )
-    return [round(v, 7) for v in combined[:k]]
+def check_top_k(left_table, right_table, rows, k, score_column):
+    """``rows`` are a top-``k`` of ``L JOIN R ON key`` by score sum."""
+    want = answers([left_table, right_table], [("L.key", "R.key")],
+                   {"L.score": 1.0, "R.score": 1.0})
+    assert_top_k(rows, want, k, score_column,
+                 columns=("L.key", "L.score", "R.key", "R.score"))
 
 
 # ----------------------------------------------------------------------
@@ -71,8 +68,8 @@ class TestRankJoinEquivalence:
             IndexScan(right_table, right_table.get_index("R_idx")),
             "L.key", "R.key", "L.score", "R.score", name="RJ",
         )
-        got = [round(r["_score_RJ"], 7) for r in Limit(rank_join, k)]
-        assert got == brute_topk(left, right, k)
+        check_top_k(left_table, right_table, list(Limit(rank_join, k)), k,
+                    "_score_RJ")
 
     @given(left=ranked_rows, right=ranked_rows,
            k=st.integers(min_value=1, max_value=20))
@@ -85,8 +82,8 @@ class TestRankJoinEquivalence:
             TableScan(right_table),
             "L.key", "R.key", "L.score", "R.score", name="NR",
         )
-        got = [round(r["_score_NR"], 7) for r in Limit(rank_join, k)]
-        assert got == brute_topk(left, right, k)
+        check_top_k(left_table, right_table, list(Limit(rank_join, k)), k,
+                    "_score_NR")
 
     @given(left=ranked_rows, right=ranked_rows)
     @settings(max_examples=40, deadline=None)
@@ -111,11 +108,8 @@ class TestRankJoinEquivalence:
             IndexScan(right_table, right_table.get_index("R_idx")),
             "L.key", "R.key", "L.score", "R.score", name="RJ",
         )
-        join = HashJoin(
-            TableScan(left_table), TableScan(right_table),
-            "L.key", "R.key",
-        )
-        assert len(list(rank_join)) == len(list(join))
+        assert len(list(rank_join)) == len(answers(
+            [left_table, right_table], [("L.key", "R.key")]))
 
 
 # ----------------------------------------------------------------------
@@ -170,19 +164,19 @@ class TestEstimationInvariants:
 
 
 # ----------------------------------------------------------------------
-# TopK and scoring invariants
+# Sort plan and scoring invariants
 # ----------------------------------------------------------------------
 class TestAggregationInvariants:
     @given(values=st.lists(scores, min_size=0, max_size=60),
            k=st.integers(min_value=0, max_value=20))
     @settings(max_examples=50, deadline=None)
-    def test_topk_operator_matches_sorted_prefix(self, values, k):
+    def test_sort_limit_matches_sorted_prefix(self, values, k):
         table = Table.from_columns("T", [("score", "float")])
         for value in values:
             table.insert([float(value)])
-        got = [r["T.score"] for r in TopK(TableScan(table), k, "T.score")]
-        want = sorted((float(v) for v in values), reverse=True)[:k]
-        assert got == want
+        got = list(Limit(Sort(TableScan(table), "T.score"), k))
+        assert_top_k(got, answers([table], score="T.score"), k, "T.score",
+                     columns=("T.score",))
 
     @given(weights=st.lists(
         st.floats(min_value=0.01, max_value=5.0, allow_nan=False),
@@ -218,5 +212,5 @@ class TestMoreRankJoinVariants:
             IndexScan(right_table, right_table.get_index("R_idx")),
             "L.key", "R.key", "L.score", "R.score", name="JS",
         )
-        got = [round(r["_score_JS"], 7) for r in Limit(rank_join, k)]
-        assert got == brute_topk(left, right, k)
+        check_top_k(left_table, right_table, list(Limit(rank_join, k)), k,
+                    "_score_JS")

@@ -9,6 +9,8 @@ from repro.optimizer.query import FilterPredicate
 from repro.sql.parser import parse_query
 from repro.storage.stats import ColumnStats
 
+from tests.reference_answers import assert_query_top_k
+
 
 class TestFilterPredicate:
     def test_matches(self):
@@ -106,22 +108,10 @@ SELECT x, y, rank FROM R WHERE rank <= 10
 
 
 class TestEndToEndSelections:
-    def brute_force(self, db, k):
-        results = []
-        for a in db.catalog.table("A").scan():
-            if a["A.c2"] > 4:
-                continue
-            for b in db.catalog.table("B").scan():
-                if a["A.c2"] == b["B.c2"]:
-                    results.append(a["A.c1"] + b["B.c1"])
-        results.sort(reverse=True)
-        return [round(v, 9) for v in results[:k]]
-
     def test_filtered_topk_matches_brute_force(self):
         db = make_db()
         report = db.execute(FILTERED_SQL)
-        got = [round(r["A.c1"] + r["B.c1"], 9) for r in report.rows]
-        assert got == self.brute_force(db, 10)
+        assert_query_top_k(report.rows, db.catalog, db.parse(FILTERED_SQL))
 
     def test_plan_contains_filter(self):
         db = make_db()

@@ -12,6 +12,8 @@ from repro.executor.database import Database
 from repro.sql.parser import parse_query
 from repro.storage.table import Table
 
+from tests.reference_answers import assert_query_top_k
+
 
 class TestAliasedTable:
     def make_table(self):
@@ -93,24 +95,10 @@ class TestSelfJoinExecution:
     SELECT x, y, rank FROM Pairs WHERE rank <= 8
     """
 
-    def brute_force(self, db, k):
-        rows = list(db.catalog.table("Items").scan())
-        scores = sorted(
-            (
-                a["Items.score"] + b["Items.score"]
-                for a in rows for b in rows
-                if a["Items.grp"] == b["Items.grp"]
-            ),
-            reverse=True,
-        )
-        return [round(v, 9) for v in scores[:k]]
-
     def test_top_pairs_match_brute_force(self):
         db = self.make_db()
         report = db.execute(self.SQL)
-        got = [round(r["a1.score"] + r["a2.score"], 9)
-               for r in report.rows]
-        assert got == self.brute_force(db, 8)
+        assert_query_top_k(report.rows, db.catalog, db.parse(self.SQL))
 
     def test_rank_join_used_for_self_join(self):
         db = self.make_db(rows=800)
