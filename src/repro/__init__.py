@@ -68,7 +68,6 @@ from repro.operators import (
     HashJoin,
     IndexNestedLoopsJoin,
     IndexScan,
-    JStarRankJoin,
     Limit,
     NestedLoopsJoin,
     Project,
@@ -160,7 +159,6 @@ __all__ = [
     "IndexNestedLoopsJoin",
     "IndexScan",
     "InstalmentScheduler",
-    "JStarRankJoin",
     "JoinPredicate",
     "Limit",
     "MaxScore",

@@ -13,6 +13,7 @@ feature has a high-dimensional index delivering ranked streams).
 
 import os
 
+from repro.common.errors import OptimizerError
 from repro.cost.model import IN_MEMORY, CostModel
 from repro.executor.executor import Executor
 from repro.executor.plan_cache import (
@@ -360,7 +361,7 @@ class Database:
         ``options`` are :meth:`Executor.run`'s.
         """
         if parallel not in PARALLEL_MODES:
-            raise ValueError(
+            raise OptimizerError(
                 "parallel must be one of %r, got %r"
                 % (PARALLEL_MODES[1:], parallel)
             )

@@ -18,7 +18,7 @@ are memoised per ``k`` so rebinding is allocation-free after first use.
 """
 
 from repro.common.errors import OptimizerError
-from repro.optimizer.query import RankQuery
+from repro.optimizer.query import RankQuery, check_k
 
 
 class PreparedQuery:
@@ -45,13 +45,16 @@ class PreparedQuery:
         ``None`` keeps the ``k`` from the prepared text.  Rebinding is
         only meaningful for ranking queries.
         """
-        if k is None or k == self.query.k:
+        if k is None:
             return self.query
         if not self.query.is_ranking:
             raise OptimizerError(
                 "cannot bind k=%r: %r is not a ranking query"
                 % (k, self.sql or self.query)
             )
+        # Checked before the memo: ``True == 1`` and ``3.0 == 3`` would
+        # find the query bound to the integer.
+        check_k(k)
         bound = self._bound.get(k)
         if bound is None:
             template = self.query

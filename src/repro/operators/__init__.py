@@ -29,7 +29,6 @@ from repro.operators.joins import (
     IndexNestedLoopsJoin,
     NestedLoopsJoin,
 )
-from repro.operators.jstar import JStarRankJoin
 from repro.operators.merge import ScoreMerge
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, ShardedScan, TableScan
@@ -44,7 +43,6 @@ __all__ = [
     "HashJoin",
     "IndexNestedLoopsJoin",
     "IndexScan",
-    "JStarRankJoin",
     "Limit",
     "NRJN",
     "NestedLoopsJoin",

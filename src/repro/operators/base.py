@@ -212,7 +212,7 @@ class ScoreSpec:
 
         Operators that read scores without a
         :class:`~repro.operators.rank_kernel.RankedInput` in front
-        (J*, AnyK's nodes) wrap their specs with this so a
+        (AnyK's nodes) wrap their specs with this so a
         degenerate score fails the query at the offending row instead
         of silently corrupting the threshold.
         """

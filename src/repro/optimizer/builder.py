@@ -211,14 +211,6 @@ class PlanBuilder:
                 combiner=SumScore(), name=name,
                 output_score_column=score_column, strategy=POLLING,
             )
-        if plan.operator == "jstar":
-            from repro.operators.jstar import JStarRankJoin
-
-            return JStarRankJoin(
-                left, right, left_key, right_key, left_spec, right_spec,
-                combiner=SumScore(), name=name,
-                output_score_column=score_column,
-            )
         return NRJN(
             left, right, left_key, right_key, left_spec, right_spec,
             combiner=SumScore(), name=name,

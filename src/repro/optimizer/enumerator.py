@@ -116,10 +116,6 @@ class _MemoBuild:
         return orders
 
 
-#: The values :attr:`OptimizerConfig.parallel` accepts.
-PARALLEL_POLICIES = ("auto", "off")
-
-
 class OptimizerConfig:
     """Feature switches for the enumerator (used by the ablations).
 
@@ -129,19 +125,13 @@ class OptimizerConfig:
         Master switch: track interesting order expressions and generate
         rank-join plans.  Off reproduces the traditional optimizer
         (Figures 2 / 3a).
-    enable_hrjn / enable_nrjn / enable_jstar:
-        Individual rank-join implementations (J* is off by default:
-        the paper's optimizer enumerates HRJN and NRJN; J* is the
-        competing operator from its reference [26]).
+    enable_hrjn / enable_nrjn:
+        The paper's two rank-join implementations.
     enable_anyk:
-        Enumerate an :class:`~repro.optimizer.plans.AnyKPlan`
-        alternative for every connected subset whose join predicates
-        form an acyclic tree (chains, stars, and anything in between;
-        a subset with a predicate cycle is skipped).  The DP-based
-        any-k operator competes on cost against the binary rank-join
-        trees -- the optimizer picks it only beyond the preprocessing
-        crossover.  Off by default, like J*: it extends the paper's
-        operator repertoire rather than reproducing it.
+        Enumerate an :class:`~repro.optimizer.plans.AnyKPlan` for every
+        connected subset whose join predicates form a tree; it competes
+        on cost with the binary rank-join trees.  Off by default: it
+        extends the paper's operators rather than reproducing them.
     join_methods:
         Traditional join methods to enumerate, a subset of
         :data:`~repro.optimizer.plans.JOIN_METHODS`.
@@ -152,42 +142,36 @@ class OptimizerConfig:
         Treat pipelining as a protected physical property
         (Section 3.3); off lets cheaper blocking plans prune pipelined
         ones.
-    parallel:
-        Sharded-execution policy for eligible rank-joins whose inputs
-        are hash-partitioned in the catalog: ``"auto"`` (default)
-        enumerates a :class:`~repro.optimizer.plans.ScoreMergePlan`
-        alternative per HRJN plan and lets cost-based pruning pick the
-        winner; ``"off"`` never enumerates parallel plans.  (Forcing a
-        specific vehicle happens per execution via
-        ``Database.execute(parallel=...)``, not here.)  With no
-        partitionings registered, ``"auto"`` changes nothing.
 
-    An unknown join method or parallel policy raises
+    Every HRJN plan over hash-partitioned inputs also gets a
+    :class:`~repro.optimizer.plans.ScoreMergePlan` alternative; with no
+    partitioning registered there is none.  Sharding is turned off per
+    execution, by ``Database.execute(parallel="off")``.
+
+    A non-bool switch or an unknown join method raises
     :class:`~repro.common.errors.OptimizerError` here, not at the first
     query that would read it.
     """
 
     def __init__(self, rank_aware=True, enable_hrjn=True, enable_nrjn=True,
-                 enable_jstar=False, enable_anyk=False,
-                 join_methods=JOIN_METHODS, eager_enforcement=True,
-                 respect_pipelining=True, parallel="auto"):
-        join_methods = tuple(join_methods)
-        unknown = [m for m in join_methods if m not in JOIN_METHODS]
+                 enable_anyk=False, join_methods=JOIN_METHODS,
+                 eager_enforcement=True, respect_pipelining=True):
+        switches = {
+            "rank_aware": rank_aware, "enable_hrjn": enable_hrjn,
+            "enable_nrjn": enable_nrjn, "enable_anyk": enable_anyk,
+            "eager_enforcement": eager_enforcement,
+            "respect_pipelining": respect_pipelining,
+        }
+        for name, value in switches.items():
+            if not isinstance(value, bool):
+                raise OptimizerError("%s must be a bool, got %r"
+                                     % (name, value))
+            setattr(self, name, value)
+        self.join_methods = tuple(join_methods)
+        unknown = [m for m in self.join_methods if m not in JOIN_METHODS]
         if unknown:
             raise OptimizerError("unknown join method(s) %r; expected %r"
                                  % (unknown, JOIN_METHODS))
-        if parallel not in PARALLEL_POLICIES:
-            raise OptimizerError("parallel must be one of %r, got %r"
-                                 % (PARALLEL_POLICIES, parallel))
-        self.rank_aware = rank_aware
-        self.enable_hrjn = enable_hrjn
-        self.enable_nrjn = enable_nrjn
-        self.enable_jstar = enable_jstar
-        self.enable_anyk = enable_anyk
-        self.join_methods = join_methods
-        self.eager_enforcement = eager_enforcement
-        self.respect_pipelining = respect_pipelining
-        self.parallel = parallel
 
 
 class OptimizationResult:
@@ -566,10 +550,10 @@ class Optimizer:
 
         Returns what every rank join over the split shares -- the
         ranking restricted to each side and their combination -- or
-        ``None`` when no rank join applies.  HRJN and J* read
-        ``cost(d)`` of both inputs and pipeline from both, so they pair
-        every sorted left with every sorted right.  NRJN reads the
-        outer's ``cost(d)`` but only the inner's full-consumption cost
+        ``None`` when no rank join applies.  HRJN reads ``cost(d)`` of
+        both inputs and pipelines from both, so it pairs every sorted
+        left with every sorted right.  NRJN reads the outer's
+        ``cost(d)`` but only the inner's full-consumption cost
         (``right_costs``) and cardinality, and its leaf cardinalities (the
         model's ``n``): every sorted left meets the rights that undercut
         all earlier rights with the same leaves.
@@ -589,11 +573,9 @@ class Optimizer:
         right_order = OrderProperty(right_expr)
         sorted_rights = [j for j, plan in enumerate(rights)
                          if plan.order.covers(right_order)]
-        both_sorted = [(i, j) for i in sorted_lefts for j in sorted_rights]
         if self.config.enable_hrjn:
-            inputs["hrjn"] = both_sorted
-        if self.config.enable_jstar:
-            inputs["jstar"] = both_sorted
+            inputs["hrjn"] = [(i, j) for i in sorted_lefts
+                              for j in sorted_rights]
         if self.config.enable_nrjn:
             # Left (sorted) as outer, right as the rescanned inner.
             inners = _undercutting(
@@ -611,7 +593,7 @@ class Optimizer:
             left_expr, right_expr, combined,
         )
         self._add(build, plan)
-        if operator == "hrjn" and self.config.parallel != "off":
+        if operator == "hrjn":
             from repro.optimizer.parallel import parallel_alternative
 
             sharded = parallel_alternative(

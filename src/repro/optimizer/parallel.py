@@ -34,7 +34,7 @@ def sharding_eligible(plan):
     The explicit form of the eligibility rule above: only a *binary*
     HRJN :class:`~repro.optimizer.plans.RankJoinPlan` over a single
     equi-join predicate can be co-partitioned into per-shard pipelines.
-    Every other root -- NRJN/J* rank joins, traditional joins, and in
+    Every other root -- NRJN rank joins, traditional joins, and in
     particular the multi-way :class:`~repro.optimizer.plans.AnyKPlan`
     (whose join tree spans several keys, so no single hash partitioning
     co-locates it) -- is skipped cleanly rather than mis-sharded.

@@ -35,7 +35,7 @@ from repro.optimizer.properties import OrderProperty
 JOIN_METHODS = ("hash", "nl", "inl", "sort_merge")
 
 #: Rank-join operators known to the enumerator.
-RANK_JOIN_OPERATORS = ("hrjn", "nrjn", "jstar")
+RANK_JOIN_OPERATORS = ("hrjn", "nrjn")
 
 #: Depth estimates a :class:`RankJoinPlan` costs with: the average case
 #: (what the optimizer plans with) and the worst-case bounds of
@@ -381,10 +381,9 @@ class RankJoinPlan(Plan):
         if not predicates:
             raise OptimizerError("RankJoinPlan needs a predicate")
         cardinality = selectivity * left.cardinality * right.cardinality
-        # HRJN and J* are non-blocking; NRJN blocks on the inner only.
-        # The plan is pipelined when the ranked inputs it streams from
-        # are.
-        if operator in ("hrjn", "jstar"):
+        # HRJN is non-blocking; NRJN blocks on the inner only.  The
+        # plan is pipelined when the ranked inputs it streams from are.
+        if operator == "hrjn":
             pipelined = left.pipelined and right.pipelined
         else:
             pipelined = left.pipelined
@@ -452,14 +451,6 @@ class RankJoinPlan(Plan):
             return (left.cost(d_left) + right.cost(d_right)
                     + self.model.hrjn_cost(d_left, d_right,
                                            self.selectivity))
-        if self.operator == "jstar":
-            # Same depths as HRJN; the frontier search costs about a
-            # priority-queue operation per explored candidate pair
-            # within the consumed prefix.
-            explored = max(1.0, d_left * d_right)
-            return (left.cost(d_left) + right.cost(d_right)
-                    + self.model.cpu(explored
-                                     * math.log2(max(2.0, explored))))
         # NRJN: d_right is the inner's full cardinality.
         return (left.cost(d_left) + right.cost(d_right)
                 + self.model.nrjn_cost(d_left, d_right, self.selectivity))

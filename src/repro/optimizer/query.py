@@ -6,8 +6,21 @@ an optional monotone ranking expression with a ``k``, an optional plain
 ORDER BY column, and a select list.
 """
 
+import numbers
+
 from repro.common.errors import OptimizerError
 from repro.optimizer.expressions import ScoreExpression, _table_of
+
+
+def check_k(k):
+    """Raise :class:`OptimizerError` unless ``k`` is an integer >= 1.
+
+    ``bool`` is refused although it is an ``int``; NumPy integers pass.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise OptimizerError(
+            "a ranking query needs an integer k >= 1, got %r" % (k,)
+        )
 
 
 class JoinPredicate:
@@ -201,10 +214,7 @@ class RankQuery:
                     "ranking references tables %s not in FROM"
                     % (sorted(missing),)
                 )
-            if k is None or k < 1:
-                raise OptimizerError(
-                    "a ranking query needs k >= 1, got %r" % (k,)
-                )
+            check_k(k)
             if order_by is not None:
                 raise OptimizerError(
                     "ranking and order_by are mutually exclusive"

@@ -12,6 +12,7 @@ event stream exactly.
 """
 
 from repro.optimizer.enumerator import Optimizer
+from repro.optimizer.parallel import parallel_alternative
 from repro.optimizer.plans import JoinPlan, RankJoinPlan
 from repro.optimizer.properties import OrderProperty
 
@@ -75,19 +76,11 @@ class ExhaustiveOptimizer(Optimizer):
                 left_expr, right_expr, combined,
             )
             self._add(build, hrjn)
-            if self.config.parallel != "off":
-                from repro.optimizer.parallel import parallel_alternative
-
-                sharded = parallel_alternative(
-                    self.catalog, self.model, hrjn, mode="auto",
-                )
-                if sharded is not None:
-                    self._add(build, sharded)
-        if self.config.enable_jstar and left_sorted and right_sorted:
-            self._add(build, RankJoinPlan(
-                self.model, "jstar", left, right, predicates, selectivity,
-                left_expr, right_expr, combined,
-            ))
+            sharded = parallel_alternative(
+                self.catalog, self.model, hrjn, mode="auto",
+            )
+            if sharded is not None:
+                self._add(build, sharded)
         if self.config.enable_nrjn and left_sorted:
             # Left (sorted) as outer, right as the rescanned inner.
             self._add(build, RankJoinPlan(

@@ -141,14 +141,6 @@ def _rank_join_cost(self, k):
         return (reference_cost(left, d_left) + reference_cost(right, d_right)
                 + self.model.hrjn_cost(d_left, d_right,
                                        self.selectivity))
-    if self.operator == "jstar":
-        # Same depths as HRJN; the frontier search costs about a
-        # priority-queue operation per explored candidate pair
-        # within the consumed prefix.
-        explored = max(1.0, d_left * d_right)
-        return (reference_cost(left, d_left) + reference_cost(right, d_right)
-                + self.model.cpu(explored
-                                 * math.log2(max(2.0, explored))))
     # NRJN consumes the inner fully regardless of k.
     return (reference_cost(left, d_left)
             + reference_cost(right, right.cardinality)

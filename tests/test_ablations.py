@@ -126,7 +126,7 @@ def test_estimation_mode():
 
 def test_rank_join_menu_in_optimizer():
     """Section 3.2 generates a plan per rank-join implementation: each
-    enabled alone, and all together (2000 rows, k=10)."""
+    enabled alone, and both together (2000 rows, k=10)."""
     sql = """
     WITH R AS (
       SELECT A.c1 AS x, B.c1 AS y,
@@ -139,9 +139,7 @@ def test_rank_join_menu_in_optimizer():
     for label, config in (
         ("hrjn only", OptimizerConfig(enable_nrjn=False)),
         ("nrjn only", OptimizerConfig(enable_hrjn=False)),
-        ("jstar only", OptimizerConfig(enable_hrjn=False, enable_nrjn=False,
-                                       enable_jstar=True)),
-        ("all three", OptimizerConfig(enable_jstar=True)),
+        ("both", OptimizerConfig()),
     ):
         rng = make_rng(55)
         db = Database(config=config)
@@ -160,10 +158,9 @@ def test_rank_join_menu_in_optimizer():
     assert len(answers) == 1
     # Each isolated config picks its own operator ...
     assert [results[label][0] for label in
-            ("hrjn only", "nrjn only", "jstar only")] \
-        == ["HRJN", "NRJN", "JSTAR"]
-    # ... and with everything enabled the optimizer does no worse than
+            ("hrjn only", "nrjn only")] == ["HRJN", "NRJN"]
+    # ... and with both enabled the optimizer does no worse than
     # the best single implementation (estimated cost).
     best_single = min(cost for label, (_op, cost) in results.items()
-                      if label != "all three")
-    assert results["all three"][1] <= best_single + 1e-6
+                      if label != "both")
+    assert results["both"][1] <= best_single + 1e-6

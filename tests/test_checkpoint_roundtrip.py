@@ -20,7 +20,6 @@ from repro.operators.joins import (
     IndexNestedLoopsJoin,
     NestedLoopsJoin,
 )
-from repro.operators.jstar import JStarRankJoin
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
 from repro.operators.sort import Sort
@@ -93,9 +92,6 @@ FACTORIES = {
     "nrjn": lambda: NRJN(
         index_scan(L), TableScan(R), "L.key", "R.key",
         "L.score", "R.score", name="NR"),
-    "jstar": lambda: JStarRankJoin(
-        index_scan(L), index_scan(R), "L.key", "R.key",
-        "L.score", "R.score", name="JS"),
     "anyk": lambda: AnyK(
         (TableScan(L), TableScan(R), TableScan(M)),
         (AnyKNode(0, None, score_weights=[("L.score", 1.0)]),

@@ -25,7 +25,6 @@ from repro.operators.scan import IndexScan, TableScan
 from repro.operators.topk import Limit
 from repro.optimizer.query import FilterPredicate
 from repro.storage.columns import (
-    ColumnStore,
     TypedColumn,
     compile_mask_selector,
     compile_predicate_closure,

@@ -37,7 +37,6 @@ SHAPES = {
 
 CONFIGS = {
     "average": {},
-    "jstar": {"enable_jstar": True},
     "anyk": {"enable_anyk": True},
     "no_pipelining": {"respect_pipelining": False},
     "lazy": {"eager_enforcement": False},

@@ -25,7 +25,6 @@ from repro.experiments.report import relative_error
 from repro.operators.filters import Filter
 from repro.operators.hrjn import HRJN
 from repro.operators.joins import HashJoin
-from repro.operators.jstar import JStarRankJoin
 from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
 from repro.operators.sort import Sort
@@ -47,7 +46,7 @@ def two_way_hrjn(left, right, index_suffix="score_idx"):
 
 
 def test_top_k_join_strategies():
-    """HRJN, NRJN, J* and the paper's join-then-sort baseline on one
+    """HRJN, NRJN and the paper's join-then-sort baseline on one
     workload (n=4000, s=0.01, k=50): threshold rank joins touch far
     less input."""
     left, right = make_ranked_pair(4000, 0.01, seed=77)
@@ -56,12 +55,9 @@ def test_top_k_join_strategies():
                 "L.key", "R.key", "L.score", "R.score", name="H")
     nrjn = NRJN(scan(left, "L_score_idx"), TableScan(right),
                 "L.key", "R.key", "L.score", "R.score", name="N")
-    jstar = JStarRankJoin(scan(left, "L_score_idx"),
-                          scan(right, "R_score_idx"),
-                          "L.key", "R.key", "L.score", "R.score", name="J")
     answers = [
         [round(r["_score_%s" % (op.name,)], 9) for r in Limit(op, k)]
-        for op in (hrjn, nrjn, jstar)
+        for op in (hrjn, nrjn)
     ]
     join = HashJoin(TableScan(left), TableScan(right), "L.key", "R.key")
 
@@ -72,10 +68,10 @@ def test_top_k_join_strategies():
     answers.append([round(score_of(r), 9) for r in sort_plan])
     # Every strategy returns the identical ranked answer.
     assert len({tuple(a) for a in answers}) == 1
-    # Input tuples touched: J*'s grid search is depth-optimal, NRJN
-    # exhausts its inner, join-then-sort reads both inputs in full.
-    assert (sum(hrjn.depths), sum(jstar.depths), sum(nrjn.depths),
-            sum(join.stats.pulled)) == (202, 190, 4089, 8000)
+    # Input tuples touched: NRJN exhausts its inner, join-then-sort
+    # reads both inputs in full.
+    assert (sum(hrjn.depths), sum(nrjn.depths),
+            sum(join.stats.pulled)) == (202, 4089, 8000)
     assert nrjn.stats.max_buffer > hrjn.stats.max_buffer
 
 

@@ -69,7 +69,6 @@ SHAPES = {
 
 CONFIGS = {
     "average": {},
-    "jstar": {"enable_jstar": True},
     "anyk": {"enable_anyk": True},
     "no_pipelining": {"respect_pipelining": False},
     # Every table hash-partitioned on its join key, so leaf rank joins

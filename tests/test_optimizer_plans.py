@@ -169,10 +169,6 @@ class TestRankJoinPlan:
         )
         assert plan.pipelined  # Outer pipelined suffices for NRJN.
 
-    def test_jstar_costed(self, model):
-        plan = rank_join(model, operator="jstar")
-        assert 0 < plan.cost(10) < plan.cost(1000)
-
     def test_worst_mode_not_cheaper(self, model):
         average = rank_join(model, mode="average")
         worst = rank_join(model, mode="worst")
@@ -207,12 +203,18 @@ class TestRankJoinPlan:
 
 
 @pytest.mark.parametrize("build", [
-    lambda model: OptimizerConfig(parallel="Off"),
-    lambda model: OptimizerConfig(parallel=None),
+    lambda model: OptimizerConfig(rank_aware=1),
+    lambda model: OptimizerConfig(enable_hrjn="no"),
+    lambda model: OptimizerConfig(enable_nrjn=None),
+    lambda model: OptimizerConfig(enable_anyk="yes"),
+    lambda model: OptimizerConfig(eager_enforcement=0),
+    lambda model: OptimizerConfig(respect_pipelining="False"),
     lambda model: OptimizerConfig(join_methods=("hash", "merge")),
     lambda model: rank_join(model, mode="bogus"),
     lambda model: rank_join(model, mode="empirical"),
-], ids=["parallel-Off", "parallel-None", "join-method-merge",
+], ids=["rank_aware-1", "enable_hrjn-no", "enable_nrjn-None",
+        "enable_anyk-yes", "eager_enforcement-0",
+        "respect_pipelining-False-string", "join-method-merge",
         "estimation-bogus", "estimation-empirical"])
 def test_invalid_planner_settings_rejected_at_construction(model, build):
     with pytest.raises(OptimizerError):

@@ -42,6 +42,12 @@ class TestRankQueryValidation:
             RankQuery(tables="AB",
                       ranking=ScoreExpression.single("A.c1"))
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", 0])
+    def test_non_integer_or_small_k_rejected(self, k):
+        with pytest.raises(OptimizerError, match="integer k >= 1"):
+            RankQuery(tables="AB", ranking=ScoreExpression.single("A.c1"),
+                      k=k)
+
     def test_k_without_ranking_rejected(self):
         with pytest.raises(OptimizerError):
             RankQuery(tables="A", k=5)

@@ -115,8 +115,7 @@ class TestEligibleAlternative:
 
     def make_db(self):
         rng = make_rng(9)
-        db = Database(config=OptimizerConfig(enable_nrjn=False,
-                                             parallel="off"))
+        db = Database(config=OptimizerConfig(enable_nrjn=False))
         db.create_table("A", [("c1", "float"), ("c2", "int")], rows=[
             [float(rng.uniform(0, 1)), int(rng.integers(0, 10))]
             for _ in range(120)
@@ -140,7 +139,8 @@ class TestEligibleAlternative:
 
     def test_eligible_hrjn_gets_score_merge(self):
         db = self.make_db()
-        plan = db.explain(self.query()).best_plan
+        report = db.execute(self.query(), parallel="off")
+        plan = report.optimization.best_plan
         assert isinstance(plan, RankJoinPlan)
         assert sharding_eligible(plan)
         alternative = parallel_alternative(db.catalog, db.cost_model,

@@ -3,6 +3,7 @@
 import asyncio
 import threading
 
+import numpy as np
 import pytest
 
 import repro.executor.database as database_module
@@ -169,6 +170,26 @@ class TestPreparedQueries:
         assert db.plan_cache.stats()["size"] == 2
         prepared.execute(k=3)
         assert db.plan_cache.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, 10.0, True, "3"])
+    def test_non_integer_k_rejected(self, k):
+        prepared = build_db().prepare(TOPK_SQL)  # Bound to k=10.
+        prepared.execute(k=1)
+        prepared.execute(k=3)
+        with pytest.raises(OptimizerError, match="integer k"):
+            prepared.execute(k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        prepared = build_db().prepare(TOPK_SQL)
+        top3 = rows_of(prepared.execute(k=np.int64(3)))
+        assert top3 == rows_of(prepared.execute())[:3]
+
+    def test_unknown_parallel_mode_rejected(self):
+        db = build_db()
+        with pytest.raises(OptimizerError, match="parallel must be one of"):
+            db.execute(TOPK_SQL, parallel="bogus")
+        with pytest.raises(OptimizerError, match="parallel must be one of"):
+            db.prepare(TOPK_SQL).execute(parallel="bogus")
 
     def test_bind_memoises_query_objects(self):
         db = build_db()

@@ -196,21 +196,3 @@ class TestAggregationInvariants:
         left = Row({"L.x": 1})
         right = Row({"R.y": 2})
         assert left.merge(right) == right.merge(left)
-
-
-class TestMoreRankJoinVariants:
-    @given(left=ranked_rows, right=ranked_rows,
-           k=st.integers(min_value=1, max_value=15))
-    @settings(max_examples=40, deadline=None)
-    def test_jstar_matches_brute_force(self, left, right, k):
-        from repro.operators.jstar import JStarRankJoin
-
-        left_table = make_ranked_table("L", left)
-        right_table = make_ranked_table("R", right)
-        rank_join = JStarRankJoin(
-            IndexScan(left_table, left_table.get_index("L_idx")),
-            IndexScan(right_table, right_table.get_index("R_idx")),
-            "L.key", "R.key", "L.score", "R.score", name="JS",
-        )
-        check_top_k(left_table, right_table, list(Limit(rank_join, k)), k,
-                    "_score_JS")
