@@ -257,7 +257,7 @@ class PositionalInput(RankedInput):
             return (scores, table.key_positions(self.key_columns[0]),
                     self.row_at)
         return (scores, group_positions(map(self.key_at, positions)),
-                list(map(self.row_at, positions)).__getitem__)
+                lambda i, _p=positions, _row_at=self.row_at: _row_at(_p[i]))
 
 
 class ProbeTable:

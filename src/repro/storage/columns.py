@@ -25,13 +25,11 @@ in semantics.
 """
 
 from array import array
+from operator import itemgetter
+
+import numpy as _np
 
 from repro.common.types import Row
-
-try:  # Optional acceleration only; every path has a pure-Python twin.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised where numpy is absent
-    _np = None
 
 #: Array type codes per advisory schema type.  ``str`` (and anything
 #: else) stays an object column.
@@ -87,12 +85,11 @@ class TypedColumn:
         self.data.append(value)
 
     def extend(self, values):
-        """Bulk append; one exact-type sweep then a C-level extend."""
+        """Bulk append; one C-level type sweep then a C-level extend."""
         if not isinstance(values, (list, tuple, array)):
             values = list(values)
         if self.kind != "object":
-            exact = _EXACT_TYPES[self.kind]
-            if all(type(v) is exact for v in values):
+            if set(map(type, values)) <= {_EXACT_TYPES[self.kind]}:
                 before = len(self.data)
                 try:
                     self.data.extend(values)
@@ -146,13 +143,19 @@ class ColumnStore:
         self._length += 1
 
     def extend(self, value_tuples):
-        """Append many rows (sequences in schema order) in one pass."""
+        """Append many rows (sequences in schema order), column by column.
+
+        Each column is taken out of the rows by one C-level
+        ``itemgetter`` pass and appended once.  ``zip(*rows)`` would
+        allocate one iterator per row, which at 70 000 rows sets off
+        full garbage collections over every loaded row.
+        """
         if not isinstance(value_tuples, list):
             value_tuples = list(value_tuples)
         if not value_tuples:
             return
-        for column, values in zip(self.columns, zip(*value_tuples)):
-            column.extend(values)
+        for position, column in enumerate(self.columns):
+            column.extend(list(map(itemgetter(position), value_tuples)))
         self._length += len(value_tuples)
 
     def extend_from(self, other, positions):
@@ -284,6 +287,37 @@ def compile_predicate_closure(predicates, columns):
 _NP_DTYPES = {"q": "int64", "d": "float64"}
 
 
+def numpy_copy(buffer, start=0, stop=None):
+    """A numpy array over a copy of ``buffer[start:stop]``.
+
+    ``buffer`` is a typed column's ``array``.  The slice is a C-level
+    copy, so the live buffer is never exported and an append racing
+    the read never hits ``BufferError``: every numpy read of a column
+    goes through here and never holds a view of the live ``array``.
+    """
+    return _np.frombuffer(buffer[start:stop],
+                          dtype=_NP_DTYPES[buffer.typecode])
+
+
+def stable_order(buffer, descending):
+    """Positions of a typed ``buffer`` in stable key order, or ``None``.
+
+    Equal to ``sorted(range(n), key=buffer.__getitem__,
+    reverse=descending)`` as a list of Python ints: tied keys (``-0.0``
+    and ``0.0`` among them) keep heap order in both directions.
+    ``None`` when the buffer holds a NaN, which ``sorted`` orders by
+    its comparisons' failures and numpy does not.
+    """
+    values = numpy_copy(buffer)
+    if values.dtype.kind == "f" and _np.isnan(values).any():
+        return None
+    if not descending:
+        return values.argsort(kind="stable").tolist()
+    # What sorted(reverse=True) does: reverse, sort stably, reverse.
+    last = len(values) - 1
+    return (last - values[::-1].argsort(kind="stable"))[::-1].tolist()
+
+
 def _numpy_comparable(column, value):
     """True when numpy comparison is *exact* for this column/value pair.
 
@@ -308,12 +342,10 @@ def compile_mask_selector(predicates, columns):
     evaluated with numpy over the raw ``array`` buffers: one C-level
     chunk copy per column (keeping the live buffer un-exported, so
     concurrent appends never hit ``BufferError``), one vectorized
-    compare, one ``nonzero``.  ``None`` when numpy is missing, a column
-    is degraded/object, or a comparison would not be bit-exact under
-    numpy's casting rules -- callers fall back to the position closure.
+    compare, one ``nonzero``.  ``None`` when a column is degraded/object
+    or a comparison would not be bit-exact under numpy's casting rules
+    -- callers fall back to the position closure.
     """
-    if _np is None:
-        return None
     compiled = []
     for predicate in predicates:
         column = columns.get(predicate.column)
@@ -326,9 +358,7 @@ def compile_mask_selector(predicates, columns):
     def select(start, stop, _compiled=compiled, _np=_np):
         mask = None
         for column, op, value in _compiled:
-            chunk = _np.frombuffer(
-                column[start:stop], dtype=_NP_DTYPES[column.typecode],
-            )
+            chunk = numpy_copy(column, start, stop)
             hits = _MASK_OPS[op](chunk, value)
             mask = hits if mask is None else (mask & hits)
         positions = _np.nonzero(mask)[0]

@@ -10,7 +10,21 @@ to the uniform assumption inside a bucket.
 
 import math
 
+import numpy as np
+
 from repro.common.errors import CatalogError
+
+
+def extremes(values):
+    """``(min, max)`` of a non-empty numpy array, as Python scalars.
+
+    Each is the *first* element equal to the extreme, as Python's
+    ``min`` and ``max`` return it, so the sign of a zero extreme is
+    the first zero's whichever zero numpy's reduction returns.
+    """
+    low, high = values.min(), values.max()
+    return (values[(values == low).argmax()].item(),
+            values[(values == high).argmax()].item())
 
 
 class EquiWidthHistogram:
@@ -19,34 +33,35 @@ class EquiWidthHistogram:
     Parameters
     ----------
     values:
-        Numeric samples (the column's values).
+        Numeric samples (the column's values): a numpy array, or any
+        iterable (its ``None`` entries are dropped).  Counted as
+        float64.
     buckets:
         Bucket count; clamped to at least 1.
     """
 
     def __init__(self, values, buckets=32):
-        values = [float(v) for v in values if v is not None]
+        if not isinstance(values, np.ndarray):
+            values = [v for v in values if v is not None]
+        values = np.asarray(values, dtype=np.float64)
         self.total = len(values)
         self.buckets = max(1, int(buckets))
-        if not values:
+        if not self.total:
             self.low = self.high = None
             self.counts = [0] * self.buckets
             self.width = 0.0
             return
-        self.low = min(values)
-        self.high = max(values)
-        span = self.high - self.low
+        self.low, self.high = low, high = extremes(values)
+        span = high - low
         if span <= 0:
             self.width = 0.0
             self.counts = [self.total] + [0] * (self.buckets - 1)
             return
         self.width = width = span / self.buckets
-        self.counts = counts = [0] * self.buckets
-        low = self.low
-        last = self.buckets - 1
-        for value in values:
-            index = int((value - low) / width)
-            counts[index if index < last else last] += 1
+        # int((v - low) / width), clamped to the last bucket.
+        index = ((values - low) / width).astype(np.int64)
+        np.minimum(index, self.buckets - 1, out=index)
+        self.counts = np.bincount(index, minlength=self.buckets).tolist()
 
     def _check_nonempty(self):
         if self.total == 0:

@@ -10,8 +10,10 @@ arbitrary expression over the row (usually a single score column).
 """
 
 import operator
+from array import array
 
 from repro.common.errors import CatalogError
+from repro.storage.columns import stable_order
 
 
 class SortedIndex:
@@ -89,12 +91,15 @@ class SortedIndex:
         if self._table is None:
             raise CatalogError("index %r is not attached to a table" % (self.name,))
         keys = self._keys_in_heap_order()
-        # A stable sort of heap positions by key value yields the exact
-        # ordering the old (key, row)-tuple sort produced: same keys,
-        # same stability, rows never compared.
-        order = sorted(
-            range(len(keys)), key=keys.__getitem__, reverse=self.descending,
-        )
+        # A stable sort of heap positions by key value: tied keys keep
+        # heap order, rows are never compared.  A typed column sorts in
+        # numpy; callable keys, object columns and NaN keys in Python.
+        order = None
+        if isinstance(keys, array):
+            order = stable_order(keys, self.descending)
+        if order is None:
+            order = sorted(range(len(keys)), key=keys.__getitem__,
+                           reverse=self.descending)
         return order, keys.__getitem__
 
     def order(self):

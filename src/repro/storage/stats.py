@@ -11,7 +11,16 @@ pass would, and cached in the catalog.
 import math
 from array import array
 
+import numpy as np
+
 from repro.common.errors import CatalogError
+from repro.storage.columns import numpy_copy
+from repro.storage.histogram import EquiWidthHistogram, extremes
+
+
+def _histogram(finite, buckets):
+    """The equi-width histogram of ``finite`` values (``None`` at 0)."""
+    return EquiWidthHistogram(finite, buckets) if buckets else None
 
 
 class ColumnStats:
@@ -47,35 +56,47 @@ class ColumnStats:
 
         Numeric columns additionally get an equi-width histogram (see
         :mod:`repro.storage.histogram`) used for refined filter
-        selectivity; pass ``histogram_buckets=0`` to skip it.
+        selectivity; pass ``histogram_buckets=0`` to skip it.  A typed
+        column buffer is read in numpy passes over a copy of it.
         """
-        from repro.storage.histogram import EquiWidthHistogram
-
-        # A typed column buffer holds exact ints or floats, never None.
-        typed = isinstance(values, array)
-        values = (values.tolist() if typed
-                  else [v for v in values if v is not None])
+        if isinstance(values, array):
+            return cls._from_buffer(column, values, histogram_buckets)
+        values = [v for v in values if v is not None]
         count = len(values)
         distinct = len(set(values))
         if count == 0:
             return cls(column, 0, 0, None, None)
-        numeric = typed or all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values)
-        if not numeric:
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in values):
             return cls(column, count, distinct, min(values), max(values))
-        if typed:
-            finite = list(filter(math.isfinite, values))
-        else:
-            finite = [v for v in values
-                      if not isinstance(v, float) or math.isfinite(v)]
+        finite = [v for v in values
+                  if not isinstance(v, float) or math.isfinite(v)]
         if not finite:
             return cls(column, count, distinct, None, None)
-        histogram = None
-        if histogram_buckets:
-            histogram = EquiWidthHistogram(finite, histogram_buckets)
         return cls(column, count, distinct, min(finite), max(finite),
-                   histogram=histogram)
+                   histogram=_histogram(finite, histogram_buckets))
+
+    @classmethod
+    def _from_buffer(cls, column, buffer, histogram_buckets):
+        """:meth:`from_values` of a typed ``array``: exact ints or
+        floats, never None; ``distinct`` counts each NaN apart, as a
+        set of the buffer's values does."""
+        values = numpy_copy(buffer)
+        count = len(values)
+        if count == 0:
+            return cls(column, 0, 0, None, None)
+        if values.dtype.kind == "f":
+            finite = values[np.isfinite(values)]
+            nan = np.isnan(values)
+            distinct = len(np.unique(values[~nan])) + int(nan.sum())
+        else:
+            finite = values
+            distinct = len(np.unique(values))
+        if not len(finite):
+            return cls(column, count, distinct, None, None)
+        minimum, maximum = extremes(finite)
+        return cls(column, count, distinct, minimum, maximum,
+                   histogram=_histogram(finite, histogram_buckets))
 
     def selectivity_of_equality(self):
         """Estimated selectivity of ``col = const`` (uniformity assumption)."""

@@ -16,9 +16,12 @@ same trees through the generic planes; this file targets the columnar
 machinery itself.
 """
 
+import numpy as np
 import pytest
 
+from repro.common.errors import SchemaError
 from repro.common.rng import make_rng
+from repro.common.types import Row
 from repro.operators.filters import Filter, Project
 from repro.operators.hrjn import HRJN
 from repro.operators.scan import IndexScan, TableScan
@@ -124,16 +127,70 @@ class TestTypedColumn:
         assert list(dst.data) == [9, True, 1]
 
 
+SPEC = [("id", "int"), ("key", "int"), ("score", "float")]
+
+#: The same 20 rows in each form ``Table.extend`` takes.
+ROW_FORMS = {
+    "lists": lambda i: [i, i % 3, float(i) / 10],
+    "tuples": lambda i: (i, i % 3, float(i) / 10),
+    "mixed_tuple_dict": lambda i: (
+        (i, i % 3, float(i) / 10) if i % 2
+        else {"id": i, "T.key": i % 3, "score": float(i) / 10}),
+    "rows": lambda i: Row({"T.id": i, "T.key": i % 3,
+                           "T.score": float(i) / 10}),
+}
+
+#: ``value in the key column -> what the bulk load must keep``.
+DEGRADING = {
+    "float_in_int": 2.5,
+    "bool": True,
+    "wide_int": 2 ** 70,
+    "numpy_scalar": np.int64(7),
+}
+
+
+def columns_of(table):
+    return [(kind, [(type(v), v) for v in table.column(name)])
+            for name, kind in table.column_store().column_kinds().items()]
+
+
 class TestRowFacade:
     def test_bulk_load_equals_per_insert(self):
-        rows = [[i, i % 3, float(i) / 10] for i in range(20)]
-        spec = [("id", "int"), ("key", "int"), ("score", "float")]
-        bulk = Table.from_columns("T", spec, rows=rows)
-        serial = Table.from_columns("T", spec)
+        for form, make in ROW_FORMS.items():
+            rows = [make(i) for i in range(20)]
+            bulk = Table.from_columns("T", SPEC, rows=rows)
+            serial = Table.from_columns("T", SPEC)
+            for row in rows:
+                serial.insert(row)
+            assert bulk.rows() == serial.rows(), form
+            assert columns_of(bulk) == columns_of(serial), form
+            assert len(bulk) == len(serial) == 20
+
+    @pytest.mark.parametrize("bad", [
+        [1, 2], (1, 2, 0.5, 9), {"id": 1, "score": 0.5}, (),
+    ], ids=["short_list", "long_tuple", "dict_missing_key", "empty"])
+    def test_bulk_load_refuses_a_bad_last_row_whole(self, bad):
+        table = Table.from_columns("T", SPEC, rows=[[0, 0, 0.0]])
+        before = (len(table), table.version, columns_of(table))
+        rows = [[i, i % 3, float(i)] for i in range(9999)] + [bad]
+        with pytest.raises(SchemaError):
+            table.extend(rows)
+        assert (len(table), table.version, columns_of(table)) == before
+
+    @pytest.mark.parametrize("value", sorted(DEGRADING))
+    def test_bulk_load_degrades_as_per_insert(self, value):
+        odd = DEGRADING[value]
+        rows = [[i, i % 3, float(i)] for i in range(1000)]
+        rows[600][1] = odd
+        bulk = Table.from_columns("T", SPEC, rows=rows)
+        serial = Table.from_columns("T", SPEC)
         for row in rows:
             serial.insert(row)
-        assert bulk.rows() == serial.rows()
-        assert len(bulk) == len(serial) == 20
+        kinds = bulk.column_store().column_kinds()
+        assert kinds == {"T.id": "int", "T.key": "object",
+                         "T.score": "float"}
+        assert columns_of(bulk) == columns_of(serial)
+        assert bulk.column("T.key")[600] is odd
 
     def test_bulk_load_bumps_version_once(self):
         table = Table.from_columns("T", [("a", "int")])
@@ -191,7 +248,6 @@ class TestCompiledClosures:
         assert compile_predicate_closure(PRED_SCORE, {}) is None
 
     def test_mask_selector_matches_closure(self):
-        pytest.importorskip("numpy")
         store = L.column_store()
         columns = {name: col.data for name, col
                    in zip(store.names, store.columns)}
@@ -204,7 +260,6 @@ class TestCompiledClosures:
                                     if 10 <= p < 40]
 
     def test_mask_selector_refuses_inexact_comparison(self):
-        pytest.importorskip("numpy")
         store = L.column_store()
         columns = {name: col.data for name, col
                    in zip(store.names, store.columns)}

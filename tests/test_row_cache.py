@@ -7,7 +7,8 @@ builds a Row and when:
 
 * ``ANALYZE`` builds none, and its statistics equal the row-read ones
   field for field (typed, degraded, non-finite and empty columns);
-* a top-k query caches at most the positions its scans delivered;
+* a top-k query caches at most the positions its scans delivered, and
+  an NRJN's sorted-access inner only the rows of the probed keys;
 * the sorted index's ``(score, row)`` views equal the old sorted
   ``(key, row)`` list;
 * one Row object per position, also under a thread race;
@@ -26,7 +27,9 @@ import pytest
 
 from repro import Database
 from repro.common.rng import make_rng
+from repro.operators.nrjn import NRJN
 from repro.operators.scan import IndexScan, TableScan
+from repro.operators.topk import Limit
 from repro.storage.columns import ColumnStore
 from repro.storage.index import SortedIndex
 from repro.storage.stats import ColumnStats, TableStats
@@ -111,6 +114,20 @@ class TestQueryBuildsOnlyWhatItReads:
         for name, count in delivered.items():
             table = db.catalog.table(name)
             assert 0 < cached(table) <= count < len(table)
+
+    def test_nrjn_index_scan_inner_builds_only_probed_rows(self):
+        """A preloaded inner read by sorted access builds the Rows of
+        the keys the outer probes, not every Row it drained."""
+        db = loaded_db(n=3000)
+        outer, inner = (db.catalog.table(name) for name in "AB")
+        join = NRJN(IndexScan(outer, outer.get_index("A_c1_idx")),
+                    IndexScan(inner, inner.get_index("B_c1_idx")),
+                    "A.c2", "B.c2", "A.c1", "B.c1")
+        assert len(list(Limit(join, 5))) == 5
+        probed = {row["A.c2"] for row in outer._row_cache.values()}
+        keys = inner.column("B.c2")
+        expected = sum(1 for key in keys if key in probed)
+        assert 0 < cached(inner) == expected < len(inner)
 
     def test_answers_equal_a_fully_materialised_run(self):
         lazy = loaded_db(n=3000)
